@@ -66,7 +66,6 @@ def estimate_tokens(text: str) -> int:
 class Transcript:
     turns: list[ChatTurn] = field(default_factory=list)
     model_tag: str = "unknown"
-    estimated: bool = True
 
     @property
     def total_prompt_tokens(self) -> int:
@@ -118,7 +117,6 @@ class LLMBackend:
     """Interface for loop backends."""
 
     model_tag = "unknown"
-    reports_exact_tokens = False
 
     def complete(self, turns: Sequence[ChatTurn]) -> ChatTurn:
         """Produce the next assistant turn for the given conversation."""
@@ -154,8 +152,6 @@ class ReplayBackend(LLMBackend):
     content as well. Recorded token counts are reused for every turn so a
     replayed run reproduces the original accounting exactly.
     """
-
-    reports_exact_tokens = True
 
     def __init__(self, recorded: Transcript, *, strict: bool = False):
         self.recorded = recorded
@@ -209,7 +205,6 @@ class LiveHttpBackend(LLMBackend):
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.model_tag = model
-        self.reports_exact_tokens = True
         self._last_usage: dict[str, int] = {}
 
     def complete(self, turns: Sequence[ChatTurn]) -> ChatTurn:
@@ -262,8 +257,7 @@ def run_react_loop(
     and any token overshoot from the last turn is recorded rather than
     silently truncated.
     """
-    transcript = Transcript(model_tag=backend.model_tag,
-                            estimated=not backend.reports_exact_tokens)
+    transcript = Transcript(model_tag=backend.model_tag)
     turns = transcript.turns
 
     def append(turn: ChatTurn):
@@ -368,8 +362,7 @@ def load_transcript(path) -> Transcript:
             tool_name=raw.get("tool_name"),
             token_count=int(raw.get("token_count", 0)),
         ))
-    return Transcript(turns=turns, model_tag=header.get("model_tag", "unknown"),
-                      estimated=False)
+    return Transcript(turns=turns, model_tag=header.get("model_tag", "unknown"))
 
 
 # ---------------------------------------------------------------------------

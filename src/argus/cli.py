@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages so each is independently
 scriptable: ``scan`` (full pipeline), ``deps``, ``advisories``,
 ``flows``, and ``replay-verify``. Exit codes are a stable CI contract:
 0 = ran with no confirmed findings, 1 = confirmed findings exist,
-2 = fatal configuration or input error.
+2 = configuration, input or internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from argus.advisories import OfflineFixtureTransport, gate_finding, query_authoritative, retrieve_community
@@ -20,8 +21,7 @@ from argus.deps import parse_manifest
 from argus.engine import FlowQuery, forward_search
 from argus.errors import ArgusError, ConfigError
 from argus.model import load_program_graph
-from argus.pipeline import PipelineConfig, export_report, run_pipeline
-from argus.recursion import backward_expand, promote_surrogates, stitch
+from argus.pipeline import PipelineConfig, export_report, recover_flows, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIRMED = 1
@@ -37,7 +37,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--llm", help="llm backend: stub | replay:<dir> | live")
     p.add_argument("--backend", help="analysis backend: builtin | sarif:<path>")
     p.add_argument("--out", help="output directory for report files")
-    p.add_argument("--workers", type=int, help="worker count")
     p.add_argument("--nf", type=int, help="maximum flow length bound")
     p.add_argument("--max-depth", type=int, help="backward tree depth bound")
     p.add_argument("--gate-threshold", type=float, help="community gate threshold")
@@ -70,10 +69,8 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         gate_threshold=pick(args.gate_threshold, "gate_threshold", 0.5),
         max_flow_length=pick(args.nf, "max_flow_length", 64),
         max_depth=pick(args.max_depth, "max_depth", 10),
-        workers=pick(args.workers, "workers", 1),
         out_dir=pick(args.out, "out_dir"),
         auto_confirm_forward_flows=pick(args.auto_confirm, "auto_confirm_forward_flows", True),
-        always_recurse=raw.get("always_recurse", False),
         review_mode=raw.get("review_mode", "rule"),
         scan_unused_dependencies=raw.get("scan_unused_dependencies", True),
         sink_registry_path=raw.get("sink_registry_path"),
@@ -174,19 +171,7 @@ def _cmd_flows(args: argparse.Namespace) -> int:
     for sink in args.sink:
         if any(f.sink == sink for f in flows):
             continue
-        tree = backward_expand(graph, sink, config.max_depth)
-        surrogates = promote_surrogates(graph, tree)
-        targets = tuple(
-            s.matched_node_ids[0] for s in surrogates if s.matched_node_ids[0] != sink
-        )
-        if not targets:
-            continue
-        fflows = forward_search(graph, FlowQuery(
-            sinks=targets,
-            max_length=config.max_flow_length,
-            max_flows_per_sink=config.max_flows_per_sink,
-        ))
-        result = stitch(fflows, tree, graph)
+        result = recover_flows(graph, sink, config)
         stitched_payload.extend(s.combined.to_dict() for s in result.flows)
     print(json.dumps({
         "forward": [f.to_dict() for f in flows],
@@ -250,15 +235,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ArgusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except ArgusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+    except Exception as exc:  # exit 1 means findings, so never let a crash end with it
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+    return EXIT_CONFIG_ERROR
 
 
 if __name__ == "__main__":

@@ -186,8 +186,13 @@ def _parse_deps_json(path: str) -> list[DependencyRecord]:
 
 
 def find_usages(graph: ProgramGraph, dep: DependencyRecord) -> UsageRecord:
-    """Collect all content nodes whose label starts with the dependency's
-    package prefix, in lexicographic id order."""
+    """Collect all content nodes whose label is the dependency's package
+    prefix or lies under it (the prefix followed by ``.``), in
+    lexicographic id order."""
     prefix = dep.package_prefix
-    node_ids = sorted(n.id for n in graph.nodes.values() if n.label.startswith(prefix))
+    end = len(prefix)
+    node_ids = sorted(
+        n.id for n in graph.nodes.values()
+        if n.label.startswith(prefix) and n.label[end:end + 1] in ("", ".")
+    )
     return UsageRecord(dependency=dep, node_ids=node_ids)

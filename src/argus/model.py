@@ -299,7 +299,6 @@ def validate_flow(
     graph: ProgramGraph,
     *,
     allow_bridged: bool = False,
-    require_endpoint_roles: bool = True,
 ) -> FlowValidation:
     """Check a flow against its graph.
 
@@ -307,8 +306,7 @@ def validate_flow(
     endpoints, consecutive triples chain together, the length is strictly
     below the flow's bound, and the endpoints carry source/sink roles.
     With ``allow_bridged`` synthesized bridge edges are exempt from the
-    existence check (their continuity still counts). Intermediate flows
-    targeting surrogate nodes disable ``require_endpoint_roles``.
+    existence check (their continuity still counts).
     """
     violations: list[str] = []
     n = len(flow.triples)
@@ -342,13 +340,12 @@ def validate_flow(
                 f"triple {pos}: continuity broken "
                 f"({flow.triples[pos - 2].to_node!r} != {t.from_node!r})"
             )
-    if require_endpoint_roles:
-        src = graph.nodes.get(flow.source)
-        if src is not None and src.taint_role != TaintRole.SOURCE:
-            violations.append(f"first node {flow.source!r} is not a source")
-        dst = graph.nodes.get(flow.sink)
-        if dst is not None and dst.taint_role != TaintRole.SINK:
-            violations.append(f"last node {flow.sink!r} is not a sink")
+    src = graph.nodes.get(flow.source)
+    if src is not None and src.taint_role != TaintRole.SOURCE:
+        violations.append(f"first node {flow.source!r} is not a source")
+    dst = graph.nodes.get(flow.sink)
+    if dst is not None and dst.taint_role != TaintRole.SINK:
+        violations.append(f"last node {flow.sink!r} is not a sink")
     return FlowValidation(not violations, violations)
 
 
@@ -371,6 +368,17 @@ def _check_fields(obj: dict, allowed: set[str], what: str, strict: bool, warning
         if strict:
             raise GraphParseError(msg)
         warnings.append(msg)
+
+
+def _objects(doc: dict, key: str) -> list[dict]:
+    """The entries of the array ``doc[key]``, each checked to be an object."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise GraphParseError(f"{key} must be a JSON array")
+    for pos, raw in enumerate(entries):
+        if not isinstance(raw, dict):
+            raise GraphParseError(f"{key}[{pos}] must be a JSON object")
+    return entries
 
 
 def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
@@ -405,7 +413,7 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
     _check_fields(doc, _TOP_FIELDS, "document", strict, warnings)
     try:
         nodes = []
-        for raw in doc.get("nodes", []):
+        for raw in _objects(doc, "nodes"):
             _check_fields(raw, _NODE_FIELDS, f"node {raw.get('id')!r}", strict, warnings)
             nodes.append(
                 ContentNode(
@@ -419,7 +427,7 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                 )
             )
         edges = []
-        for raw in doc.get("edges", []):
+        for raw in _objects(doc, "edges"):
             _check_fields(raw, _EDGE_FIELDS, f"edge {raw.get('id')!r}", strict, warnings)
             edges.append(
                 AccessPathEdge(
@@ -432,7 +440,7 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                 )
             )
         functions = []
-        for raw in doc.get("functions", []):
+        for raw in _objects(doc, "functions"):
             _check_fields(raw, _FUNCTION_FIELDS, f"function {raw.get('id')!r}", strict, warnings)
             functions.append(
                 FunctionDecl(
@@ -444,7 +452,7 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                 )
             )
         call_edges = []
-        for raw in doc.get("call_edges", []):
+        for raw in _objects(doc, "call_edges"):
             _check_fields(raw, _CALL_EDGE_FIELDS, "call edge", strict, warnings)
             call_edges.append(
                 CallEdge(
@@ -454,7 +462,7 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                 )
             )
         anchors = []
-        for raw in doc.get("anchors", []):
+        for raw in _objects(doc, "anchors"):
             _check_fields(raw, _ANCHOR_FIELDS, "anchor", strict, warnings)
             anchors.append(
                 Anchor(

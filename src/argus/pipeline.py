@@ -27,7 +27,6 @@ from argus.advisories import (
     retrieve_community,
 )
 from argus.agent import (
-    Budget,
     LLMBackend,
     ReplayBackend,
     ScriptedStubBackend,
@@ -60,7 +59,13 @@ from argus.poc import (
     load_sink_registry,
     registry_sink_candidates,
 )
-from argus.recursion import DEFAULT_MAX_DEPTH, backward_expand, promote_surrogates, stitch
+from argus.recursion import (
+    DEFAULT_MAX_DEPTH,
+    StitchResult,
+    backward_expand,
+    promote_surrogates,
+    stitch,
+)
 from argus.review import FinalStatus, ReviewMode, ReviewVerdict, review_flow
 
 REPORT_VERSION = "1"
@@ -78,10 +83,8 @@ class PipelineConfig:
     max_flow_length: int = DEFAULT_MAX_FLOW_LENGTH
     max_flows_per_sink: int = DEFAULT_MAX_FLOWS_PER_SINK
     max_depth: int = DEFAULT_MAX_DEPTH
-    workers: int = 1
     out_dir: Optional[str] = None
     auto_confirm_forward_flows: bool = True
-    always_recurse: bool = False
     review_mode: str = "rule"  # "rule" | "llm"
     scan_unused_dependencies: bool = True
     sink_registry_path: Optional[str] = None
@@ -100,9 +103,7 @@ class PipelineConfig:
             "max_flow_length": self.max_flow_length,
             "max_flows_per_sink": self.max_flows_per_sink,
             "max_depth": self.max_depth,
-            "workers": self.workers,
             "auto_confirm_forward_flows": self.auto_confirm_forward_flows,
-            "always_recurse": self.always_recurse,
             "review_mode": self.review_mode,
             "scan_unused_dependencies": self.scan_unused_dependencies,
         }
@@ -256,6 +257,22 @@ def _safe_name(text: str) -> str:
 # Pipeline
 
 
+def recover_flows(graph: ProgramGraph, sink_id: str, config: PipelineConfig) -> StitchResult:
+    """Backward recovery for a sink forward search cannot reach: grow the
+    sink's caller tree, search forward to the call sites at its leaves and
+    stitch the flows found there back onto the sink."""
+    tree = backward_expand(graph, sink_id, config.max_depth)
+    targets = tuple(site for site in promote_surrogates(tree) if site != sink_id)
+    if not targets:
+        return StitchResult()
+    query = FlowQuery(
+        sinks=targets,
+        max_length=config.max_flow_length,
+        max_flows_per_sink=config.max_flows_per_sink,
+    )
+    return stitch(forward_search(graph, query), tree, graph)
+
+
 def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
     config.validate()
     report = VulnerabilityReport(config=config)
@@ -393,25 +410,20 @@ def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
             )
             flows = forward_search(graph, query)
 
-        if not flows or config.always_recurse:
-            tree = backward_expand(graph, sink_id, config.max_depth)
-            surrogates = promote_surrogates(graph, tree)
-            surrogate_targets = tuple(
-                s.matched_node_ids[0] for s in surrogates
-                if s.matched_node_ids[0] != sink_id
-            )
-            if surrogate_targets:
-                fquery = FlowQuery(
-                    sinks=surrogate_targets,
-                    max_length=config.max_flow_length,
-                    max_flows_per_sink=config.max_flows_per_sink,
-                )
-                surrogate_flows = forward_search(graph, fquery)
-                stitched = stitch(surrogate_flows, tree, graph)
-                report.warnings.extend(stitched.dropped)
-                flows = flows + [s.combined for s in stitched.flows]
+        if not flows:
+            recovered = recover_flows(graph, sink_id, config)
+            report.warnings.extend(recovered.dropped)
+            flows = [s.combined for s in recovered.flows]
 
         for i, flow in enumerate(flows):
+            # Validate first, so a flow that is dropped is never reviewed
+            # and its review tokens are never metered.
+            check = validate_flow(flow, graph, allow_bridged=True)
+            if not check.ok:
+                report.stage_errors.append(
+                    f"flow to {sink_id} failed validation: " + "; ".join(check.violations)
+                )
+                continue
             verdict_backend = _make_review_backend(config, f"{sink_id}__{i}")
             mode = ReviewMode.LLM if (
                 config.review_mode == "llm" and verdict_backend is not None
@@ -425,12 +437,6 @@ def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
             )
             if verdict.transcript is not None:
                 review_transcripts.append(verdict.transcript)
-            check = validate_flow(flow, graph, allow_bridged=True)
-            if not check.ok:
-                report.stage_errors.append(
-                    f"flow to {sink_id} failed validation: " + "; ".join(check.violations)
-                )
-                continue
             advisory_id = candidate_advisory.get(sink_id)
             report.findings.append(Finding(
                 sink_id=sink_id,

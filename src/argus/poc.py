@@ -90,7 +90,6 @@ class PoCArtifact:
 class CandidateOrigin(str, Enum):
     ADVISORY_POC = "advisory_poc"
     STATIC_REGISTRY = "static_registry"
-    SURROGATE = "surrogate"
 
 
 class MatchConfidence(str, Enum):
@@ -105,9 +104,6 @@ class SinkCandidate:
     origin: CandidateOrigin
     confidence: MatchConfidence
     sink_kind: str = "unknown"
-    # Set for surrogate candidates: the sink node the caller tree was
-    # rooted at.
-    root_sink: Optional[str] = None
 
 
 def generate_poc(
@@ -155,48 +151,34 @@ def extract_callable_names(*texts: str) -> list[str]:
     return sorted(names)
 
 
-def _suffix_matches(label: str, candidate: str) -> bool:
-    """True when ``candidate`` equals the trailing dot-segments of ``label``."""
-    if label == candidate:
-        return True
-    return label.endswith("." + candidate)
+def _match_label(graph: ProgramGraph, name: str) -> tuple[MatchConfidence, tuple[str, ...]]:
+    """Sorted ids of the nodes labelled exactly ``name``; failing those,
+    of the nodes whose label ends in the dot-segments of ``name``."""
+    exact_ids = sorted(n.id for n in graph.nodes.values() if n.label == name)
+    if exact_ids:
+        return MatchConfidence.EXACT, tuple(exact_ids)
+    dotted = "." + name
+    return MatchConfidence.FUZZY, tuple(
+        sorted(n.id for n in graph.nodes.values() if n.label.endswith(dotted))
+    )
 
 
-def derive_sink_candidates(
-    poc: PoCArtifact,
-    graph: ProgramGraph,
-    *,
-    sink_kind: str = "unknown",
-) -> list[SinkCandidate]:
+def derive_sink_candidates(poc: PoCArtifact, graph: ProgramGraph) -> list[SinkCandidate]:
     """Bind callable names mentioned by a PoC to graph nodes.
 
     Exact label matches come first, then suffix (fuzzy) matches; names
     with no match are retained with an empty node list so they can still
     seed downstream registry matching.
     """
-    names = extract_callable_names(poc.trigger_code, poc.code_pattern)
     exact: list[SinkCandidate] = []
     fuzzy: list[SinkCandidate] = []
-    for name in names:
-        exact_ids = sorted(n.id for n in graph.nodes.values() if n.label == name)
-        if exact_ids:
-            exact.append(SinkCandidate(
-                callable_name=name,
-                matched_node_ids=tuple(exact_ids),
-                origin=CandidateOrigin.ADVISORY_POC,
-                confidence=MatchConfidence.EXACT,
-                sink_kind=sink_kind,
-            ))
-            continue
-        fuzzy_ids = sorted(
-            n.id for n in graph.nodes.values() if _suffix_matches(n.label, name)
-        )
-        fuzzy.append(SinkCandidate(
+    for name in extract_callable_names(poc.trigger_code, poc.code_pattern):
+        confidence, node_ids = _match_label(graph, name)
+        (exact if confidence == MatchConfidence.EXACT else fuzzy).append(SinkCandidate(
             callable_name=name,
-            matched_node_ids=tuple(fuzzy_ids),
+            matched_node_ids=node_ids,
             origin=CandidateOrigin.ADVISORY_POC,
-            confidence=MatchConfidence.FUZZY,
-            sink_kind=sink_kind,
+            confidence=confidence,
         ))
     return exact + fuzzy
 
@@ -221,25 +203,13 @@ def registry_sink_candidates(
     out: list[SinkCandidate] = []
     for sink_kind in sorted(registry):
         for name in sorted(registry[sink_kind]):
-            exact_ids = sorted(n.id for n in graph.nodes.values() if n.label == name)
-            if exact_ids:
+            confidence, node_ids = _match_label(graph, name)
+            if node_ids:
                 out.append(SinkCandidate(
                     callable_name=name,
-                    matched_node_ids=tuple(exact_ids),
+                    matched_node_ids=node_ids,
                     origin=CandidateOrigin.STATIC_REGISTRY,
-                    confidence=MatchConfidence.EXACT,
-                    sink_kind=sink_kind,
-                ))
-                continue
-            fuzzy_ids = sorted(
-                n.id for n in graph.nodes.values() if _suffix_matches(n.label, name)
-            )
-            if fuzzy_ids:
-                out.append(SinkCandidate(
-                    callable_name=name,
-                    matched_node_ids=tuple(fuzzy_ids),
-                    origin=CandidateOrigin.STATIC_REGISTRY,
-                    confidence=MatchConfidence.FUZZY,
+                    confidence=confidence,
                     sink_kind=sink_kind,
                 ))
     return out

@@ -23,8 +23,8 @@ from argus.model import (
     FlowOrigin,
     FlowTriple,
     ProgramGraph,
+    TaintRole,
 )
-from argus.poc import CandidateOrigin, MatchConfidence, SinkCandidate
 
 DEFAULT_MAX_DEPTH = 10
 
@@ -39,7 +39,7 @@ class TreeNode:
 
 @dataclass
 class BackwardTree:
-    root_sink: str
+    sink: str
     nodes: list[TreeNode] = field(default_factory=list)
     leaf_indices: list[int] = field(default_factory=list)
 
@@ -79,7 +79,7 @@ def backward_expand(graph: ProgramGraph, sink: str, max_depth: int = DEFAULT_MAX
     for lst in callers.values():
         lst.sort()
 
-    tree = BackwardTree(root_sink=sink)
+    tree = BackwardTree(sink=sink)
     tree.nodes.append(TreeNode(sink_node.function_id, sink, 0, None))
     visited = {sink_node.function_id}
     children_count = [0]
@@ -103,26 +103,11 @@ def backward_expand(graph: ProgramGraph, sink: str, max_depth: int = DEFAULT_MAX
     return tree
 
 
-def promote_surrogates(graph: ProgramGraph, tree: BackwardTree) -> list[SinkCandidate]:
-    """One surrogate candidate per leaf, targeting the leaf's call-site
-    node (taint must enter the chain through that argument).
-
-    A depth-0 tree promotes the original sink unchanged.
+def promote_surrogates(tree: BackwardTree) -> tuple[str, ...]:
+    """The leaves' call-site node ids, in leaf order: taint must enter the
+    chain through that argument. A depth-0 tree promotes the original sink.
     """
-    sink_node = graph.nodes[tree.root_sink]
-    out: list[SinkCandidate] = []
-    for idx in tree.leaf_indices:
-        leaf = tree.nodes[idx]
-        target = graph.nodes[leaf.call_site_node]
-        out.append(SinkCandidate(
-            callable_name=target.label or graph.functions[leaf.function_id].name,
-            matched_node_ids=(leaf.call_site_node,),
-            origin=CandidateOrigin.SURROGATE,
-            confidence=MatchConfidence.EXACT,
-            sink_kind=sink_node.sink_kind or "unknown",
-            root_sink=tree.root_sink,
-        ))
-    return out
+    return tuple(tree.nodes[idx].call_site_node for idx in tree.leaf_indices)
 
 
 @dataclass
@@ -130,7 +115,6 @@ class StitchedFlow:
     forward_part: DataFlow
     backward_part: tuple[str, ...]  # call-site node chain, surrogate -> root sink
     combined: DataFlow
-    verified: bool = False  # stays False until review
 
 
 @dataclass
@@ -140,21 +124,27 @@ class StitchResult:
 
 
 def _reachable_ignoring_visibility(graph: ProgramGraph, start: str, goal: str,
-                                   limit: int = 10_000) -> bool:
-    """BFS over all edges (hidden included); bounds node expansions."""
+                                   limit: int = 10_000) -> Optional[bool]:
+    """BFS over all edges (hidden included), never entering a sanitizer
+    node, as forward search does. ``None`` when ``limit`` node expansions
+    end the search undecided.
+    """
     if start == goal:
         return True
     seen = {start}
     queue = deque([start])
     expansions = 0
-    while queue and expansions < limit:
+    while queue:
+        if expansions >= limit:
+            return None
         expansions += 1
         for edge in graph.outgoing(queue.popleft()):
             if edge.dst == goal:
                 return True
             if edge.dst not in seen:
                 seen.add(edge.dst)
-                queue.append(edge.dst)
+                if graph.nodes[edge.dst].taint_role != TaintRole.SANITIZER:
+                    queue.append(edge.dst)
     return False
 
 
@@ -168,8 +158,9 @@ def stitch(
     For each consecutive call-site pair on the leaf-to-root path a real
     edge is reused when one exists; otherwise a ``bridged`` pseudo-edge is
     synthesized, provided the gap corresponds to actual (visibility
-    ignored) graph connectivity. Candidates whose gap has no such
-    connectivity, or whose combined length breaks the bound, are dropped
+    ignored, sanitizers never entered) graph connectivity. Candidates
+    whose gap has no such connectivity, or cannot be decided within the
+    expansion cap, or whose combined length breaks the bound, are dropped
     with a diagnostic.
     """
     leaf_by_site: dict[str, int] = {}
@@ -182,7 +173,7 @@ def stitch(
         if leaf_idx is None:
             raise SurrogateMismatchError(
                 f"forward flow ends at {flow.sink!r}, which is not a leaf "
-                f"surrogate of the tree rooted at {tree.root_sink!r}"
+                f"surrogate of the tree rooted at {tree.sink!r}"
             )
         chain = [n.call_site_node for n in tree.path_to_root(leaf_idx)]
         bridging: list[FlowTriple] = []
@@ -194,11 +185,14 @@ def stitch(
             if real:
                 bridging.append(FlowTriple(a, real[0], b))
                 continue
-            if not _reachable_ignoring_visibility(graph, a, b):
-                result.dropped.append(
-                    f"stitch dropped for flow {flow.edge_ids}: no connectivity "
-                    f"between {a!r} and {b!r} even ignoring visibility"
+            reachable = _reachable_ignoring_visibility(graph, a, b)
+            if not reachable:
+                reason = (
+                    f"no connectivity between {a!r} and {b!r} even ignoring visibility"
+                    if reachable is False else
+                    f"connectivity between {a!r} and {b!r} undecided after the expansion cap"
                 )
+                result.dropped.append(f"stitch dropped for flow {flow.edge_ids}: {reason}")
                 ok = False
                 break
             pseudo = AccessPathEdge(

@@ -116,12 +116,7 @@ class ReviewVerdict:
         }
 
 
-def review_end_to_end(
-    flow: DataFlow,
-    graph: ProgramGraph,
-    *,
-    fatal_tags: frozenset[str] = DEFAULT_FATAL_TAGS,
-) -> ReachabilityFinding:
+def review_end_to_end(flow: DataFlow, graph: ProgramGraph) -> ReachabilityFinding:
     """Flag interrupting constructs along the flow; fatal ones kill
     reachability per the policy table."""
     constructs: list[str] = []
@@ -132,7 +127,7 @@ def review_end_to_end(
             if construct is None:
                 continue
             constructs.append(f"{construct} (edge {t.edge.id})")
-            if tag in fatal_tags:
+            if tag in DEFAULT_FATAL_TAGS:
                 fatal = True
     return ReachabilityFinding(reachable=not fatal, interrupting_constructs=constructs)
 
@@ -246,7 +241,6 @@ def finalize_verdict(
     fell_back_to_rule: bool = False,
     transcript: Optional[Transcript] = None,
     auto_confirm_forward_flows: bool = True,
-    fatal_neutralizations: frozenset = DEFAULT_FATAL_NEUTRALIZATIONS,
 ) -> ReviewVerdict:
     """Three-way adjudication.
 
@@ -255,7 +249,7 @@ def finalize_verdict(
     neutralization exists; needs-human: everything else.
     """
     bridged = flow.has_bridged_edge
-    fatal_neut = any(h.neutralization in fatal_neutralizations for h in hops)
+    fatal_neut = any(h.neutralization in DEFAULT_FATAL_NEUTRALIZATIONS for h in hops)
     all_clean = all(h.neutralization == Neutralization.NONE for h in hops)
     if not finding.reachable or fatal_neut:
         status = FinalStatus.REFUTED

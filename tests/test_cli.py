@@ -1,9 +1,12 @@
 import json
+import shutil
 
 import pytest
 
 from argus.agent import ScriptedStubBackend, run_react_loop, save_transcript
 from argus.cli import EXIT_CONFIG_ERROR, EXIT_CONFIRMED, EXIT_OK, main
+from argus.model import graph_to_dict
+from argus.synthetic import hidden_chain_graph
 from tests.conftest import fixture_path
 
 
@@ -168,3 +171,46 @@ def test_replay_verify_subcommand(capsys, tmp_path):
 def test_replay_verify_missing_file_exit_2(capsys):
     code, _, _ = run_cli(capsys, "replay-verify", "/no/such.jsonl")
     assert code == EXIT_CONFIG_ERROR
+
+
+def test_flows_prints_the_stitched_flows_scan_reports(capsys, tmp_path):
+    fix = hidden_chain_graph(4, depth=2)
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(graph_to_dict(fix.graph)))
+    code, out, _ = run_cli(capsys, "flows", "--graph", str(gpath), "--sink", fix.sink_id)
+    assert code == EXIT_OK
+    printed = json.loads(out)["stitched"]
+    assert printed
+    code, _, _ = run_cli(capsys, "scan", "--graph", str(gpath), "--out", str(tmp_path / "out"))
+    assert code == EXIT_OK
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    reported = [
+        f["flow"] for f in doc["findings"]
+        if f["sink"]["node_id"] == fix.sink_id and f["flow"]["origin"] == "stitched"
+    ]
+    assert reported == printed
+
+
+def test_non_object_graph_entry_exit_2(capsys, tmp_path):
+    gpath = tmp_path / "graph.json"
+    gpath.write_text('{"format_version":"1","functions":[{"id":"f"}],"nodes":[1]}')
+    code, _, err = run_cli(capsys, "scan", "--graph", str(gpath))
+    assert code == EXIT_CONFIG_ERROR
+    assert "nodes[0] must be a JSON object" in err
+
+
+def test_malformed_replay_transcript_exit_2(capsys, tmp_path):
+    replay = tmp_path / "replay"
+    shutil.copytree(fixture_path("datagear_mini", "replay"), replay)
+    victim = sorted(replay.glob("poc__*.jsonl"))[0]
+    victim.write_text(victim.read_text() + "{not json\n")
+    code, _, err = run_cli(
+        capsys, "scan",
+        "--graph", fixture_path("datagear_mini", "graph.json"),
+        "--manifest", fixture_path("datagear_mini", "deps.json"),
+        "--fixtures", fixture_path("datagear_mini", "advisories"),
+        "--llm", f"replay:{replay}",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_CONFIG_ERROR
+    assert err.startswith("error: internal error: JSONDecodeError:")

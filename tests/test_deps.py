@@ -11,7 +11,7 @@ from argus.deps import (
     parse_manifest,
 )
 from argus.errors import ManifestError
-from argus.model import load_program_graph
+from argus.model import ContentNode, FunctionDecl, NodeKind, ProgramGraph, load_program_graph
 from tests.conftest import fixture_path
 
 POM = """<?xml version="1.0"?>
@@ -146,3 +146,17 @@ def test_usage_subset_of_graph_nodes():
     dep = DependencyRecord(Ecosystem.MAVEN, "org.datagear:datagear-analysis", "4.6.0")
     usage = find_usages(graph, dep)
     assert set(usage.node_ids) <= set(graph.nodes)
+
+
+def test_find_usages_stops_at_dotted_boundary():
+    graph = ProgramGraph(
+        [
+            ContentNode("n_poi", NodeKind.VARIABLE, "org.apache.poi.Workbook", "f"),
+            ContentNode("n_fake", NodeKind.VARIABLE, "org.apache.poifake.Other", "f"),
+        ],
+        [],
+        [FunctionDecl("f", "f")],
+        [],
+    )
+    dep = DependencyRecord(Ecosystem.MAVEN, "org.apache.poi:poi-ooxml", "5.2.0")
+    assert find_usages(graph, dep).node_ids == ["n_poi"]

@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from argus import recursion
 from argus.engine import FlowQuery, forward_search
 from argus.errors import SurrogateMismatchError, UnknownSinkError
 from argus.model import (
@@ -8,8 +11,13 @@ from argus.model import (
     load_program_graph,
     validate_flow,
 )
-from argus.poc import CandidateOrigin
-from argus.recursion import backward_expand, promote_surrogates, stitch
+from argus.pipeline import PipelineConfig, recover_flows
+from argus.recursion import (
+    _reachable_ignoring_visibility,
+    backward_expand,
+    promote_surrogates,
+    stitch,
+)
 from argus.synthetic import hidden_chain_graph
 from tests.conftest import fixture_path
 
@@ -26,19 +34,14 @@ def test_depth0_tree_is_identity(case2_graph):
     tree = backward_expand(g, sink)
     assert len(tree.nodes) == 1
     assert tree.leaf_indices == [0]
-    cands = promote_surrogates(g, tree)
-    assert len(cands) == 1
-    assert cands[0].matched_node_ids == (sink,)
-    assert cands[0].origin == CandidateOrigin.SURROGATE
+    assert promote_surrogates(tree) == (sink,)
 
 
 def test_case2_tree_reaches_entry_function(case2_graph):
     tree = backward_expand(case2_graph, "n_newinst")
     leaf_fns = {leaf.function_id for leaf in tree.leaves}
     assert "fx" in leaf_fns
-    cands = promote_surrogates(case2_graph, tree)
-    assert any(c.matched_node_ids == ("n_xarg",) for c in cands)
-    assert all(c.root_sink == "n_newinst" for c in cands)
+    assert "n_xarg" in promote_surrogates(tree)
 
 
 def test_unknown_sink_raises(case2_graph):
@@ -98,8 +101,7 @@ def test_promotion_order_is_deterministic():
     tree = backward_expand(g2, fix.sink_id)
     leaf_fns = [leaf.function_id for leaf in tree.leaves]
     assert leaf_fns == sorted(leaf_fns)
-    cands = promote_surrogates(g2, tree)
-    assert len(cands) == len(tree.leaves)
+    assert promote_surrogates(tree) == tuple(leaf.call_site_node for leaf in tree.leaves)
 
 
 # --- stitching ---------------------------------------------------------------
@@ -205,3 +207,60 @@ def test_two_forward_flows_share_backward_part():
     assert len(result.flows) == 2
     parts = {sf.backward_part for sf in result.flows}
     assert len(parts) == 1
+
+
+# --- soundness of bridges ----------------------------------------------------
+
+
+def sanitized_boundary_graph():
+    """src -> site0 (visible) -> san (sanitizer, hidden) -> sink (hidden),
+    with f0 calling f1 at site0."""
+    from argus.model import (
+        AccessPathEdge,
+        ContentNode,
+        EdgeKind,
+        FunctionDecl,
+        NodeKind,
+        ProgramGraph,
+        TaintRole,
+    )
+
+    nodes = [
+        ContentNode("src", NodeKind.PARAMETER, "f0.input", "f0", TaintRole.SOURCE),
+        ContentNode("site0", NodeKind.CALL_ARGUMENT, "f0.call", "f0"),
+        ContentNode("san", NodeKind.VARIABLE, "f1.clean", "f1", TaintRole.SANITIZER),
+        ContentNode("sink", NodeKind.CALL_ARGUMENT, "f1.exec", "f1", TaintRole.SINK,
+                    sink_kind="command-exec"),
+    ]
+    edges = [
+        AccessPathEdge("e1", "src", "site0", EdgeKind.ASSIGN),
+        AccessPathEdge("e2", "site0", "san", EdgeKind.CALL_PASS, visible_to_forward=False),
+        AccessPathEdge("e3", "san", "sink", EdgeKind.ASSIGN, visible_to_forward=False),
+    ]
+    functions = [FunctionDecl("f0", "pkg.f0", is_entry_point=True), FunctionDecl("f1", "pkg.f1")]
+    return ProgramGraph(nodes, edges, functions, [CallEdge("f0", "f1", "site0")])
+
+
+def test_no_bridge_through_a_sanitizer():
+    g = sanitized_boundary_graph()
+    off = forward_search(g, FlowQuery(sinks=("sink",), respect_visibility=False))
+    assert off == []
+    result = recover_flows(g, "sink", PipelineConfig(graph_path=""))
+    assert result.flows == []
+    assert len(result.dropped) == 1
+    assert "no connectivity between 'site0' and 'sink'" in result.dropped[0]
+
+
+def test_expansion_cap_drops_as_undecided(monkeypatch):
+    fix = hidden_chain_graph(3, depth=1)
+    g = fix.graph
+    assert _reachable_ignoring_visibility(g, "f0_nsite", fix.sink_id) is True
+    assert _reachable_ignoring_visibility(g, "f0_nsite", fix.sink_id, limit=1) is None
+    monkeypatch.setattr(recursion, "_reachable_ignoring_visibility",
+                        functools.partial(_reachable_ignoring_visibility, limit=1))
+    result = recover_flows(g, fix.sink_id, PipelineConfig(graph_path=""))
+    assert result.flows == []
+    assert result.dropped
+    for msg in result.dropped:
+        assert "connectivity between 'f0_nsite' and 'f1_nsink' undecided " \
+               "after the expansion cap" in msg
