@@ -204,10 +204,18 @@ def quality_score(issue: CommunityIssue) -> float:
     return 0.2 * (length + depth + impact + code + solution)
 
 
+def check_gate_weights(weights: Sequence[float]) -> None:
+    if (
+        len(weights) != 3
+        or not all(isinstance(w, (int, float)) for w in weights)
+        or abs(sum(weights) - 1.0) > 1e-9
+    ):
+        raise InvalidWeightsError(f"gate weights must be 3 values summing to 1, got {weights}")
+
+
 def aggregate_score(relevance: float, credibility: float, quality: float,
                     weights: Sequence[float] = DEFAULT_GATE_WEIGHTS) -> float:
-    if abs(sum(weights) - 1.0) > 1e-9 or len(weights) != 3:
-        raise InvalidWeightsError(f"gate weights must be 3 values summing to 1, got {weights}")
+    check_gate_weights(weights)
     return weights[0] * relevance + weights[1] * credibility + weights[2] * quality
 
 

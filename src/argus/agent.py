@@ -347,22 +347,37 @@ def save_transcript(transcript: Transcript, path) -> None:
 
 def load_transcript(path) -> Transcript:
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh if line.strip()]
+        lines = [(no, line) for no, line in enumerate(fh, start=1) if line.strip()]
     if not lines:
         raise BackendError(f"{path}: empty transcript file")
-    header = json.loads(lines[0])
+    header = _transcript_line(path, *lines[0])
     if header.get("format_version") != TRANSCRIPT_FORMAT_VERSION:
         raise BackendError(f"{path}: unsupported transcript format_version")
     turns = []
-    for line in lines[1:]:
-        raw = json.loads(line)
-        turns.append(ChatTurn(
-            role=Role(raw["role"]),
-            content=raw["content"],
-            tool_name=raw.get("tool_name"),
-            token_count=int(raw.get("token_count", 0)),
-        ))
+    for no, line in lines[1:]:
+        raw = _transcript_line(path, no, line)
+        try:
+            turns.append(ChatTurn(
+                role=Role(raw.get("role")),
+                content=raw["content"],
+                tool_name=raw.get("tool_name"),
+                token_count=int(raw.get("token_count", 0)),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BackendError(
+                f"{path}: line {no}: malformed turn: {type(exc).__name__}: {exc}"
+            ) from exc
     return Transcript(turns=turns, model_tag=header.get("model_tag", "unknown"))
+
+
+def _transcript_line(path, no: int, line: str) -> dict:
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise BackendError(f"{path}: line {no}: not valid JSON: {exc}") from exc
+    if not isinstance(row, dict):
+        raise BackendError(f"{path}: line {no}: not a JSON object")
+    return row
 
 
 # ---------------------------------------------------------------------------

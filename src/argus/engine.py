@@ -3,7 +3,10 @@
 The built-in engine enumerates simple paths (no repeated node) from
 source nodes to target sinks over visible edges, pruning at sanitizer
 nodes. Output order is deterministic: flows sort lexicographically by
-their edge-id tuple, capped per sink.
+their edge-id tuple, capped per sink. The search is goal-directed: it
+stops at the per-sink cap, and a breadth-first search back from the sink
+first finds how far each node is from it, so the depth-first search
+never enters a node that cannot reach the sink within the bound.
 
 External analyzers integrate through SARIF 2.1.0 code flows; thread-flow
 locations are resolved to content nodes via the graph's anchor table.
@@ -18,6 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 from argus.errors import SarifError, UnknownSinkError
 from argus.model import (
     DEFAULT_MAX_FLOW_LENGTH,
+    AccessPathEdge,
     DataFlow,
     FlowOrigin,
     FlowTriple,
@@ -47,7 +51,7 @@ class FlowQuery:
 
 def select_sources(graph: ProgramGraph, query: FlowQuery) -> list[str]:
     if query.source_ids is not None:
-        return sorted(query.source_ids)
+        return sorted(set(query.source_ids))
     sources = graph.nodes_by_role(TaintRole.SOURCE)
     if query.source_kind is not None:
         sources = [n for n in sources if n.source_kind == query.source_kind]
@@ -60,7 +64,8 @@ def forward_search(graph: ProgramGraph, query: FlowQuery) -> list[DataFlow]:
     Raises :class:`UnknownSinkError` for sink ids absent from the graph.
     Flows never pass through sanitizer nodes, use only forward-visible
     edges when ``respect_visibility`` is set, and have fewer than
-    ``max_length`` triples.
+    ``max_length`` triples. Each sink gets the first
+    ``max_flows_per_sink`` flows in edge-id tuple order.
     """
     for sink in query.sinks:
         if sink not in graph.nodes:
@@ -68,46 +73,91 @@ def forward_search(graph: ProgramGraph, query: FlowQuery) -> list[DataFlow]:
     sources = select_sources(graph, query)
     out: list[DataFlow] = []
     for sink in sorted(query.sinks):
+        dist = _distances_to(graph, sink, query)
+        # Out-edges are sorted by id and a sink always ends its path, so no
+        # flow's edge-id tuple is a prefix of another's: depth-first order
+        # over id-ordered edges is the sorted order, and the first flows
+        # found are the ones to keep. Each start edge has its own source.
+        starts = sorted(
+            (e for s in sources if s != sink for e in graph.outgoing(s)),
+            key=lambda e: e.id,
+        )
         paths: list[tuple[FlowTriple, ...]] = []
-        for source in sources:
-            if source == sink:
-                continue
-            _enumerate_paths(graph, source, sink, query, [], {source}, paths)
-        paths.sort(key=lambda p: tuple(t.edge.id for t in p))
-        for p in paths[: query.max_flows_per_sink]:
+        for edge in starts:
+            if _extend_paths(graph, (edge,), sink, query, dist, [], {edge.src}, paths):
+                break
+        for p in paths:
             out.append(DataFlow(triples=p, origin=FlowOrigin.FORWARD,
                                 max_length_bound=query.max_length))
     return out
 
 
-def _enumerate_paths(
+def _distances_to(graph: ProgramGraph, sink: str, query: FlowQuery) -> dict[str, int]:
+    """Fewest edges from each node to ``sink`` over the edges forward search
+    may take, for nodes within ``max_length - 1`` edges of it.
+
+    A breadth-first search over incoming edges. Sanitizers get no distance:
+    forward search never enters one, so no flow passes through it.
+    """
+    dist = {sink: 0}
+    frontier = [sink]
+    for depth in range(1, query.max_length):
+        reached = []
+        for node in frontier:
+            for edge in graph.incoming(node):
+                if query.respect_visibility and not edge.visible_to_forward:
+                    continue
+                prev = edge.src
+                if prev in dist or graph.nodes[prev].taint_role == TaintRole.SANITIZER:
+                    continue
+                dist[prev] = depth
+                reached.append(prev)
+        if not reached:
+            break
+        frontier = reached
+    return dist
+
+
+def _extend_paths(
     graph: ProgramGraph,
-    current: str,
+    edges: Sequence[AccessPathEdge],
     sink: str,
     query: FlowQuery,
+    dist: dict[str, int],
     prefix: list[FlowTriple],
     visited: set[str],
     paths: list[tuple[FlowTriple, ...]],
-) -> None:
-    if len(prefix) >= query.max_length - 1:
-        return
-    for edge in graph.outgoing(current):
+) -> bool:
+    """Depth-first extension of ``prefix`` over ``edges``; True once
+    ``paths`` holds ``max_flows_per_sink`` flows."""
+    limit = query.max_length - 1
+    if len(prefix) >= limit:
+        return False
+    for edge in edges:
         if query.respect_visibility and not edge.visible_to_forward:
             continue
         nxt = edge.dst
         if nxt in visited:
             continue
-        triple = FlowTriple(current, edge, nxt)
+        triple = FlowTriple(edge.src, edge, nxt)
         if nxt == sink:
             paths.append(tuple(prefix + [triple]))
+            if len(paths) >= query.max_flows_per_sink:
+                return True
             continue
-        if graph.nodes[nxt].taint_role == TaintRole.SANITIZER:
+        # Enter only a node that can still reach the sink within the bound;
+        # sanitizers and nodes too far away have no distance.
+        if nxt not in dist or len(prefix) + 1 + dist[nxt] > limit:
             continue
         visited.add(nxt)
         prefix.append(triple)
-        _enumerate_paths(graph, nxt, sink, query, prefix, visited, paths)
+        done = _extend_paths(graph, graph.outgoing(nxt), sink, query, dist,
+                             prefix, visited, paths)
         prefix.pop()
         visited.remove(nxt)
+        if done:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,7 @@ class ProgramGraph:
             by_src.setdefault(e.src, []).append(e)
         for src, es in by_src.items():
             self._out[src] = tuple(sorted(es, key=lambda e: e.id))
+        self._in: Optional[dict[str, tuple[AccessPathEdge, ...]]] = None
 
     def _check_integrity(self):
         if not self.functions:
@@ -211,6 +212,16 @@ class ProgramGraph:
 
     def outgoing(self, node_id: str) -> tuple[AccessPathEdge, ...]:
         return self._out.get(node_id, ())
+
+    def incoming(self, node_id: str) -> tuple[AccessPathEdge, ...]:
+        """Edges into ``node_id``. The index is built on the first call, so
+        graphs no search walks backwards never pay for it."""
+        if self._in is None:
+            by_dst: dict[str, list[AccessPathEdge]] = {}
+            for e in self.edges.values():
+                by_dst.setdefault(e.dst, []).append(e)
+            self._in = {dst: tuple(es) for dst, es in by_dst.items()}
+        return self._in.get(node_id, ())
 
     def nodes_by_role(self, role: TaintRole) -> list[ContentNode]:
         return sorted(
@@ -429,6 +440,9 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
         edges = []
         for raw in _objects(doc, "edges"):
             _check_fields(raw, _EDGE_FIELDS, f"edge {raw.get('id')!r}", strict, warnings)
+            guard_tags = raw.get("guard_tags", [])
+            if not isinstance(guard_tags, list):
+                raise GraphParseError(f"edge {raw.get('id')!r}: guard_tags must be a JSON array")
             edges.append(
                 AccessPathEdge(
                     id=str(raw["id"]),
@@ -436,7 +450,7 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                     dst=str(raw["to"]),
                     kind=EdgeKind(raw["kind"]),
                     visible_to_forward=bool(raw.get("visible_to_forward", True)),
-                    guard_tags=frozenset(raw.get("guard_tags", [])),
+                    guard_tags=frozenset(guard_tags),
                 )
             )
         functions = []

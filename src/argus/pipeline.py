@@ -22,6 +22,7 @@ from argus import __version__
 from argus.advisories import (
     AdvisoryRecord,
     OfflineFixtureTransport,
+    check_gate_weights,
     gate_finding,
     query_authoritative,
     retrieve_community,
@@ -41,7 +42,7 @@ from argus.engine import (
     forward_search,
     import_sarif,
 )
-from argus.errors import ArgusError, ConfigError, ManifestError
+from argus.errors import ArgusError, ConfigError, InvalidWeightsError, ManifestError
 from argus.model import (
     DEFAULT_MAX_FLOW_LENGTH,
     DataFlow,
@@ -132,6 +133,21 @@ class PipelineConfig:
         for m in self.manifest_paths:
             if not os.path.exists(m):
                 raise ConfigError(f"manifest not found: {m}")
+        self.validate_search_bounds()
+        if not isinstance(self.gate_threshold, (int, float)):
+            raise ConfigError(f"gate_threshold must be a number, got {self.gate_threshold!r}")
+        try:
+            check_gate_weights(self.gate_weights)
+        except InvalidWeightsError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    def validate_search_bounds(self) -> None:
+        """Check the bounds of forward search and backward recovery, the
+        only settings `argus flows` reads besides the graph path."""
+        for name in ("max_flow_length", "max_flows_per_sink", "max_depth"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass

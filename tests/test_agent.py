@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ from argus.agent import (
     run_react_loop,
     save_transcript,
 )
-from argus.errors import ReplayDivergenceError
+from argus.errors import BackendError, ReplayDivergenceError
 
 FINAL = "done thinking.\n```final\n{\"answer\": 42}\n```"
 TOOL = '```tool lookup\n{"key": "a"}\n```'
@@ -150,6 +151,22 @@ def test_transcript_file_is_jsonl_with_header(tmp_path):
     header = json.loads(lines[0])
     assert header["format_version"] == "1"
     assert len(lines) == 1 + len(outcome.transcript.turns)
+
+
+@pytest.mark.parametrize("bad_line", [
+    "{not json",
+    "[1, 2]",
+    '{"content": "x"}',
+    '{"role": "wizard", "content": "x"}',
+])
+def test_malformed_transcript_line_names_file_and_line(tmp_path, bad_line):
+    path = tmp_path / "t.jsonl"
+    save_transcript(record_run().transcript, path)
+    lines = path.read_text().splitlines()
+    lines.insert(2, bad_line)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BackendError, match=re.escape(f"{path}: line 3: ")):
+        load_transcript(path)
 
 
 def test_turn_invariants():

@@ -213,4 +213,44 @@ def test_malformed_replay_transcript_exit_2(capsys, tmp_path):
         "--out", str(tmp_path / "out"),
     )
     assert code == EXIT_CONFIG_ERROR
-    assert err.startswith("error: internal error: JSONDecodeError:")
+    assert err.startswith(f"error: {victim}: line ")
+    assert ": not valid JSON: " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("scan", "--max-depth", "0"),
+    ("scan", "--nf", "0"),
+    ("flows", "--sink", "n_newinst", "--max-depth", "0"),
+    ("flows", "--sink", "n_newinst", "--nf", "0"),
+])
+def test_bound_below_one_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, *argv, "--graph", fixture_path("publiccms_mini", "graph.json"))
+    assert code == EXIT_CONFIG_ERROR
+    assert "must be an integer >= 1" in err
+    assert "internal error" not in err
+
+
+def test_flows_ignores_settings_only_scan_reads(capsys, tmp_path):
+    argv = ("flows", "--graph", fixture_path("publiccms_mini", "graph.json"),
+            "--sink", "n_newinst")
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    code, out, _ = run_cli(
+        capsys, *argv,
+        "--backend", "sarif:" + str(tmp_path / "missing.sarif"),
+        "--fixtures", str(tmp_path / "missing"),
+        "--llm", "replay:" + str(tmp_path / "missing"),
+    )
+    assert code == EXIT_OK
+    assert out == want
+
+
+def test_non_array_guard_tags_exit_2(capsys, tmp_path):
+    doc = graph_to_dict(hidden_chain_graph(4, depth=1).graph)
+    doc["edges"][0]["guard_tags"] = 5
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "scan", "--graph", str(gpath))
+    assert code == EXIT_CONFIG_ERROR
+    assert "guard_tags must be a JSON array" in err
+    assert "internal error" not in err

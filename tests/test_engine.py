@@ -1,6 +1,11 @@
 import pytest
 
-from argus.engine import FlowQuery, forward_search, select_sources
+from argus.engine import (
+    DEFAULT_MAX_FLOWS_PER_SINK,
+    FlowQuery,
+    forward_search,
+    select_sources,
+)
 from argus.errors import UnknownSinkError
 from argus.model import (
     AccessPathEdge,
@@ -93,14 +98,35 @@ def sink_ids(graph):
 
 
 def test_random_graphs_match_brute_force():
+    """Each sink's flows are the first ``cap`` of the oracle's sorted set.
+
+    Besides the graph's sinks, one source and one sanitizer are queried as
+    sinks: forward search starts at every source but the sink, and a
+    sanitizer sink is entered although sanitizers are not.
+    """
     from argus.synthetic import random_graph
 
-    for seed in range(40):
-        graph = random_graph(seed, n_nodes=12, n_edges=24)
-        sinks = sink_ids(graph)
-        got = search_sets(graph, sinks, max_length=8)
-        want = brute_force_all(graph, sinks, max_length=8)
-        assert got == want, f"seed {seed}"
+    cases = [(seed, dict(n_nodes=12, n_edges=24), (8,), (True,)) for seed in range(40)]
+    cases += [(seed, dict(n_nodes=14, n_edges=34, n_sinks=3, hidden_edge_fraction=0.3),
+               (3, 5, 8), (True, False)) for seed in range(12)]
+    for seed, shape, bounds, visibilities in cases:
+        graph = random_graph(seed, **shape)
+        sinks = sink_ids(graph) + [
+            min(n.id for n in graph.nodes_by_role(role))
+            for role in (TaintRole.SOURCE, TaintRole.SANITIZER)
+        ]
+        for bound in bounds:
+            for visible in visibilities:
+                want = brute_force_all(graph, sinks, bound, visible)
+                for cap in (1, 3, 32, 10_000):
+                    query = FlowQuery(sinks=tuple(sinks), max_length=bound,
+                                      max_flows_per_sink=cap,
+                                      respect_visibility=visible)
+                    got = {s: [] for s in sinks}
+                    for f in forward_search(graph, query):
+                        got[f.sink].append(f.edge_ids)
+                    for s in sinks:
+                        assert got[s] == sorted(want[s])[:cap], (seed, bound, visible, cap, s)
 
 
 def test_visibility_off_is_superset():
@@ -170,3 +196,47 @@ def test_query_rejects_bad_bounds():
         FlowQuery(sinks=("x",), max_length=0)
     with pytest.raises(ValueError):
         FlowQuery(sinks=("x",), max_flows_per_sink=0)
+
+
+def test_default_bound_stops_at_the_cap(monkeypatch):
+    from argus.synthetic import random_graph
+
+    graph = random_graph(1, n_nodes=60, n_edges=150, n_sources=2, n_sinks=3,
+                         n_sanitizers=2)
+    expansions = 0
+    outgoing = ProgramGraph.outgoing
+
+    def counting(self, node_id):
+        nonlocal expansions
+        expansions += 1
+        return outgoing(self, node_id)
+
+    monkeypatch.setattr(ProgramGraph, "outgoing", counting)
+    sinks = sink_ids(graph)
+    flows = forward_search(graph, FlowQuery(sinks=tuple(sinks)))
+    for s in sinks:
+        ids = [f.edge_ids for f in flows if f.sink == s]
+        assert len(ids) == DEFAULT_MAX_FLOWS_PER_SINK
+        assert ids == sorted(ids)
+    assert all(validate_flow(f, graph).ok for f in flows)
+    # Listing every simple path at this bound does not finish in minutes.
+    assert expansions <= 50_000
+
+
+def test_duplicate_source_ids_report_each_flow_once():
+    g = ProgramGraph(
+        [
+            ContentNode("s", NodeKind.VARIABLE, "s", "f1", TaintRole.SOURCE, "x"),
+            ContentNode("m", NodeKind.VARIABLE, "m", "f1"),
+            ContentNode("t", NodeKind.VARIABLE, "t", "f1", TaintRole.SINK,
+                        sink_kind="command-exec"),
+        ],
+        [
+            AccessPathEdge("a", "s", "t", EdgeKind.ASSIGN),
+            AccessPathEdge("b", "s", "m", EdgeKind.ASSIGN),
+            AccessPathEdge("c", "m", "t", EdgeKind.ASSIGN),
+        ],
+        [FunctionDecl("f1", "f1")],
+    )
+    flows = forward_search(g, FlowQuery(sinks=("t",), source_ids=("s", "s")))
+    assert [f.edge_ids for f in flows] == [("a",), ("b", "c")]

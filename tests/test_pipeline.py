@@ -150,6 +150,20 @@ def test_validate_rejects_unknown_backends():
         run_pipeline(datagear_config(analysis_backend="magic"))
 
 
+@pytest.mark.parametrize("override", [
+    {"max_flow_length": 0},
+    {"max_flows_per_sink": 0},
+    {"max_depth": 0},
+    {"max_depth": "3"},
+    {"gate_threshold": "high"},
+    {"gate_weights": (0.5, 0.5, 0.5)},
+    {"gate_weights": (0.5, 0.5)},
+])
+def test_validate_rejects_bad_numeric_fields(override):
+    with pytest.raises(ConfigError):
+        datagear_config(**override).validate()
+
+
 def test_config_digest_stable_and_sensitive():
     a, b = datagear_config(), datagear_config()
     assert a.digest() == b.digest()
