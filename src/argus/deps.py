@@ -2,8 +2,9 @@
 
 Supports a pom.xml subset (groupId/artifactId/version/scope with
 ``${...}`` interpolation from <properties>) and a canonical ``deps.json``
-for non-Java fixtures. Usage lookup is a plain label-prefix scan over the
-program graph.
+for non-Java fixtures. Usage lookup is one range query on the program
+graph's label index: the nodes labelled with the dependency's package
+prefix or with a name under it.
 """
 
 from __future__ import annotations
@@ -189,10 +190,5 @@ def find_usages(graph: ProgramGraph, dep: DependencyRecord) -> UsageRecord:
     """Collect all content nodes whose label is the dependency's package
     prefix or lies under it (the prefix followed by ``.``), in
     lexicographic id order."""
-    prefix = dep.package_prefix
-    end = len(prefix)
-    node_ids = sorted(
-        n.id for n in graph.nodes.values()
-        if n.label.startswith(prefix) and n.label[end:end + 1] in ("", ".")
-    )
+    node_ids = graph.label_index().under(dep.package_prefix)
     return UsageRecord(dependency=dep, node_ids=node_ids)

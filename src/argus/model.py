@@ -7,12 +7,16 @@ declarations, and call edges. A data flow is an ordered list of
 (from_node, edge, to_node) triples whose consecutive endpoints chain
 together; the flow length is strictly bounded by the configured maximum.
 
-Graphs are immutable after load and safe for concurrent reads.
+Graphs are immutable after load and safe for concurrent reads: the lazily
+built indexes are pure functions of the graph, so a build that two threads
+race on yields equal tables.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Optional, Sequence
@@ -117,8 +121,65 @@ class Anchor:
     node_id: str
 
 
+def _columns(pairs: list[tuple[str, str]]) -> tuple[list[str], list[str]]:
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
+class LabelIndex:
+    """Node ids by label, for exact, dotted-prefix and dotted-suffix lookups.
+
+    Holds the (label, id) pairs sorted by label, then id, and the same pairs
+    with each label reversed, sorted the same way, each as two parallel
+    columns. Every lookup is one or two bisect ranges and returns sorted ids.
+    The ranges use that ``"/"`` is the code point right after ``"."``: a
+    label starts with ``p + "."`` iff it lies in ``[p + ".", p + "/")``.
+    """
+
+    def __init__(self, nodes: Iterable[ContentNode]):
+        pairs = sorted((n.label, n.id) for n in nodes)
+        self._labels, self._ids = _columns(pairs)
+        self._reversed, self._reversed_ids = _columns(
+            sorted((label[::-1], node_id) for label, node_id in pairs)
+        )
+
+    def exact(self, name: str) -> list[str]:
+        """Ids of the nodes labelled ``name``."""
+        labels = self._labels
+        return self._ids[bisect_left(labels, name):bisect_right(labels, name)]
+
+    def under(self, prefix: str) -> list[str]:
+        """Ids of the nodes labelled ``prefix`` or ``prefix`` + ``"."`` + anything."""
+        labels = self._labels
+        dotted = self._ids[bisect_left(labels, prefix + "."):bisect_left(labels, prefix + "/")]
+        return sorted(self.exact(prefix) + dotted)
+
+    def ending(self, name: str) -> list[str]:
+        """Ids of the nodes whose label ends in ``"."`` + ``name``."""
+        rev, labels = name[::-1], self._reversed
+        return sorted(
+            self._reversed_ids[bisect_left(labels, rev + "."):bisect_left(labels, rev + "/")]
+        )
+
+
+class _SharedIndexes:
+    """Indexes built on first use from edges and labels alone, so a graph and
+    its :meth:`ProgramGraph.with_sinks` overlays can share them."""
+
+    __slots__ = ("incoming", "labels")
+
+    def __init__(self):
+        self.incoming: Optional[dict[str, tuple[AccessPathEdge, ...]]] = None
+        self.labels: Optional[LabelIndex] = None
+
+
 class ProgramGraph:
-    """Immutable program graph with id-indexed lookups."""
+    """Immutable program graph with id-indexed lookups.
+
+    The outgoing-edge index is built at load. The incoming-edge index, the
+    label index and the per-role node lists are built on first use, so load
+    pays for none of them. :meth:`with_sinks` returns an overlay with its
+    own node table that shares every other table and index with its parent.
+    """
 
     def __init__(
         self,
@@ -155,7 +216,9 @@ class ProgramGraph:
             by_src.setdefault(e.src, []).append(e)
         for src, es in by_src.items():
             self._out[src] = tuple(sorted(es, key=lambda e: e.id))
-        self._in: Optional[dict[str, tuple[AccessPathEdge, ...]]] = None
+        self._shared = _SharedIndexes()
+        # Roles change in an overlay, so these lists are never shared.
+        self._by_role: dict[TaintRole, tuple[ContentNode, ...]] = {}
 
     def _check_integrity(self):
         if not self.functions:
@@ -216,38 +279,50 @@ class ProgramGraph:
     def incoming(self, node_id: str) -> tuple[AccessPathEdge, ...]:
         """Edges into ``node_id``. The index is built on the first call, so
         graphs no search walks backwards never pay for it."""
-        if self._in is None:
+        shared = self._shared
+        if shared.incoming is None:
             by_dst: dict[str, list[AccessPathEdge]] = {}
             for e in self.edges.values():
                 by_dst.setdefault(e.dst, []).append(e)
-            self._in = {dst: tuple(es) for dst, es in by_dst.items()}
-        return self._in.get(node_id, ())
+            shared.incoming = {dst: tuple(es) for dst, es in by_dst.items()}
+        return shared.incoming.get(node_id, ())
+
+    def label_index(self) -> LabelIndex:
+        """The label index, built on the first call."""
+        shared = self._shared
+        if shared.labels is None:
+            shared.labels = LabelIndex(self.nodes.values())
+        return shared.labels
 
     def nodes_by_role(self, role: TaintRole) -> list[ContentNode]:
-        return sorted(
-            (n for n in self.nodes.values() if n.taint_role == role),
-            key=lambda n: n.id,
-        )
+        """The nodes with ``role`` in id order, as a new list; the first call
+        for a role scans the nodes and keeps the result."""
+        found = self._by_role.get(role)
+        if found is None:
+            found = self._by_role[role] = tuple(sorted(
+                (n for n in self.nodes.values() if n.taint_role == role),
+                key=lambda n: n.id,
+            ))
+        return list(found)
 
     def with_sinks(self, sink_kinds: Mapping[str, str]) -> "ProgramGraph":
-        """Return a copy with the given node ids marked as sinks.
+        """Return an overlay with the given node ids marked as sinks.
 
-        ``sink_kinds`` maps node id -> sink category tag. Nodes already
-        marked keep their original role; sanitizers are never re-marked.
+        ``sink_kinds`` maps node id -> sink category tag. Only nodes with
+        role ``NONE`` are marked: nodes already marked, sources and
+        sanitizers keep their role. Unknown ids are ignored. The overlay
+        gets its own node table, in the same order, and shares every other
+        table and index with this graph, which is left unchanged; marking
+        a sink changes no label and no edge, so nothing is checked again.
         """
-        new_nodes = []
-        for n in self.nodes.values():
-            if n.id in sink_kinds and n.taint_role == TaintRole.NONE:
-                n = replace(n, taint_role=TaintRole.SINK, sink_kind=sink_kinds[n.id])
-            new_nodes.append(n)
-        return ProgramGraph(
-            new_nodes,
-            self.edges.values(),
-            self.functions.values(),
-            self.call_edges,
-            self.source_files,
-            self.anchors,
-        )
+        overlay = copy.copy(self)
+        overlay.nodes = nodes = dict(self.nodes)
+        for node_id, kind in sink_kinds.items():
+            n = nodes.get(node_id)
+            if n is not None and n.taint_role == TaintRole.NONE:
+                nodes[node_id] = replace(n, taint_role=TaintRole.SINK, sink_kind=kind)
+        overlay._by_role = {}
+        return overlay
 
 
 @dataclass(frozen=True)
@@ -392,6 +467,24 @@ def _objects(doc: dict, key: str) -> list[dict]:
     return entries
 
 
+def _all_strings(values: list) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
+def _optional_str(raw: dict, key: str, what: str) -> Optional[str]:
+    value = raw.get(key)
+    if value is not None and not isinstance(value, str):
+        raise GraphParseError(f"{what} {raw.get('id')!r}: {key} must be a string or null")
+    return value
+
+
+def _anchor_line(raw: dict, key: str) -> int:
+    line = raw[key]
+    if not isinstance(line, int) or isinstance(line, bool):
+        raise GraphParseError(f"anchor {key} must be an integer, got {line!r}")
+    return line
+
+
 def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
     """Load and validate a program-graph JSON document.
 
@@ -431,7 +524,7 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                     id=str(raw["id"]),
                     kind=NodeKind(raw["kind"]),
                     label=str(raw.get("label", "")),
-                    function_id=raw.get("function_id"),
+                    function_id=_optional_str(raw, "function_id", "node"),
                     taint_role=TaintRole(raw.get("taint_role", "none")),
                     source_kind=raw.get("source_kind"),
                     sink_kind=raw.get("sink_kind"),
@@ -441,8 +534,11 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
         for raw in _objects(doc, "edges"):
             _check_fields(raw, _EDGE_FIELDS, f"edge {raw.get('id')!r}", strict, warnings)
             guard_tags = raw.get("guard_tags", [])
-            if not isinstance(guard_tags, list):
-                raise GraphParseError(f"edge {raw.get('id')!r}: guard_tags must be a JSON array")
+            # Most edges carry no tags: skip the element check for those.
+            if not isinstance(guard_tags, list) or (guard_tags and not _all_strings(guard_tags)):
+                raise GraphParseError(
+                    f"edge {raw.get('id')!r}: guard_tags must be a JSON array of strings"
+                )
             edges.append(
                 AccessPathEdge(
                     id=str(raw["id"]),
@@ -456,12 +552,17 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
         functions = []
         for raw in _objects(doc, "functions"):
             _check_fields(raw, _FUNCTION_FIELDS, f"function {raw.get('id')!r}", strict, warnings)
+            parameters = raw.get("parameters", [])
+            if not isinstance(parameters, list) or not _all_strings(parameters):
+                raise GraphParseError(
+                    f"function {raw.get('id')!r}: parameters must be a JSON array of strings"
+                )
             functions.append(
                 FunctionDecl(
                     id=str(raw["id"]),
                     name=str(raw.get("name", raw["id"])),
-                    parameters=tuple(raw.get("parameters", [])),
-                    return_node=raw.get("return_node"),
+                    parameters=tuple(parameters),
+                    return_node=_optional_str(raw, "return_node", "function"),
                     is_entry_point=bool(raw.get("is_entry_point", False)),
                 )
             )
@@ -481,8 +582,8 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
             anchors.append(
                 Anchor(
                     file=str(raw["file"]),
-                    start_line=int(raw["start_line"]),
-                    end_line=int(raw["end_line"]),
+                    start_line=_anchor_line(raw, "start_line"),
+                    end_line=_anchor_line(raw, "end_line"),
                     node_id=str(raw["node_id"]),
                 )
             )
@@ -490,12 +591,17 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
         raise GraphParseError(f"missing required field {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise GraphParseError(f"invalid enum or numeric value: {exc}") from exc
+    except TypeError as exc:
+        raise GraphParseError(f"invalid value type: {exc}") from exc
+    source_files = doc.get("source_files", [])
+    if not isinstance(source_files, list) or not _all_strings(source_files):
+        raise GraphParseError("source_files must be a JSON array of strings")
     return ProgramGraph(
         nodes,
         edges,
         functions,
         call_edges,
-        source_files=doc.get("source_files", []),
+        source_files=source_files,
         anchors=anchors,
     )
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
 from argus import __version__
 from argus.advisories import (
@@ -476,17 +477,38 @@ def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
 
 
 def export_report(report: VulnerabilityReport, out_dir: str) -> dict[str, str]:
-    """Write report.json and report.md; byte-stable for identical reports."""
+    """Write report.json and report.md; byte-stable for identical reports.
+
+    Each file is written whole or not at all: a scan killed mid-write
+    leaves the previous report in place, never a truncated one.
+    """
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
     md_path = os.path.join(out_dir, "report.md")
     doc = report.to_dict()
-    with open(json_path, "w", encoding="utf-8") as fh:
+    with _replacing(json_path) as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(md_path, "w", encoding="utf-8") as fh:
+    with _replacing(md_path) as fh:
         fh.write(render_markdown(report))
     return {"json": json_path, "markdown": md_path}
+
+
+@contextmanager
+def _replacing(path: str) -> Iterator[TextIO]:
+    """A temporary file beside ``path`` to write to, renamed over ``path``
+    when the block ends without error and removed when it raises. Taking a
+    file, not a string, lets ``json.dump`` stream the report instead of
+    holding its whole text in memory."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def render_markdown(report: VulnerabilityReport) -> str:

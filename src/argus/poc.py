@@ -4,9 +4,10 @@ For each gated advisory an agent loop restates the vulnerability, reasons
 about root cause / code pattern / attack scenario, and emits trigger code
 plus a patch as a JSON payload. Candidate sink callables are then
 extracted from the artifact text and bound to program-graph nodes by
-exact or suffix label match. A built-in registry of well-known dangerous
-callables provides the non-agentic baseline candidates, so reports can
-split findings by sink origin.
+exact or dotted-suffix label match, both looked up in the graph's label
+index. A built-in registry of well-known dangerous callables provides the
+non-agentic baseline candidates, so reports can split findings by sink
+origin.
 
 Trigger code is never executed; "verified" means the payload is
 schema-complete.
@@ -154,13 +155,11 @@ def extract_callable_names(*texts: str) -> list[str]:
 def _match_label(graph: ProgramGraph, name: str) -> tuple[MatchConfidence, tuple[str, ...]]:
     """Sorted ids of the nodes labelled exactly ``name``; failing those,
     of the nodes whose label ends in the dot-segments of ``name``."""
-    exact_ids = sorted(n.id for n in graph.nodes.values() if n.label == name)
+    labels = graph.label_index()
+    exact_ids = labels.exact(name)
     if exact_ids:
         return MatchConfidence.EXACT, tuple(exact_ids)
-    dotted = "." + name
-    return MatchConfidence.FUZZY, tuple(
-        sorted(n.id for n in graph.nodes.values() if n.label.endswith(dotted))
-    )
+    return MatchConfidence.FUZZY, tuple(labels.ending(name))
 
 
 def derive_sink_candidates(poc: PoCArtifact, graph: ProgramGraph) -> list[SinkCandidate]:

@@ -254,3 +254,27 @@ def test_non_array_guard_tags_exit_2(capsys, tmp_path):
     assert code == EXIT_CONFIG_ERROR
     assert "guard_tags must be a JSON array" in err
     assert "internal error" not in err
+
+
+def _set_anchor_start(doc, line):
+    doc["anchors"] = [{"file": "A.java", "start_line": line, "end_line": 3,
+                       "node_id": doc["nodes"][0]["id"]}]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d["edges"][0].update(guard_tags=[[1]]), "guard_tags must be a JSON array of strings"),
+    (lambda d: d["edges"][0].update(guard_tags=[1, "a"]), "guard_tags must be a JSON array of strings"),
+    (lambda d: d["functions"][0].update(parameters=5), "parameters must be a JSON array of strings"),
+    (lambda d: _set_anchor_start(d, [1]), "anchor start_line must be an integer"),
+    (lambda d: d["nodes"][0].update(function_id=[1]), "function_id must be a string or null"),
+    (lambda d: d.update(source_files=5), "source_files must be a JSON array of strings"),
+])
+def test_malformed_graph_element_exit_2(capsys, tmp_path, mutate, message):
+    doc = graph_to_dict(hidden_chain_graph(4, depth=1).graph)
+    mutate(doc)
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "scan", "--graph", str(gpath), "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIG_ERROR
+    assert message in err
+    assert "internal error" not in err

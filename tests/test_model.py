@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from argus.deps import DependencyRecord, Ecosystem, find_usages
 from argus.errors import GraphIntegrityError, GraphParseError
 from argus.model import (
     AccessPathEdge,
@@ -18,6 +20,7 @@ from argus.model import (
     load_program_graph,
     validate_flow,
 )
+from argus.poc import MatchConfidence, _match_label
 from tests.conftest import fixture_path
 
 MINIMAL = {
@@ -185,3 +188,98 @@ def test_foreign_edge_rejected():
     verdict = validate_flow(flow, g)
     assert not verdict.ok
     assert any("'zz'" in v for v in verdict.violations)
+
+
+# --- label index and with_sinks overlay ---------------------------------------
+
+# Label segments, so that joined labels include "", "..", a trailing ".",
+# and the neighbours of "." in code-point order ("-" before it, "/" after).
+_SEGMENT = st.sampled_from(["", "a", "b", "ab", "a-b", "-", "/", "x/y", "é", "z"])
+_LABEL = st.lists(_SEGMENT, max_size=4).map(".".join)
+
+
+def _naive_usages(graph, prefix):
+    end = len(prefix)
+    return sorted(
+        n.id for n in graph.nodes.values()
+        if n.label.startswith(prefix) and n.label[end:end + 1] in ("", ".")
+    )
+
+
+def _naive_match(graph, name):
+    exact = sorted(n.id for n in graph.nodes.values() if n.label == name)
+    if exact:
+        return MatchConfidence.EXACT, tuple(exact)
+    dotted = "." + name
+    return MatchConfidence.FUZZY, tuple(
+        sorted(n.id for n in graph.nodes.values() if n.label.endswith(dotted))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    labels=st.lists(_LABEL, max_size=25),
+    queries=st.lists(_LABEL, min_size=1, max_size=10),
+    marked=st.sets(st.integers(0, 30), max_size=8),
+)
+def test_label_index_matches_naive_scans(labels, queries, marked):
+    # Ids that sort apart from their position ("n10" < "n2"), with
+    # duplicate labels, so sorting by id is checked too.
+    graph = ProgramGraph(
+        [ContentNode(f"n{i}", NodeKind.VARIABLE, label, "f") for i, label in enumerate(labels)],
+        [],
+        [FunctionDecl("f", "f")],
+    )
+    overlay = graph.with_sinks({f"n{i}": "k" for i in marked})
+    for g in (overlay, graph):
+        for q in queries:
+            dep = DependencyRecord(Ecosystem.GENERIC, q + ":artifact", "1")
+            assert find_usages(g, dep).node_ids == _naive_usages(g, q)
+            assert _match_label(g, q) == _naive_match(g, q)
+
+
+def overlay_graph():
+    nodes = [
+        ContentNode("src", NodeKind.PARAMETER, "p", "f1", TaintRole.SOURCE, "http-param"),
+        ContentNode("m", NodeKind.VARIABLE, "m", "f1"),
+        ContentNode("san", NodeKind.VARIABLE, "clean", "f1", TaintRole.SANITIZER),
+        ContentNode("a", NodeKind.CALL_ARGUMENT, "Runtime.exec", "f1"),
+        ContentNode("old", NodeKind.CALL_ARGUMENT, "old", "f1", TaintRole.SINK,
+                    sink_kind="sql"),
+    ]
+    edges = [
+        AccessPathEdge("e1", "src", "m", EdgeKind.ASSIGN),
+        AccessPathEdge("e2", "m", "san", EdgeKind.ASSIGN),
+        AccessPathEdge("e3", "m", "a", EdgeKind.CALL_PASS),
+        AccessPathEdge("e4", "san", "old", EdgeKind.CALL_PASS),
+    ]
+    return ProgramGraph(nodes, edges, [FunctionDecl("f1", "f1", ("src",))])
+
+
+def test_with_sinks_overlay_marks_only_unmarked_nodes():
+    graph = overlay_graph()
+    roles_before = {n.id: (n.taint_role, n.sink_kind) for n in graph.nodes.values()}
+    # Fill the parent's role lists first: the overlay must not inherit them.
+    assert [n.id for n in graph.nodes_by_role(TaintRole.SINK)] == ["old"]
+    overlay = graph.with_sinks(
+        {"a": "command-exec", "src": "x", "san": "x", "old": "x", "ghost": "x"}
+    )
+
+    assert {n.id: (n.taint_role, n.sink_kind) for n in graph.nodes.values()} == roles_before
+    assert list(overlay.nodes) == list(graph.nodes)
+    assert "ghost" not in overlay.nodes
+    assert overlay.nodes["a"].taint_role == TaintRole.SINK
+    assert overlay.nodes["a"].sink_kind == "command-exec"
+    assert overlay.nodes["src"] is graph.nodes["src"]
+    assert overlay.nodes["san"] is graph.nodes["san"]
+    assert overlay.nodes["old"] is graph.nodes["old"]
+    for node_id in graph.nodes:
+        assert overlay.outgoing(node_id) == graph.outgoing(node_id)
+        assert overlay.incoming(node_id) == graph.incoming(node_id)
+    assert overlay.edges is graph.edges
+    assert overlay.label_index() is graph.label_index()
+
+    assert [n.id for n in overlay.nodes_by_role(TaintRole.SINK)] == ["a", "old"]
+    assert [n.id for n in graph.nodes_by_role(TaintRole.SINK)] == ["old"]
+    overlay.nodes_by_role(TaintRole.SINK).clear()
+    assert [n.id for n in overlay.nodes_by_role(TaintRole.SINK)] == ["a", "old"]

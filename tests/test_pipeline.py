@@ -102,6 +102,21 @@ def test_report_export_deterministic(tmp_path):
     assert contents[0] == contents[1] == contents[2]
 
 
+def test_export_replaces_reports_whole(tmp_path):
+    report = run_pipeline(datagear_config())
+    paths = export_report(report, str(tmp_path))
+    first = {name: (tmp_path / name).read_bytes() for name in ("report.json", "report.md")}
+    assert export_report(report, str(tmp_path)) == paths
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.md"]
+    assert {name: (tmp_path / name).read_bytes() for name in first} == first
+    # A report that fails to serialize part-way leaves the previous one whole.
+    report.advisories.append({"identifier": object()})
+    with pytest.raises(TypeError):
+        export_report(report, str(tmp_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "report.md"]
+    assert (tmp_path / "report.json").read_bytes() == first["report.json"]
+
+
 def test_report_json_round_trips(tmp_path):
     report = run_pipeline(publiccms_config())
     paths = export_report(report, str(tmp_path))
