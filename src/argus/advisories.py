@@ -1,10 +1,9 @@
 """Advisory retrieval, normalization, and community-finding scoring.
 
-Authoritative sources (NVD, OSV, GHSA, Snyk) are queried per dependency
-through a pluggable transport: an offline fixture directory for
-deterministic runs, or a live HTTP client configured externally. Results
-are merged, deduplicated by identifier, and sorted so completion order
-never affects output.
+Authoritative sources (NVD, OSV, GHSA, Snyk) are read per dependency
+from an offline fixture directory, one JSON file per source, so every
+run is deterministic. Results are merged, deduplicated by identifier
+and sorted by severity, then identifier.
 
 Community issues are scored by three deterministic text indicators
 (relevance, credibility, content quality) and gated on their weighted
@@ -18,7 +17,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 from argus.errors import InvalidWeightsError, TransportError
 from argus.deps import DependencyRecord
@@ -28,7 +27,7 @@ AUTHORITATIVE_SOURCES = ("NVD", "OSV", "GHSA", "Snyk")
 DEFAULT_GATE_THRESHOLD = 0.5
 DEFAULT_GATE_WEIGHTS = (1 / 3, 1 / 3, 1 / 3)
 
-# Relevance keyword sets (case-insensitive whole words); configurable.
+# Relevance keyword sets (case-insensitive whole words).
 SPECULATIVE_KEYWORDS = frozenset({"potential", "early"})
 SECURITY_KEYWORDS = frozenset({"vulnerability"})
 
@@ -148,9 +147,7 @@ def _contains_word(text: str, word: str) -> bool:
     return re.search(rf"\b{re.escape(word)}\b", text) is not None
 
 
-def relevance_score(issue: CommunityIssue, *,
-                    speculative: frozenset[str] = SPECULATIVE_KEYWORDS,
-                    security: frozenset[str] = SECURITY_KEYWORDS) -> float:
+def relevance_score(issue: CommunityIssue) -> float:
     """Rule-based relevance in [0, 1].
 
     Starts at 0.5; +0.4 for speculative keywords, +0.1 for explicit
@@ -159,9 +156,9 @@ def relevance_score(issue: CommunityIssue, *,
     """
     text = f"{issue.title}\n{issue.body}".lower()
     score = 0.5
-    if any(_contains_word(text, w) for w in speculative):
+    if any(_contains_word(text, w) for w in SPECULATIVE_KEYWORDS):
         score += 0.4
-    if any(_contains_word(text, w) for w in security):
+    if any(_contains_word(text, w) for w in SECURITY_KEYWORDS):
         score += 0.1
     if issue.cve_linked:
         score -= 0.1
@@ -206,7 +203,8 @@ def quality_score(issue: CommunityIssue) -> float:
 
 def check_gate_weights(weights: Sequence[float]) -> None:
     if (
-        len(weights) != 3
+        not isinstance(weights, (list, tuple))
+        or len(weights) != 3
         or not all(isinstance(w, (int, float)) for w in weights)
         or abs(sum(weights) - 1.0) > 1e-9
     ):
@@ -286,15 +284,7 @@ def version_in_range(version: str, range_spec: str) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# Transports
-
-
-class RetrievalTransport(Protocol):
-    def fetch_advisories(self, source: str, dep: DependencyRecord) -> list[dict]:
-        """Return raw advisory dicts for one source. May raise TransportError."""
-
-    def fetch_community(self, dep: DependencyRecord) -> list[dict]:
-        """Return raw community-issue dicts. May raise TransportError."""
+# Offline fixture transport
 
 
 def _fixture_name(dep_name: str) -> str:
@@ -333,45 +323,6 @@ class OfflineFixtureTransport:
         return self._load(f"community__{_fixture_name(dep.name)}.json")
 
 
-class LiveHttpTransport:
-    """Queries configured HTTP endpoints; endpoints come from config.
-
-    Each endpoint URL may contain ``{name}`` and ``{version}`` templates.
-    Responses must be JSON arrays in the same shape as offline fixtures.
-    """
-
-    def __init__(self, endpoints: dict[str, str], community_endpoint: Optional[str] = None,
-                 timeout: float = 10.0):
-        self.endpoints = endpoints
-        self.community_endpoint = community_endpoint
-        self.timeout = timeout
-
-    def _get(self, url_template: str, dep: DependencyRecord) -> list[dict]:
-        import requests
-
-        url = url_template.format(name=dep.name, version=dep.version)
-        try:
-            resp = requests.get(url, timeout=self.timeout)
-            resp.raise_for_status()
-            doc = resp.json()
-        except Exception as exc:  # noqa: BLE001 - folded into a transport error
-            raise TransportError(f"GET {url} failed: {exc}") from exc
-        if not isinstance(doc, list):
-            raise TransportError(f"GET {url}: expected a JSON array")
-        return doc
-
-    def fetch_advisories(self, source: str, dep: DependencyRecord) -> list[dict]:
-        template = self.endpoints.get(source)
-        if template is None:
-            return []
-        return self._get(template, dep)
-
-    def fetch_community(self, dep: DependencyRecord) -> list[dict]:
-        if self.community_endpoint is None:
-            return []
-        return self._get(self.community_endpoint, dep)
-
-
 # ---------------------------------------------------------------------------
 # Retrieval
 
@@ -400,7 +351,7 @@ def _record_from_raw(raw: dict, source: str, dep: DependencyRecord) -> AdvisoryR
 
 def query_authoritative(
     dep: DependencyRecord,
-    transport: RetrievalTransport,
+    transport: OfflineFixtureTransport,
     *,
     warnings: Optional[list[str]] = None,
 ) -> list[AdvisoryRecord]:
@@ -436,7 +387,7 @@ def query_authoritative(
 
 def retrieve_community(
     dep: DependencyRecord,
-    transport: RetrievalTransport,
+    transport: OfflineFixtureTransport,
     *,
     warnings: Optional[list[str]] = None,
 ) -> list[CommunityIssue]:

@@ -205,7 +205,6 @@ class LiveHttpBackend(LLMBackend):
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.model_tag = model
-        self._last_usage: dict[str, int] = {}
 
     def complete(self, turns: Sequence[ChatTurn]) -> ChatTurn:
         import os
@@ -231,7 +230,6 @@ class LiveHttpBackend(LLMBackend):
             usage = doc.get("usage", {})
         except Exception as exc:  # noqa: BLE001 - surfaced with partial transcript
             raise BackendError(f"live backend call failed: {exc}") from exc
-        self._last_usage = usage
         return ChatTurn(
             Role.ASSISTANT,
             text,
@@ -277,10 +275,7 @@ def run_react_loop(
     steps = 0
     while steps < budget.max_steps:
         steps += 1
-        try:
-            assistant = backend.complete(turns)
-        except BackendError:
-            raise
+        assistant = backend.complete(turns)
         turns.append(assistant)
 
         if total_tokens() > budget.max_tokens:

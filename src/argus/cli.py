@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import fields
 from typing import Optional
 
 from argus.advisories import OfflineFixtureTransport, gate_finding, query_authoritative, retrieve_community
@@ -29,57 +30,46 @@ EXIT_CONFIG_ERROR = 2
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    # Each flag's dest is the PipelineConfig field it sets.
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--graph", help="program graph JSON document")
-    p.add_argument("--manifest", action="append", default=None,
+    p.add_argument("--graph", dest="graph_path", help="program graph JSON document")
+    p.add_argument("--manifest", dest="manifest_paths", action="append", default=None,
                    help="dependency manifest (repeatable)")
-    p.add_argument("--fixtures", help="offline advisory fixture directory")
+    p.add_argument("--fixtures", dest="fixtures_dir", help="offline advisory fixture directory")
     p.add_argument("--llm", help="llm backend: stub | replay:<dir> | live")
-    p.add_argument("--backend", help="analysis backend: builtin | sarif:<path>")
-    p.add_argument("--out", help="output directory for report files")
-    p.add_argument("--nf", type=int, help="maximum flow length bound")
+    p.add_argument("--backend", dest="analysis_backend",
+                   help="analysis backend: builtin | sarif:<path>")
+    p.add_argument("--out", dest="out_dir", help="output directory for report files")
+    p.add_argument("--nf", dest="max_flow_length", type=int, help="maximum flow length bound")
     p.add_argument("--max-depth", type=int, help="backward tree depth bound")
     p.add_argument("--gate-threshold", type=float, help="community gate threshold")
-    p.add_argument("--auto-confirm-forward-flows", dest="auto_confirm",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="let clean forward flows auto-confirm")
+    p.add_argument("--auto-confirm-forward-flows", action=argparse.BooleanOptionalAction,
+                   default=None, help="let clean forward flows auto-confirm")
+
+
+_CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    raw: dict = {}
+    """The config file's PipelineConfig keys, with the given flags laid over
+    them; every default lives in PipelineConfig. Unknown keys are ignored."""
+    raw = {}
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-
-    def pick(flag, key, default=None):
-        return flag if flag is not None else raw.get(key, default)
-
-    graph_path = pick(args.graph, "graph_path")
-    if not graph_path:
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {args.config} must be a JSON object")
+    values = {key: raw[key] for key in _CONFIG_KEYS if key in raw}
+    for key in _CONFIG_KEYS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            values[key] = flag
+    if not values.get("graph_path"):
         raise ConfigError("--graph (or graph_path in the config file) is required")
-    config = PipelineConfig(
-        graph_path=graph_path,
-        manifest_paths=pick(args.manifest, "manifest_paths", []) or [],
-        fixtures_dir=pick(args.fixtures, "fixtures_dir"),
-        llm=pick(args.llm, "llm", "stub"),
-        analysis_backend=pick(args.backend, "analysis_backend", "builtin"),
-        gate_threshold=pick(args.gate_threshold, "gate_threshold", 0.5),
-        max_flow_length=pick(args.nf, "max_flow_length", 64),
-        max_depth=pick(args.max_depth, "max_depth", 10),
-        out_dir=pick(args.out, "out_dir"),
-        auto_confirm_forward_flows=pick(args.auto_confirm, "auto_confirm_forward_flows", True),
-        review_mode=raw.get("review_mode", "rule"),
-        scan_unused_dependencies=raw.get("scan_unused_dependencies", True),
-        sink_registry_path=raw.get("sink_registry_path"),
-        live_llm_endpoint=raw.get("live_llm_endpoint"),
-        live_llm_model=raw.get("live_llm_model"),
-    )
-    if isinstance(raw.get("gate_weights"), list) and len(raw["gate_weights"]) == 3:
-        config.gate_weights = tuple(raw["gate_weights"])
-    return config
+    return PipelineConfig(**values)
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:

@@ -37,7 +37,6 @@ DEFAULT_MAX_FLOWS_PER_SINK = 32
 class FlowQuery:
     sinks: tuple[str, ...]
     source_ids: Optional[tuple[str, ...]] = None
-    source_kind: Optional[str] = None
     max_length: int = DEFAULT_MAX_FLOW_LENGTH
     max_flows_per_sink: int = DEFAULT_MAX_FLOWS_PER_SINK
     respect_visibility: bool = True
@@ -52,10 +51,7 @@ class FlowQuery:
 def select_sources(graph: ProgramGraph, query: FlowQuery) -> list[str]:
     if query.source_ids is not None:
         return sorted(set(query.source_ids))
-    sources = graph.nodes_by_role(TaintRole.SOURCE)
-    if query.source_kind is not None:
-        sources = [n for n in sources if n.source_kind == query.source_kind]
-    return [n.id for n in sources]
+    return [n.id for n in graph.nodes_by_role(TaintRole.SOURCE)]
 
 
 def forward_search(graph: ProgramGraph, query: FlowQuery) -> list[DataFlow]:

@@ -478,6 +478,13 @@ def _optional_str(raw: dict, key: str, what: str) -> Optional[str]:
     return value
 
 
+def _flag(raw: dict, key: str, default: bool, what: str) -> bool:
+    value = raw.get(key, default)
+    if value is not True and value is not False:
+        raise GraphParseError(f"{what} {raw.get('id')!r}: {key} must be true or false")
+    return value
+
+
 def _anchor_line(raw: dict, key: str) -> int:
     line = raw[key]
     if not isinstance(line, int) or isinstance(line, bool):
@@ -493,13 +500,9 @@ def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str
     duplicate references. In lenient mode unknown fields are appended to
     ``warnings`` instead of rejected.
     """
-    if warnings is None:
-        warnings = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise GraphParseError(f"{path}: not valid JSON: {exc}") from exc
     return graph_from_dict(doc, strict=strict, warnings=warnings)
@@ -526,8 +529,8 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                     label=str(raw.get("label", "")),
                     function_id=_optional_str(raw, "function_id", "node"),
                     taint_role=TaintRole(raw.get("taint_role", "none")),
-                    source_kind=raw.get("source_kind"),
-                    sink_kind=raw.get("sink_kind"),
+                    source_kind=_optional_str(raw, "source_kind", "node"),
+                    sink_kind=_optional_str(raw, "sink_kind", "node"),
                 )
             )
         edges = []
@@ -545,7 +548,7 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                     src=str(raw["from"]),
                     dst=str(raw["to"]),
                     kind=EdgeKind(raw["kind"]),
-                    visible_to_forward=bool(raw.get("visible_to_forward", True)),
+                    visible_to_forward=_flag(raw, "visible_to_forward", True, "edge"),
                     guard_tags=frozenset(guard_tags),
                 )
             )
@@ -563,7 +566,7 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                     name=str(raw.get("name", raw["id"])),
                     parameters=tuple(parameters),
                     return_node=_optional_str(raw, "return_node", "function"),
-                    is_entry_point=bool(raw.get("is_entry_point", False)),
+                    is_entry_point=_flag(raw, "is_entry_point", False, "function"),
                 )
             )
         call_edges = []

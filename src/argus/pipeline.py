@@ -29,6 +29,7 @@ from argus.advisories import (
     retrieve_community,
 )
 from argus.agent import (
+    LiveHttpBackend,
     LLMBackend,
     ReplayBackend,
     ScriptedStubBackend,
@@ -68,7 +69,7 @@ from argus.recursion import (
     promote_surrogates,
     stitch,
 )
-from argus.review import FinalStatus, ReviewMode, ReviewVerdict, review_flow
+from argus.review import FinalStatus, ReviewVerdict, review_flow
 
 REPORT_VERSION = "1"
 
@@ -115,6 +116,16 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def validate(self) -> None:
+        for name in ("graph_path", "llm", "analysis_backend"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("fixtures_dir", "out_dir", "sink_registry_path", "live_llm_endpoint",
+                     "live_llm_model"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a string or null, got {getattr(self, name)!r}")
+        paths = self.manifest_paths
+        if not isinstance(paths, list) or not all(isinstance(m, str) for m in paths):
+            raise ConfigError(f"manifest_paths must be a list of strings, got {paths!r}")
         if not os.path.exists(self.graph_path):
             raise ConfigError(f"graph file not found: {self.graph_path}")
         if self.fixtures_dir is not None and not os.path.isdir(self.fixtures_dir):
@@ -123,8 +134,16 @@ class PipelineConfig:
             replay_dir = self.llm.split(":", 1)[1]
             if not os.path.isdir(replay_dir):
                 raise ConfigError(f"replay transcript directory not found: {replay_dir}")
-        elif self.llm not in ("stub", "live"):
+        elif self.llm == "live":
+            if not (self.live_llm_endpoint and self.live_llm_model):
+                raise ConfigError("llm 'live' requires live_llm_endpoint and live_llm_model")
+        elif self.llm != "stub":
             raise ConfigError(f"unknown llm backend spec: {self.llm!r}")
+        if self.review_mode not in ("rule", "llm"):
+            raise ConfigError(f"review_mode must be 'rule' or 'llm', got {self.review_mode!r}")
+        for name in ("auto_confirm_forward_flows", "scan_unused_dependencies"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.analysis_backend.startswith("sarif:"):
             sarif_path = self.analysis_backend.split(":", 1)[1]
             if not os.path.exists(sarif_path):
@@ -135,8 +154,9 @@ class PipelineConfig:
             if not os.path.exists(m):
                 raise ConfigError(f"manifest not found: {m}")
         self.validate_search_bounds()
-        if not isinstance(self.gate_threshold, (int, float)):
-            raise ConfigError(f"gate_threshold must be a number, got {self.gate_threshold!r}")
+        threshold = self.gate_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
+            raise ConfigError(f"gate_threshold must be a number, got {threshold!r}")
         try:
             check_gate_weights(self.gate_weights)
         except InvalidWeightsError as exc:
@@ -147,7 +167,7 @@ class PipelineConfig:
         only settings `argus flows` reads besides the graph path."""
         for name in ("max_flow_length", "max_flows_per_sink", "max_depth"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -234,36 +254,24 @@ class VulnerabilityReport:
 # Backends
 
 
-def _make_poc_backend(config: PipelineConfig, advisory_id: str) -> Optional[LLMBackend]:
+# What the stub backend answers at each stage: an empty artifact for a
+# PoC, an empty hop list for a review (which then falls back to rules).
+_STUB_ANSWERS = {"poc": "{}", "review": "[]"}
+
+
+def _make_backend(config: PipelineConfig, stage: str, key: str) -> Optional[LLMBackend]:
+    """The backend of one agent run at ``stage`` ("poc" or "review") for
+    ``key``. Replay reads ``<stage>__<key>.jsonl`` and gives ``None`` when
+    that file is missing. ``config`` must have passed ``validate``."""
     if config.llm == "stub":
-        return ScriptedStubBackend(["```final\n{}\n```"])
-    if config.llm.startswith("replay:"):
-        replay_dir = config.llm.split(":", 1)[1]
-        path = os.path.join(replay_dir, f"poc__{_safe_name(advisory_id)}.jsonl")
-        if not os.path.exists(path):
-            return None
-        return ReplayBackend(load_transcript(path))
+        return ScriptedStubBackend([f"```final\n{_STUB_ANSWERS[stage]}\n```"])
     if config.llm == "live":
-        from argus.agent import LiveHttpBackend
-
-        if not (config.live_llm_endpoint and config.live_llm_model):
-            raise ConfigError("live llm backend requires endpoint and model configuration")
         return LiveHttpBackend(config.live_llm_endpoint, config.live_llm_model)
-    raise ConfigError(f"unknown llm backend spec: {config.llm!r}")
-
-
-def _make_review_backend(config: PipelineConfig, key: str) -> Optional[LLMBackend]:
-    if config.review_mode != "llm":
+    replay_dir = config.llm.split(":", 1)[1]
+    path = os.path.join(replay_dir, f"{stage}__{_safe_name(key)}.jsonl")
+    if not os.path.exists(path):
         return None
-    if config.llm.startswith("replay:"):
-        replay_dir = config.llm.split(":", 1)[1]
-        path = os.path.join(replay_dir, f"review__{_safe_name(key)}.jsonl")
-        if not os.path.exists(path):
-            return None
-        return ReplayBackend(load_transcript(path))
-    if config.llm == "stub":
-        return ScriptedStubBackend(["```final\n[]\n```"])
-    return None
+    return ReplayBackend(load_transcript(path))
 
 
 def _safe_name(text: str) -> str:
@@ -349,7 +357,7 @@ def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
     poc_transcripts: list[Transcript] = []
     pocs: dict[str, PoCArtifact] = {}
     for adv in advisories:
-        backend = _make_poc_backend(config, adv.identifier)
+        backend = _make_backend(config, "poc", adv.identifier)
         if backend is None:
             report.warnings.append(
                 f"poc: no replay transcript for advisory {adv.identifier}; skipped"
@@ -441,15 +449,14 @@ def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
                     f"flow to {sink_id} failed validation: " + "; ".join(check.violations)
                 )
                 continue
-            verdict_backend = _make_review_backend(config, f"{sink_id}__{i}")
-            mode = ReviewMode.LLM if (
-                config.review_mode == "llm" and verdict_backend is not None
-            ) else ReviewMode.RULE
+            review_backend = (
+                _make_backend(config, "review", f"{sink_id}__{i}")
+                if config.review_mode == "llm" else None
+            )
             verdict = review_flow(
                 flow,
                 graph,
-                mode=mode,
-                backend=verdict_backend,
+                backend=review_backend,
                 auto_confirm_forward_flows=config.auto_confirm_forward_flows,
             )
             if verdict.transcript is not None:

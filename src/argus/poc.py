@@ -23,7 +23,7 @@ from importlib import resources
 from typing import Optional
 
 from argus.advisories import AdvisoryRecord
-from argus.agent import Budget, LLMBackend, Transcript, run_react_loop
+from argus.agent import LLMBackend, Transcript, run_react_loop
 from argus.model import ProgramGraph
 
 _IDENTIFIER = re.compile(
@@ -111,7 +111,6 @@ def generate_poc(
     advisory: AdvisoryRecord,
     context: str,
     backend: LLMBackend,
-    budget: Budget = Budget(),
 ) -> PoCArtifact:
     """Run the agent workflow for one advisory and parse its payload.
 
@@ -123,7 +122,7 @@ def generate_poc(
         f"{advisory.dependency} {advisory.affected_versions}:\n"
         f"{advisory.description}\n\nUsage context:\n{context}"
     )
-    outcome = run_react_loop(POC_SYSTEM_PROMPT, task, {}, backend, budget)
+    outcome = run_react_loop(POC_SYSTEM_PROMPT, task, {}, backend)
     artifact = parse_poc_payload(advisory, outcome.final_payload)
     artifact.transcript = outcome.transcript
     return artifact

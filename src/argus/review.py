@@ -2,9 +2,10 @@
 
 Rule mode is fully deterministic: edge guard tags are checked against an
 interrupting-construct lexicon and a neutralization mapping, with a
-configurable fatality policy. LLM mode requests the hop breakdown from
-an agent backend and falls back to rule mode (recording the fallback)
-whenever the payload does not match the expected schema.
+fixed fatality policy. LLM mode runs when an agent backend is passed in:
+it requests the hop breakdown from the backend and falls back to rule
+mode (recording the fallback) whenever the payload does not match the
+expected schema.
 
 Stitched flows carrying synthesized bridge edges can never be
 auto-confirmed; they always require human sign-off.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from argus.agent import Budget, LLMBackend, Transcript, run_react_loop
+from argus.agent import LLMBackend, Transcript, run_react_loop
 from argus.model import DataFlow, FlowTriple, ProgramGraph, TaintRole
 
 
@@ -213,19 +214,18 @@ def review_hop_by_hop(
     flow: DataFlow,
     graph: ProgramGraph,
     *,
-    mode: ReviewMode = ReviewMode.RULE,
     backend: Optional[LLMBackend] = None,
-    budget: Budget = Budget(),
 ) -> tuple[list[HopAssessment], bool, Optional[Transcript]]:
-    """Return (assessments, fell_back_to_rule, transcript)."""
-    if mode == ReviewMode.RULE or backend is None:
+    """Return (assessments, fell_back_to_rule, transcript). The hops come
+    from ``backend`` when one is given, else from the rules."""
+    if backend is None:
         return rule_hop_assessments(flow, graph), False, None
     task_lines = ["Candidate flow:"]
     for i, t in enumerate(flow.triples, start=1):
         entry, content = _describe_hop(t, graph, i)
         tags = ",".join(sorted(t.edge.guard_tags)) or "-"
         task_lines.append(f"{i}. {content} via {t.edge.kind.value} [tags: {tags}]")
-    outcome = run_react_loop(REVIEW_SYSTEM_PROMPT, "\n".join(task_lines), {}, backend, budget)
+    outcome = run_react_loop(REVIEW_SYSTEM_PROMPT, "\n".join(task_lines), {}, backend)
     hops = _parse_llm_hops(outcome.final_payload, len(flow.triples))
     if hops is None:
         return rule_hop_assessments(flow, graph), True, outcome.transcript
@@ -273,18 +273,18 @@ def review_flow(
     flow: DataFlow,
     graph: ProgramGraph,
     *,
-    mode: ReviewMode = ReviewMode.RULE,
     backend: Optional[LLMBackend] = None,
     auto_confirm_forward_flows: bool = True,
 ) -> ReviewVerdict:
-    """Full review of one candidate flow."""
+    """Full review of one candidate flow: by LLM when ``backend`` is
+    given, else by rules."""
     finding = review_end_to_end(flow, graph)
-    hops, fell_back, transcript = review_hop_by_hop(flow, graph, mode=mode, backend=backend)
+    hops, fell_back, transcript = review_hop_by_hop(flow, graph, backend=backend)
     return finalize_verdict(
         flow,
         finding,
         hops,
-        mode=mode,
+        mode=ReviewMode.RULE if backend is None else ReviewMode.LLM,
         fell_back_to_rule=fell_back,
         transcript=transcript,
         auto_confirm_forward_flows=auto_confirm_forward_flows,

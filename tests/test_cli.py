@@ -151,9 +151,35 @@ def test_config_file_with_flag_override(capsys, tmp_path):
 
 def test_malformed_config_exit_2(capsys, tmp_path):
     cpath = tmp_path / "config.json"
-    cpath.write_text("{broken")
+    for text in (
+        b"{broken",
+        b"\xff\xfe{}",
+        b"[1, 2]",
+        b'{"review_mode": "LLMX"}',
+        b'{"auto_confirm_forward_flows": "false"}',
+        b'{"manifest_paths": [null]}',
+        b'{"llm": "live", "review_mode": "llm"}',
+    ):
+        cpath.write_bytes(text)
+        code, _, err = run_cli(capsys, "scan", "--config", str(cpath),
+                               "--graph", fixture_path("publiccms_mini", "graph.json"))
+        assert code == EXIT_CONFIG_ERROR, text
+        assert "internal error" not in err, text
+
+
+def test_config_file_keys_reach_the_config(capsys, tmp_path):
+    graph = fixture_path("publiccms_mini", "graph.json")
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"graph_path": graph, "max_flows_per_sink": 1}))
+    code, _, _ = run_cli(capsys, "scan", "--config", str(cpath), "--out", str(tmp_path / "out"))
+    assert code == EXIT_OK
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["config"]["max_flows_per_sink"] == 1
+
+    cpath.write_text(json.dumps({"graph_path": graph, "gate_weights": [0.5, 0.5]}))
     code, _, err = run_cli(capsys, "scan", "--config", str(cpath))
     assert code == EXIT_CONFIG_ERROR
+    assert "gate weights" in err
 
 
 def test_replay_verify_subcommand(capsys, tmp_path):
@@ -268,6 +294,10 @@ def _set_anchor_start(doc, line):
     (lambda d: _set_anchor_start(d, [1]), "anchor start_line must be an integer"),
     (lambda d: d["nodes"][0].update(function_id=[1]), "function_id must be a string or null"),
     (lambda d: d.update(source_files=5), "source_files must be a JSON array of strings"),
+    (lambda d: d["edges"][0].update(visible_to_forward="no"), "visible_to_forward must be true or false"),
+    (lambda d: d["functions"][0].update(is_entry_point=1), "is_entry_point must be true or false"),
+    (lambda d: d["nodes"][0].update(source_kind=[1]), "source_kind must be a string or null"),
+    (lambda d: d["nodes"][0].update(sink_kind=5), "sink_kind must be a string or null"),
 ])
 def test_malformed_graph_element_exit_2(capsys, tmp_path, mutate, message):
     doc = graph_to_dict(hidden_chain_graph(4, depth=1).graph)

@@ -4,7 +4,6 @@ from argus.engine import (
     DEFAULT_MAX_FLOWS_PER_SINK,
     FlowQuery,
     forward_search,
-    select_sources,
 )
 from argus.errors import UnknownSinkError
 from argus.model import (
@@ -55,15 +54,6 @@ def test_unknown_sink_raises():
     with pytest.raises(UnknownSinkError) as exc:
         forward_search(g, FlowQuery(sinks=("nope",)))
     assert exc.value.sink_id == "nope"
-
-
-def test_source_selection_by_kind():
-    g = linear_graph()
-    q = FlowQuery(sinks=("snk",), source_kind="file-upload")
-    assert select_sources(g, q) == []
-    assert forward_search(g, q) == []
-    q2 = FlowQuery(sinks=("snk",), source_kind="http-param")
-    assert select_sources(g, q2) == ["src"]
 
 
 def test_explicit_source_ids_override_roles():

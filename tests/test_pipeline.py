@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from argus.errors import ConfigError
+from argus.cli import EXIT_CONFIG_ERROR, main
+from argus.errors import BackendError, ConfigError
 from argus.model import FlowOrigin
 from argus.pipeline import PipelineConfig, export_report, run_pipeline
+from argus.review import ReviewMode
 from tests.conftest import fixture_path
 from tests.oracles import sum_transcript_tokens
 
@@ -173,10 +175,47 @@ def test_validate_rejects_unknown_backends():
     {"gate_threshold": "high"},
     {"gate_weights": (0.5, 0.5, 0.5)},
     {"gate_weights": (0.5, 0.5)},
+    {"gate_weights": 5},
+    {"review_mode": "LLMX"},
+    {"auto_confirm_forward_flows": "false"},
+    {"scan_unused_dependencies": "false"},
+    {"manifest_paths": None},
+    {"manifest_paths": [None]},
+    {"llm": None},
+    {"out_dir": 5},
+    {"llm": "live"},
+    {"llm": "live", "live_llm_endpoint": "http://localhost:9"},
+    {"max_flow_length": True},
+    {"gate_threshold": True},
 ])
 def test_validate_rejects_bad_numeric_fields(override):
     with pytest.raises(ConfigError):
         datagear_config(**override).validate()
+
+
+def test_llm_review_runs_on_every_llm_backend(tmp_path, capsys, monkeypatch):
+    # The datagear graph marks no sink, so without a replayed PoC its scan
+    # has no flow to review; publiccms has a registry sink.
+    report = run_pipeline(publiccms_config(llm="stub", review_mode="llm"))
+    assert report.findings
+    assert all(f.verdict.mode == ReviewMode.LLM for f in report.findings)
+    review = report.token_usage["per_stage"]["review"]
+    assert review["prompt"] + review["completion"] > 0
+
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"llm": "live", "review_mode": "llm"}))
+    code = main(["scan", "--config", str(cpath),
+                 "--graph", fixture_path("publiccms_mini", "graph.json")])
+    assert code == EXIT_CONFIG_ERROR
+    assert "live_llm_endpoint" in capsys.readouterr().err
+
+    # The live backend reviews too: without an API key its first call
+    # fails, before any request is sent.
+    monkeypatch.delenv("ARGUS_API_KEY", raising=False)
+    live = publiccms_config(llm="live", review_mode="llm", manifest_paths=[],
+                            live_llm_endpoint="http://localhost:9", live_llm_model="m")
+    with pytest.raises(BackendError, match="ARGUS_API_KEY"):
+        run_pipeline(live)
 
 
 def test_config_digest_stable_and_sensitive():

@@ -18,7 +18,6 @@ from argus.review import (
     FinalStatus,
     HopAssessment,
     Neutralization,
-    ReviewMode,
     review_end_to_end,
     review_flow,
     rule_hop_assessments,
@@ -143,7 +142,7 @@ def test_llm_mode_uses_backend_assessments():
     backend = ScriptedStubBackend([
         llm_payload(2, "encoding", "output encoded before use"),
     ])
-    verdict = review_flow(flow, graph, mode=ReviewMode.LLM, backend=backend)
+    verdict = review_flow(flow, graph, backend=backend)
     assert not verdict.fell_back_to_rule
     assert verdict.hops[0].neutralization == Neutralization.ENCODING
     assert verdict.final_status == FinalStatus.NEEDS_HUMAN
@@ -153,7 +152,7 @@ def test_llm_mode_uses_backend_assessments():
 def test_llm_schema_failure_falls_back_to_rule():
     graph, flow = build()
     backend = ScriptedStubBackend(["```final\nnot a json array\n```"])
-    verdict = review_flow(flow, graph, mode=ReviewMode.LLM, backend=backend)
+    verdict = review_flow(flow, graph, backend=backend)
     assert verdict.fell_back_to_rule
     assert verdict.final_status == FinalStatus.CONFIRMED  # rule mode sees clean flow
 
@@ -161,13 +160,13 @@ def test_llm_schema_failure_falls_back_to_rule():
 def test_llm_wrong_hop_count_falls_back():
     graph, flow = build()
     backend = ScriptedStubBackend([llm_payload(1)])
-    verdict = review_flow(flow, graph, mode=ReviewMode.LLM, backend=backend)
+    verdict = review_flow(flow, graph, backend=backend)
     assert verdict.fell_back_to_rule
 
 
 def test_llm_missing_backend_is_rule_mode():
     graph, flow = build()
-    verdict = review_flow(flow, graph, mode=ReviewMode.LLM, backend=None)
+    verdict = review_flow(flow, graph, backend=None)
     assert not verdict.fell_back_to_rule
     assert verdict.transcript is None
 
