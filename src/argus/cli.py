@@ -91,6 +91,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_deps(args: argparse.Namespace) -> int:
     config = _build_config(args)
+    config.validate_manifests()
     records = []
     for manifest in config.manifest_paths:
         for dep in parse_manifest(manifest):
@@ -109,6 +110,7 @@ def _cmd_advisories(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if config.fixtures_dir is None:
         raise ConfigError("advisories requires --fixtures (offline retrieval directory)")
+    config.validate_retrieval()
     transport = OfflineFixtureTransport(config.fixtures_dir)
     warnings: list[str] = []
     out = []

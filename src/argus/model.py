@@ -10,15 +10,23 @@ together; the flow length is strictly bounded by the configured maximum.
 Graphs are immutable after load and safe for concurrent reads: the lazily
 built indexes are pure functions of the graph, so a build that two threads
 race on yields equal tables.
+
+The graph's element classes are frozen, slotted dataclasses, and every edge
+without guard tags shares one empty frozenset, so a loaded graph leaves few
+objects for the cyclic garbage collector to walk. :func:`load_program_graph`
+pauses that collector while it parses and builds, since the load makes no
+garbage cycles for it to find, and restores the caller's setting after.
 """
 
 from __future__ import annotations
 
 import copy
+import gc
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from argus.errors import GraphIntegrityError, GraphParseError
@@ -26,6 +34,10 @@ from argus.errors import GraphIntegrityError, GraphParseError
 FORMAT_VERSION = "1"
 
 DEFAULT_MAX_FLOW_LENGTH = 64
+
+
+# Shared by every edge without guard tags, so none of them holds its own.
+_NO_TAGS: frozenset[str] = frozenset()
 
 
 class NodeKind(str, Enum):
@@ -54,7 +66,7 @@ class EdgeKind(str, Enum):
     COLLECTION_GET = "collection-get"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContentNode:
     id: str
     kind: NodeKind
@@ -72,14 +84,14 @@ class ContentNode:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessPathEdge:
     id: str
     src: str
     dst: str
     kind: EdgeKind
     visible_to_forward: bool = True
-    guard_tags: frozenset[str] = frozenset()
+    guard_tags: frozenset[str] = _NO_TAGS
     # Synthesized edges bridging a caller-tree gap; never present in graph
     # documents, only in stitched flows and reports.
     bridged: bool = False
@@ -92,7 +104,7 @@ class AccessPathEdge:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FunctionDecl:
     id: str
     name: str
@@ -101,14 +113,14 @@ class FunctionDecl:
     is_entry_point: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallEdge:
     caller: str
     callee: str
     call_site_node: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Anchor:
     """Maps a (file, line range) region onto a content node.
 
@@ -119,6 +131,20 @@ class Anchor:
     start_line: int
     end_line: int
     node_id: str
+
+
+def _by_id(items: Iterable, what: str) -> dict:
+    """``items`` keyed by id, in order. On a repeated id the error names the
+    first one repeated, found by a second, slower pass."""
+    items = list(items)
+    table = {x.id: x for x in items}
+    if len(table) != len(items):
+        seen: set[str] = set()
+        for x in items:
+            if x.id in seen:
+                raise GraphIntegrityError(f"duplicate {what} id {x.id!r}", x.id)
+            seen.add(x.id)
+    return table
 
 
 def _columns(pairs: list[tuple[str, str]]) -> tuple[list[str], list[str]]:
@@ -175,9 +201,10 @@ class _SharedIndexes:
 class ProgramGraph:
     """Immutable program graph with id-indexed lookups.
 
-    The outgoing-edge index is built at load. The incoming-edge index, the
-    label index and the per-role node lists are built on first use, so load
-    pays for none of them. :meth:`with_sinks` returns an overlay with its
+    Its nodes, edges, functions, call edges and anchors are instances of
+    frozen, slotted dataclasses. The outgoing-edge index is built at load.
+    The incoming-edge index, the label index and the per-role node lists
+    are built on first use, so load pays for none of them. :meth:`with_sinks` returns an overlay with its
     own node table that shares every other table and index with its parent.
     """
 
@@ -190,32 +217,21 @@ class ProgramGraph:
         source_files: Sequence[str] = (),
         anchors: Iterable[Anchor] = (),
     ):
-        self.nodes: dict[str, ContentNode] = {}
-        for n in nodes:
-            if n.id in self.nodes:
-                raise GraphIntegrityError(f"duplicate node id {n.id!r}", n.id)
-            self.nodes[n.id] = n
-        self.edges: dict[str, AccessPathEdge] = {}
-        for e in edges:
-            if e.id in self.edges:
-                raise GraphIntegrityError(f"duplicate edge id {e.id!r}", e.id)
-            self.edges[e.id] = e
-        self.functions: dict[str, FunctionDecl] = {}
-        for f in functions:
-            if f.id in self.functions:
-                raise GraphIntegrityError(f"duplicate function id {f.id!r}", f.id)
-            self.functions[f.id] = f
+        self.nodes: dict[str, ContentNode] = _by_id(nodes, "node")
+        self.edges: dict[str, AccessPathEdge] = _by_id(edges, "edge")
+        self.functions: dict[str, FunctionDecl] = _by_id(functions, "function")
         self.call_edges: tuple[CallEdge, ...] = tuple(call_edges)
         self.source_files: tuple[str, ...] = tuple(source_files)
         self.anchors: tuple[Anchor, ...] = tuple(anchors)
         self._check_integrity()
-        # Outgoing edges per node, ordered by edge id for determinism.
-        self._out: dict[str, tuple[AccessPathEdge, ...]] = {}
+        # Outgoing edges per node, ordered by edge id for determinism: one
+        # sort of all edges, then each bucket fills in that order.
         by_src: dict[str, list[AccessPathEdge]] = {}
-        for e in self.edges.values():
+        for e in sorted(self.edges.values(), key=attrgetter("id")):
             by_src.setdefault(e.src, []).append(e)
-        for src, es in by_src.items():
-            self._out[src] = tuple(sorted(es, key=lambda e: e.id))
+        self._out: dict[str, tuple[AccessPathEdge, ...]] = {
+            src: tuple(es) for src, es in by_src.items()
+        }
         self._shared = _SharedIndexes()
         # Roles change in an overlay, so these lists are never shared.
         self._by_role: dict[TaintRole, tuple[ContentNode, ...]] = {}
@@ -446,14 +462,29 @@ _CALL_EDGE_FIELDS = {"caller", "callee", "call_site_node"}
 _TOP_FIELDS = {"format_version", "functions", "nodes", "edges", "call_edges", "source_files", "anchors"}
 _ANCHOR_FIELDS = {"file", "start_line", "end_line", "node_id"}
 
+# Enum members by value: a dict lookup costs a fraction of an enum call.
+_NODE_KINDS = {k.value: k for k in NodeKind}
+_TAINT_ROLES = {r.value: r for r in TaintRole}
+_EDGE_KINDS = {k.value: k for k in EdgeKind}
 
-def _check_fields(obj: dict, allowed: set[str], what: str, strict: bool, warnings: list[str]):
-    unknown = set(obj) - allowed
-    if unknown:
-        msg = f"{what}: unknown field(s) {sorted(unknown)}"
-        if strict:
-            raise GraphParseError(msg)
-        warnings.append(msg)
+
+def _member(members: dict, enum: type[Enum], value):
+    """The member of ``enum`` whose value is ``value``. On a miss the enum
+    is called, which raises its own ``ValueError`` naming the value."""
+    try:
+        return members[value]
+    except (KeyError, TypeError):
+        return enum(value)
+
+
+def _unknown_fields(obj: dict, allowed: set[str], what: str, strict: bool, warnings: list[str]):
+    """Reject or record the fields of ``obj`` outside ``allowed``. Callers
+    test ``obj.keys() <= allowed`` first, so the label ``what`` is only
+    formatted for an object that has an unknown field."""
+    msg = f"{what}: unknown field(s) {sorted(set(obj) - allowed)}"
+    if strict:
+        raise GraphParseError(msg)
+    warnings.append(msg)
 
 
 def _objects(doc: dict, key: str) -> list[dict]:
@@ -499,13 +530,25 @@ def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str
     :class:`GraphIntegrityError` (naming the offending id) for dangling or
     duplicate references. In lenient mode unknown fields are appended to
     ``warnings`` instead of rejected.
+
+    Cyclic garbage collection is paused while the document is parsed and
+    the graph is built: every container the load allocates is either kept
+    by the graph or freed by reference counting, so a collection there
+    would only walk live objects. The caller's setting is restored on
+    return and on error, and a caller that had collection off keeps it off.
     """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise GraphParseError(f"{path}: not valid JSON: {exc}") from exc
-    return graph_from_dict(doc, strict=strict, warnings=warnings)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise GraphParseError(f"{path}: not valid JSON: {exc}") from exc
+        return graph_from_dict(doc, strict=strict, warnings=warnings)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
@@ -517,25 +560,28 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
         raise GraphParseError(
             f"unsupported or missing format_version (expected {FORMAT_VERSION!r})"
         )
-    _check_fields(doc, _TOP_FIELDS, "document", strict, warnings)
+    if not doc.keys() <= _TOP_FIELDS:
+        _unknown_fields(doc, _TOP_FIELDS, "document", strict, warnings)
     try:
         nodes = []
         for raw in _objects(doc, "nodes"):
-            _check_fields(raw, _NODE_FIELDS, f"node {raw.get('id')!r}", strict, warnings)
+            if not raw.keys() <= _NODE_FIELDS:
+                _unknown_fields(raw, _NODE_FIELDS, f"node {raw.get('id')!r}", strict, warnings)
             nodes.append(
                 ContentNode(
                     id=str(raw["id"]),
-                    kind=NodeKind(raw["kind"]),
+                    kind=_member(_NODE_KINDS, NodeKind, raw["kind"]),
                     label=str(raw.get("label", "")),
                     function_id=_optional_str(raw, "function_id", "node"),
-                    taint_role=TaintRole(raw.get("taint_role", "none")),
+                    taint_role=_member(_TAINT_ROLES, TaintRole, raw.get("taint_role", "none")),
                     source_kind=_optional_str(raw, "source_kind", "node"),
                     sink_kind=_optional_str(raw, "sink_kind", "node"),
                 )
             )
         edges = []
         for raw in _objects(doc, "edges"):
-            _check_fields(raw, _EDGE_FIELDS, f"edge {raw.get('id')!r}", strict, warnings)
+            if not raw.keys() <= _EDGE_FIELDS:
+                _unknown_fields(raw, _EDGE_FIELDS, f"edge {raw.get('id')!r}", strict, warnings)
             guard_tags = raw.get("guard_tags", [])
             # Most edges carry no tags: skip the element check for those.
             if not isinstance(guard_tags, list) or (guard_tags and not _all_strings(guard_tags)):
@@ -547,14 +593,16 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                     id=str(raw["id"]),
                     src=str(raw["from"]),
                     dst=str(raw["to"]),
-                    kind=EdgeKind(raw["kind"]),
+                    kind=_member(_EDGE_KINDS, EdgeKind, raw["kind"]),
                     visible_to_forward=_flag(raw, "visible_to_forward", True, "edge"),
-                    guard_tags=frozenset(guard_tags),
+                    guard_tags=frozenset(guard_tags) if guard_tags else _NO_TAGS,
                 )
             )
         functions = []
         for raw in _objects(doc, "functions"):
-            _check_fields(raw, _FUNCTION_FIELDS, f"function {raw.get('id')!r}", strict, warnings)
+            if not raw.keys() <= _FUNCTION_FIELDS:
+                _unknown_fields(raw, _FUNCTION_FIELDS, f"function {raw.get('id')!r}", strict,
+                                warnings)
             parameters = raw.get("parameters", [])
             if not isinstance(parameters, list) or not _all_strings(parameters):
                 raise GraphParseError(
@@ -571,7 +619,8 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
             )
         call_edges = []
         for raw in _objects(doc, "call_edges"):
-            _check_fields(raw, _CALL_EDGE_FIELDS, "call edge", strict, warnings)
+            if not raw.keys() <= _CALL_EDGE_FIELDS:
+                _unknown_fields(raw, _CALL_EDGE_FIELDS, "call edge", strict, warnings)
             call_edges.append(
                 CallEdge(
                     caller=str(raw["caller"]),
@@ -581,7 +630,8 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
             )
         anchors = []
         for raw in _objects(doc, "anchors"):
-            _check_fields(raw, _ANCHOR_FIELDS, "anchor", strict, warnings)
+            if not raw.keys() <= _ANCHOR_FIELDS:
+                _unknown_fields(raw, _ANCHOR_FIELDS, "anchor", strict, warnings)
             anchors.append(
                 Anchor(
                     file=str(raw["file"]),

@@ -119,17 +119,12 @@ class PipelineConfig:
         for name in ("graph_path", "llm", "analysis_backend"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
-        for name in ("fixtures_dir", "out_dir", "sink_registry_path", "live_llm_endpoint",
-                     "live_llm_model"):
+        for name in ("out_dir", "sink_registry_path", "live_llm_endpoint", "live_llm_model"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name} must be a string or null, got {getattr(self, name)!r}")
-        paths = self.manifest_paths
-        if not isinstance(paths, list) or not all(isinstance(m, str) for m in paths):
-            raise ConfigError(f"manifest_paths must be a list of strings, got {paths!r}")
+        self.validate_retrieval()
         if not os.path.exists(self.graph_path):
             raise ConfigError(f"graph file not found: {self.graph_path}")
-        if self.fixtures_dir is not None and not os.path.isdir(self.fixtures_dir):
-            raise ConfigError(f"fixture directory not found: {self.fixtures_dir}")
         if self.llm.startswith("replay:"):
             replay_dir = self.llm.split(":", 1)[1]
             if not os.path.isdir(replay_dir):
@@ -150,10 +145,26 @@ class PipelineConfig:
                 raise ConfigError(f"SARIF result file not found: {sarif_path}")
         elif self.analysis_backend != "builtin":
             raise ConfigError(f"unknown analysis backend: {self.analysis_backend!r}")
-        for m in self.manifest_paths:
+        self.validate_search_bounds()
+
+    def validate_manifests(self) -> None:
+        """Check the manifest paths, the only setting `argus deps` reads."""
+        paths = self.manifest_paths
+        if not isinstance(paths, list) or not all(isinstance(m, str) for m in paths):
+            raise ConfigError(f"manifest_paths must be a list of strings, got {paths!r}")
+        for m in paths:
             if not os.path.exists(m):
                 raise ConfigError(f"manifest not found: {m}")
-        self.validate_search_bounds()
+
+    def validate_retrieval(self) -> None:
+        """Check the manifest paths, the fixture directory and the gate, the
+        only settings `argus advisories` reads."""
+        self.validate_manifests()
+        fixtures = self.fixtures_dir
+        if not isinstance(fixtures, (str, type(None))):
+            raise ConfigError(f"fixtures_dir must be a string or null, got {fixtures!r}")
+        if fixtures is not None and not os.path.isdir(fixtures):
+            raise ConfigError(f"fixture directory not found: {fixtures}")
         threshold = self.gate_threshold
         if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
             raise ConfigError(f"gate_threshold must be a number, got {threshold!r}")
@@ -300,6 +311,9 @@ def recover_flows(graph: ProgramGraph, sink_id: str, config: PipelineConfig) -> 
 
 def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
     config.validate()
+    # Read before any stage runs, so a malformed registry file fails the
+    # scan before an agent spends tokens.
+    registry = load_sink_registry(config.sink_registry_path)
     report = VulnerabilityReport(config=config)
     graph = load_program_graph(config.graph_path, strict=True)
 
@@ -379,7 +393,6 @@ def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
         report.poc_artifacts.append(artifact.to_dict())
 
     # Stage 4: sink assembly.
-    registry = load_sink_registry(config.sink_registry_path)
     candidates: list[SinkCandidate] = list(registry_sink_candidates(graph, registry))
     candidate_advisory: dict[str, str] = {}
     for adv_id in sorted(pocs):

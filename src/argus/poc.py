@@ -24,6 +24,7 @@ from typing import Optional
 
 from argus.advisories import AdvisoryRecord
 from argus.agent import LLMBackend, Transcript, run_react_loop
+from argus.errors import ConfigError
 from argus.model import ProgramGraph
 
 _IDENTIFIER = re.compile(
@@ -182,14 +183,31 @@ def derive_sink_candidates(poc: PoCArtifact, graph: ProgramGraph) -> list[SinkCa
 
 
 def load_sink_registry(path: Optional[str] = None) -> dict[str, list[str]]:
-    """Load the bundled (or a user-supplied) registry of dangerous callables."""
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
+    """Load the bundled (or a user-supplied) registry of dangerous callables:
+    a JSON object mapping each sink kind to a list of callable names.
+
+    Raises :class:`ConfigError` naming ``path`` when that file cannot be read
+    as JSON or does not have that shape.
+    """
+    if path is None:
+        with resources.files("argus").joinpath("data/sink_registry.json").open(
+            "r", encoding="utf-8"
+        ) as fh:
             return json.load(fh)
-    with resources.files("argus").joinpath("data/sink_registry.json").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        return json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            registry = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read sink registry {path}: {exc}") from exc
+    if not isinstance(registry, dict) or not all(
+        isinstance(names, list) and all(isinstance(n, str) for n in names)
+        for names in registry.values()
+    ):
+        raise ConfigError(
+            f"sink registry {path} must be a JSON object mapping each sink kind "
+            "to a list of strings"
+        )
+    return registry
 
 
 def registry_sink_candidates(

@@ -215,7 +215,8 @@ def test_e_end_to_end_determinism(tmp_path):
             report = run_pipeline(_mini_config(name, manifest, out))
             paths = export_report(report, str(out))
             assert time.monotonic() - start < 60.0
-            blobs.append(open(paths["json"], "rb").read())
+            with open(paths["json"], "rb") as fh:
+                blobs.append(fh.read())
         assert blobs[0] == blobs[1] == blobs[2], f"{name}: report.json not byte-stable"
         summary = report.summary()
         assert summary["sinks_by_origin"].get("advisory_poc", 0) == want["rag_sinks"]

@@ -308,3 +308,61 @@ def test_malformed_graph_element_exit_2(capsys, tmp_path, mutate, message):
     assert code == EXIT_CONFIG_ERROR
     assert message in err
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "cannot read sink registry"),
+    ('{"sql": "java.sql.Statement.execute"}', "must be a JSON object mapping"),
+    ('[["Runtime.exec"]]', "must be a JSON object mapping"),
+])
+def test_malformed_sink_registry_exit_2(capsys, tmp_path, text, message):
+    registry = tmp_path / "registry.json"
+    registry.write_text(text)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"sink_registry_path": str(registry)}))
+    code, _, err = run_cli(capsys, "scan", "--config", str(cpath),
+                           "--graph", fixture_path("publiccms_mini", "graph.json"))
+    assert code == EXIT_CONFIG_ERROR
+    assert str(registry) in err
+    assert message in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("deps", {"manifest_paths": "tests/fixtures/publiccms_mini/pom.xml"},
+     "manifest_paths must be a list of strings"),
+    ("deps", {"manifest_paths": ["no/such/pom.xml"]}, "manifest not found"),
+    ("advisories", {"manifest_paths": "tests/fixtures/publiccms_mini/pom.xml"},
+     "manifest_paths must be a list of strings"),
+    ("advisories", {"gate_threshold": "high"}, "gate_threshold must be a number"),
+    ("advisories", {"gate_weights": [1, 0]}, "gate weights must be 3 values"),
+    ("advisories", {"fixtures_dir": 5}, "fixtures_dir must be a string or null"),
+])
+def test_deps_and_advisories_check_the_settings_they_read(capsys, tmp_path, command, config,
+                                                          message):
+    values = {"manifest_paths": [fixture_path("publiccms_mini", "pom.xml")],
+              "fixtures_dir": fixture_path("publiccms_mini", "advisories")}
+    values.update(config)
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(values))
+    code, _, err = run_cli(capsys, command, "--config", str(cpath),
+                           "--graph", fixture_path("publiccms_mini", "graph.json"))
+    assert code == EXIT_CONFIG_ERROR
+    assert message in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["deps", "advisories"])
+def test_deps_and_advisories_ignore_settings_only_scan_reads(capsys, tmp_path, command):
+    argv = (command, "--graph", fixture_path("publiccms_mini", "graph.json"),
+            "--manifest", fixture_path("publiccms_mini", "pom.xml"),
+            "--fixtures", fixture_path("publiccms_mini", "advisories"))
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"review_mode": "LLMX", "max_depth": 0,
+                                 "sink_registry_path": 5}))
+    code, out, _ = run_cli(capsys, *argv, "--config", str(cpath),
+                           "--llm", "replay:" + str(tmp_path / "missing"))
+    assert code == EXIT_OK
+    assert out == want

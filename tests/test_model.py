@@ -1,4 +1,6 @@
+import gc
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from argus.model import (
     validate_flow,
 )
 from argus.poc import MatchConfidence, _match_label
+from argus.synthetic import hidden_chain_graph, random_graph
 from tests.conftest import fixture_path
 
 MINIMAL = {
@@ -283,3 +286,131 @@ def test_with_sinks_overlay_marks_only_unmarked_nodes():
     assert [n.id for n in graph.nodes_by_role(TaintRole.SINK)] == ["old"]
     overlay.nodes_by_role(TaintRole.SINK).clear()
     assert [n.id for n in overlay.nodes_by_role(TaintRole.SINK)] == ["a", "old"]
+
+
+# --- loader: enum lookups, GC state, the graph it builds ------------------------
+
+
+@pytest.mark.parametrize("mutate, value, enum", [
+    (lambda d: d["nodes"][0].update(kind="bogus"), "'bogus'", "NodeKind"),
+    (lambda d: d["nodes"][0].update(taint_role="bogus"), "'bogus'", "TaintRole"),
+    (lambda d: d["edges"][0].update(kind="bogus"), "'bogus'", "EdgeKind"),
+    (lambda d: d["nodes"][0].update(kind=["variable"]), "['variable']", "NodeKind"),
+    (lambda d: d["edges"][0].update(kind=7), "7", "EdgeKind"),
+])
+def test_unknown_enum_value_is_named(mutate, value, enum):
+    doc = json.loads(json.dumps(MINIMAL))
+    mutate(doc)
+    with pytest.raises(GraphParseError) as exc:
+        graph_from_dict(doc)
+    assert str(exc.value) == f"invalid enum or numeric value: {value} is not a valid {enum}"
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False])
+def test_load_restores_the_callers_gc_state(tmp_path, caller_enabled):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(MINIMAL))
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    bad_kind = tmp_path / "kind.json"
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["nodes"][0]["kind"] = "bogus"
+    bad_kind.write_text(json.dumps(doc))
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if caller_enabled else gc.disable()
+        assert len(load_program_graph(good).nodes) == 2
+        assert gc.isenabled() is caller_enabled
+        for path in (bad_json, bad_kind):
+            with pytest.raises(GraphParseError):
+                load_program_graph(path)
+            assert gc.isenabled() is caller_enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+def _plain_graph(doc):
+    """The nodes, edges, functions and outgoing lists of ``doc``, built with
+    enum calls, one frozenset per edge and a sort per source node."""
+    nodes = {
+        n["id"]: ContentNode(n["id"], NodeKind(n["kind"]), n["label"], n["function_id"],
+                             TaintRole(n["taint_role"]), n["source_kind"], n["sink_kind"])
+        for n in doc["nodes"]
+    }
+    edges = {
+        e["id"]: AccessPathEdge(e["id"], e["from"], e["to"], EdgeKind(e["kind"]),
+                                e["visible_to_forward"], frozenset(e["guard_tags"]))
+        for e in doc["edges"]
+    }
+    functions = {
+        f["id"]: FunctionDecl(f["id"], f["name"], tuple(f["parameters"]), f["return_node"],
+                              f["is_entry_point"])
+        for f in doc["functions"]
+    }
+    outgoing = {
+        node_id: tuple(sorted((e for e in edges.values() if e.src == node_id),
+                              key=lambda e: e.id))
+        for node_id in nodes
+    }
+    return nodes, edges, functions, outgoing
+
+
+@pytest.mark.parametrize("make", [
+    lambda: hidden_chain_graph(3, depth=3).graph,
+    lambda: random_graph(5, n_nodes=40, n_edges=120, hidden_edge_fraction=0.2),
+])
+def test_loader_builds_the_plain_graph(make, tmp_path):
+    doc = graph_to_dict(make())
+    # Tagged edges among untagged ones; the edge ids sort apart from their
+    # order in the document, so the outgoing order is checked too.
+    doc["edges"][0]["guard_tags"] = ["validated", "encoded"]
+    doc["edges"][-1]["guard_tags"] = ["caught"]
+    doc["edges"].reverse()
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    graph = load_program_graph(path)
+
+    nodes, edges, functions, outgoing = _plain_graph(doc)
+    assert graph.nodes == nodes
+    assert graph.edges == edges
+    assert graph.functions == functions
+    for node_id in nodes:
+        assert graph.outgoing(node_id) == outgoing[node_id]
+    assert graph_to_dict(graph_from_dict(graph_to_dict(graph))) == graph_to_dict(graph)
+
+    assert graph.edges[doc["edges"][-1]["id"]].guard_tags == {"validated", "encoded"}
+    assert graph.edges[doc["edges"][0]["id"]].guard_tags == {"caught"}
+    untagged = [e.guard_tags for e in graph.edges.values() if not e.guard_tags]
+    assert untagged and all(tags == frozenset() for tags in untagged)
+    assert len({id(tags) for tags in untagged}) == 1
+
+
+@pytest.mark.parametrize("key, entry", [
+    ("nodes", lambda i: {"id": i, "kind": "variable", "function_id": "f1", "label": i}),
+    ("edges", lambda i: {"id": i, "from": "a", "to": "b", "kind": "assign"}),
+    ("functions", lambda i: {"id": i, "name": i}),
+])
+def test_duplicate_id_error_names_the_first_repeat(key, entry):
+    doc = json.loads(json.dumps(MINIMAL))
+    # "y" is the first id seen twice, "x" the first id that has a twin.
+    doc[key].extend(entry(i) for i in ("x", "y", "y", "x"))
+    with pytest.raises(GraphIntegrityError) as exc:
+        graph_from_dict(doc)
+    assert exc.value.offending_id == "y"
+    assert str(exc.value) == f"duplicate {key[:-1]} id 'y'"
+
+
+def test_graph_elements_are_slotted_and_replaceable():
+    graph = make_graph(functions=[{"id": "f1", "name": "main", "parameters": ["p"],
+                                   "return_node": "b"}],
+                       nodes=MINIMAL["nodes"] + [{"id": "p", "kind": "parameter",
+                                                  "function_id": "f1", "label": "p"}])
+    node, edge, func = graph.nodes["a"], graph.edges["e1"], graph.functions["f1"]
+    for obj in (node, edge, func):
+        assert not hasattr(obj, "__dict__")
+    assert replace(func, parameters=(), return_node=None) == FunctionDecl("f1", "main")
+    assert replace(edge, guard_tags=frozenset({"t"})).guard_tags == {"t"}
+    overlay = graph.with_sinks({"b": "sql"})
+    assert overlay.nodes["b"].taint_role == TaintRole.SINK
+    assert overlay.nodes["b"].sink_kind == "sql"
+    assert graph.nodes["b"].taint_role == TaintRole.NONE

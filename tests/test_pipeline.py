@@ -100,7 +100,8 @@ def test_report_export_deterministic(tmp_path):
         out = tmp_path / f"run{i}"
         report = run_pipeline(datagear_config())
         paths = export_report(report, str(out))
-        contents.append(open(paths["json"], "rb").read())
+        with open(paths["json"], "rb") as fh:
+            contents.append(fh.read())
     assert contents[0] == contents[1] == contents[2]
 
 
@@ -132,7 +133,8 @@ def test_report_json_round_trips(tmp_path):
 def test_markdown_has_finding_sections(tmp_path):
     report = run_pipeline(datagear_config())
     paths = export_report(report, str(tmp_path))
-    md = open(paths["markdown"], "r", encoding="utf-8").read()
+    with open(paths["markdown"], "r", encoding="utf-8") as fh:
+        md = fh.read()
     assert md.count("### Finding ") == len(report.findings)
     for f in report.findings:
         # one hop table row per triple
@@ -233,3 +235,15 @@ def test_sarif_backend_integration(tmp_path):
     assert report.summary()["flows_total"] == 1
     assert report.findings[0].flow.edge_ids == ("e1", "e2")
     assert any("app/other.py" in w for w in report.warnings)
+
+
+def test_malformed_sink_registry_fails_before_any_agent_runs(tmp_path, monkeypatch):
+    registry = tmp_path / "registry.json"
+    registry.write_text("{not json")
+
+    def no_agent(*args, **kwargs):
+        raise AssertionError("an agent ran before the registry was read")
+
+    monkeypatch.setattr("argus.pipeline.generate_poc", no_agent)
+    with pytest.raises(ConfigError, match="cannot read sink registry"):
+        run_pipeline(datagear_config(sink_registry_path=str(registry)))
