@@ -13,9 +13,15 @@ race on yields equal tables.
 
 The graph's element classes are frozen, slotted dataclasses, and every edge
 without guard tags shares one empty frozenset, so a loaded graph leaves few
-objects for the cyclic garbage collector to walk. :func:`load_program_graph`
-pauses that collector while it parses and builds, since the load makes no
-garbage cycles for it to find, and restores the caller's setting after.
+objects for the cyclic garbage collector to walk. :class:`gc_paused` turns
+that collector off and restores the caller's setting after.
+:func:`load_program_graph` runs under it, and so do a whole scan and a whole
+report export (``argus.pipeline``), since neither makes garbage cycles that
+grow with the graph: every container is kept or freed by reference
+counting, except the closures of the pure-Python JSON encoder (33 objects
+per indented ``json.dump``), which the first collection after the pause
+frees. Without the pause, a collection every few hundred allocations would
+walk the live graph.
 """
 
 from __future__ import annotations
@@ -523,6 +529,27 @@ def _anchor_line(raw: dict, key: str) -> int:
     return line
 
 
+class gc_paused:
+    """A context in which cyclic garbage collection is off.
+
+    On exit the caller's setting is restored, on return and on error alike,
+    and a caller that had collection off keeps it off. It is a class, not a
+    generator, so that nothing is allocated once collection is back on: a
+    generator's exit raises and catches ``StopIteration``, and that
+    allocation could start a collection before the paused call returns.
+    """
+
+    __slots__ = ("_enabled",)
+
+    def __enter__(self) -> None:
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._enabled:
+            gc.enable()
+
+
 def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
     """Load and validate a program-graph JSON document.
 
@@ -537,18 +564,13 @@ def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str
     would only walk live objects. The caller's setting is restored on
     return and on error, and a caller that had collection off keeps it off.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with gc_paused():
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise GraphParseError(f"{path}: not valid JSON: {exc}") from exc
         return graph_from_dict(doc, strict=strict, warnings=warnings)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:

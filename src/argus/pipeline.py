@@ -50,6 +50,7 @@ from argus.model import (
     DataFlow,
     ProgramGraph,
     TaintRole,
+    gc_paused,
     load_program_graph,
     validate_flow,
 )
@@ -310,6 +311,22 @@ def recover_flows(graph: ProgramGraph, sink_id: str, config: PipelineConfig) -> 
 
 
 def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
+    """Validate ``config`` and scan: every stage from dependency scan to
+    review, in one report. Raises :class:`ConfigError` for an invalid
+    configuration or sink registry and the graph loader's errors for a bad
+    graph; a failure inside a stage is recorded in ``report.stage_errors``
+    and the scan goes on.
+
+    Cyclic garbage collection is paused for the whole scan (see
+    :class:`argus.model.gc_paused`). It is turned back on only after the
+    scan's frame, which holds the graph and its overlay, is gone, so the
+    first collection after it does not walk the graph.
+    """
+    with gc_paused():
+        return _scan(config)
+
+
+def _scan(config: PipelineConfig) -> VulnerabilityReport:
     config.validate()
     # Read before any stage runs, so a malformed registry file fails the
     # scan before an agent spends tokens.
@@ -418,15 +435,27 @@ def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
         sink_origin.setdefault(node.id, CandidateOrigin.STATIC_REGISTRY)
         sink_kind.setdefault(node.id, node.sink_kind or "unknown")
 
+    # A candidate that keeps a source or sanitizer role is reported, but
+    # it is not a sink, so it is not searched.
     graph = graph.with_sinks(sink_kind)
+    sink_ids: list[str] = []
     for node_id in sorted(sink_origin):
-        report.sinks.append({
+        node = graph.nodes[node_id]
+        entry = {
             "node_id": node_id,
-            "label": graph.nodes[node_id].label,
+            "label": node.label,
             "origin": sink_origin[node_id].value,
             "sink_kind": sink_kind[node_id],
             "advisory": candidate_advisory.get(node_id),
-        })
+        }
+        if node.taint_role == TaintRole.SINK:
+            sink_ids.append(node_id)
+        else:
+            entry["kept_role"] = node.taint_role.value
+            report.warnings.append(
+                f"sinks: {node_id} keeps role {node.taint_role.value}; not searched"
+            )
+        report.sinks.append(entry)
 
     # Stage 5+6: flow search with backward recovery, then review.
     sarif_flows: list[DataFlow] = []
@@ -437,7 +466,7 @@ def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
         report.warnings.extend(sarif_result.skipped)
 
     review_transcripts: list[Transcript] = []
-    for sink_id in sorted(sink_origin):
+    for sink_id in sink_ids:
         if config.analysis_backend.startswith("sarif:"):
             flows = [f for f in sarif_flows if f.sink == sink_id]
         else:
@@ -466,12 +495,22 @@ def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
                 _make_backend(config, "review", f"{sink_id}__{i}")
                 if config.review_mode == "llm" else None
             )
-            verdict = review_flow(
-                flow,
-                graph,
-                backend=review_backend,
-                auto_confirm_forward_flows=config.auto_confirm_forward_flows,
-            )
+            try:
+                verdict = review_flow(
+                    flow,
+                    graph,
+                    backend=review_backend,
+                    auto_confirm_forward_flows=config.auto_confirm_forward_flows,
+                )
+            except ArgusError as exc:
+                # A failing review backend costs the flow its LLM review,
+                # never its finding: it is reviewed by rules instead.
+                report.stage_errors.append(f"review {sink_id}: {exc}")
+                verdict = review_flow(
+                    flow,
+                    graph,
+                    auto_confirm_forward_flows=config.auto_confirm_forward_flows,
+                )
             if verdict.transcript is not None:
                 review_transcripts.append(verdict.transcript)
             advisory_id = candidate_advisory.get(sink_id)
@@ -500,8 +539,15 @@ def export_report(report: VulnerabilityReport, out_dir: str) -> dict[str, str]:
     """Write report.json and report.md; byte-stable for identical reports.
 
     Each file is written whole or not at all: a scan killed mid-write
-    leaves the previous report in place, never a truncated one.
+    leaves the previous report in place, never a truncated one. Cyclic
+    garbage collection is paused while the report is built and written,
+    as in :func:`run_pipeline`.
     """
+    with gc_paused():
+        return _export(report, out_dir)
+
+
+def _export(report: VulnerabilityReport, out_dir: str) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
     md_path = os.path.join(out_dir, "report.md")

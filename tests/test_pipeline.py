@@ -1,12 +1,14 @@
+import gc
 import json
 
 import pytest
 
 from argus.cli import EXIT_CONFIG_ERROR, main
-from argus.errors import BackendError, ConfigError
-from argus.model import FlowOrigin
+from argus.errors import ConfigError
+from argus.model import FlowOrigin, graph_to_dict
 from argus.pipeline import PipelineConfig, export_report, run_pipeline
 from argus.review import ReviewMode
+from argus.synthetic import hidden_chain_graph, random_graph
 from tests.conftest import fixture_path
 from tests.oracles import sum_transcript_tokens
 
@@ -212,12 +214,19 @@ def test_llm_review_runs_on_every_llm_backend(tmp_path, capsys, monkeypatch):
     assert "live_llm_endpoint" in capsys.readouterr().err
 
     # The live backend reviews too: without an API key its first call
-    # fails, before any request is sent.
+    # fails, before any request is sent. The failure is recorded per flow
+    # and each flow is reviewed by rules, so the scan still reports it.
     monkeypatch.delenv("ARGUS_API_KEY", raising=False)
     live = publiccms_config(llm="live", review_mode="llm", manifest_paths=[],
                             live_llm_endpoint="http://localhost:9", live_llm_model="m")
-    with pytest.raises(BackendError, match="ARGUS_API_KEY"):
-        run_pipeline(live)
+    report = run_pipeline(live)
+    assert report.findings
+    assert all(f.verdict.mode == ReviewMode.RULE for f in report.findings)
+    assert len(report.stage_errors) == len(report.findings)
+    for f, error in zip(report.findings, sorted(report.stage_errors)):
+        assert error.startswith(f"review {f.sink_id}: ")
+        assert "ARGUS_API_KEY" in error
+    assert report.token_usage["per_stage"]["review"] == {"prompt": 0, "completion": 0}
 
 
 def test_config_digest_stable_and_sensitive():
@@ -247,3 +256,82 @@ def test_malformed_sink_registry_fails_before_any_agent_runs(tmp_path, monkeypat
     monkeypatch.setattr("argus.pipeline.generate_poc", no_agent)
     with pytest.raises(ConfigError, match="cannot read sink registry"):
         run_pipeline(datagear_config(sink_registry_path=str(registry)))
+
+
+def synthetic_config(graph, path):
+    path.write_text(json.dumps(graph_to_dict(graph)))
+    return PipelineConfig(graph_path=str(path), max_flow_length=8)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_scan_and_export_restore_the_callers_gc_setting(tmp_path, enabled):
+    registry = tmp_path / "registry.json"
+    registry.write_text("{not json")
+    blocked = tmp_path / "blocked"
+    blocked.write_text("a file where the output directory should be")
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        report = run_pipeline(publiccms_config())
+        assert gc.isenabled() is enabled
+        export_report(report, str(tmp_path / "out"))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ConfigError, match="graph file not found"):
+            run_pipeline(publiccms_config(graph_path=str(tmp_path / "missing.json")))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ConfigError, match="cannot read sink registry"):
+            run_pipeline(publiccms_config(sink_registry_path=str(registry)))
+        assert gc.isenabled() is enabled
+        with pytest.raises(OSError):
+            export_report(report, str(blocked))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_no_collection_starts_inside_a_scan(tmp_path):
+    config = synthetic_config(hidden_chain_graph(3).graph, tmp_path / "graph.json")
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(record)
+    try:
+        # A collection every 10 allocations: an unpaused scan starts many.
+        gc.set_threshold(10)
+        gc.collect()
+        starts.clear()
+        report = run_pipeline(config)
+        assert starts == []
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(record)
+    assert report.findings
+
+
+def test_cyclic_garbage_of_a_scan_does_not_grow_with_the_graph(tmp_path):
+    def garbage_after_scan(graph, name):
+        config = synthetic_config(graph, tmp_path / f"{name}.json")
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_pipeline(config)
+            export_report(report, str(tmp_path / name))
+            return gc.collect(), len(report.findings)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    small = hidden_chain_graph(3).graph
+    large = random_graph(1, n_nodes=10 * len(small.nodes), n_edges=20 * len(small.nodes),
+                         n_sources=4, n_sinks=4, n_sanitizers=2, hidden_edge_fraction=0.2)
+    small_garbage, small_findings = garbage_after_scan(small, "small")
+    large_garbage, large_findings = garbage_after_scan(large, "large")
+    assert small_findings and large_findings > small_findings
+    # The JSON encoder's closures, once per indented dump: report.json
+    # and the token table of report.md.
+    assert small_garbage == large_garbage <= 100
