@@ -352,6 +352,10 @@ def load_transcript(path) -> Transcript:
     for no, line in lines[1:]:
         raw = _transcript_line(path, no, line)
         try:
+            if not isinstance(raw["content"], str):
+                raise TypeError(f"content must be a string, got {raw['content']!r}")
+            if not isinstance(raw.get("tool_name"), (str, type(None))):
+                raise TypeError(f"tool_name must be a string or null, got {raw['tool_name']!r}")
             turns.append(ChatTurn(
                 role=Role(raw.get("role")),
                 content=raw["content"],

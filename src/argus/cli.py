@@ -19,10 +19,9 @@ from typing import Optional
 from argus.advisories import OfflineFixtureTransport, gate_finding, query_authoritative, retrieve_community
 from argus.agent import ReplayBackend, load_transcript, run_react_loop
 from argus.deps import parse_manifest
-from argus.engine import FlowQuery, forward_search
 from argus.errors import ArgusError, ConfigError
 from argus.model import load_program_graph
-from argus.pipeline import PipelineConfig, export_report, recover_flows, run_pipeline
+from argus.pipeline import PipelineConfig, export_report, find_flows, run_pipeline
 
 EXIT_OK = 0
 EXIT_CONFIRMED = 1
@@ -154,22 +153,12 @@ def _cmd_flows(args: argparse.Namespace) -> int:
         raise ConfigError("flows requires at least one --sink node id")
     config.validate_search_bounds()
     graph = load_program_graph(config.graph_path)
-    query = FlowQuery(
-        sinks=tuple(args.sink),
-        max_length=config.max_flow_length,
-        max_flows_per_sink=config.max_flows_per_sink,
-    )
-    flows = forward_search(graph, query)
-    stitched_payload = []
-    for sink in args.sink:
-        if any(f.sink == sink for f in flows):
-            continue
-        result = recover_flows(graph, sink, config)
-        stitched_payload.extend(s.combined.to_dict() for s in result.flows)
-    print(json.dumps({
-        "forward": [f.to_dict() for f in flows],
-        "stitched": stitched_payload,
-    }, indent=2))
+    payload: dict[str, list] = {"forward": [], "stitched": []}
+    for sink in sorted(set(args.sink)):
+        flows, _ = find_flows(graph, sink, config)
+        for flow in flows:
+            payload[flow.origin.value].append(flow.to_dict())
+    print(json.dumps(payload, indent=2))
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
 from argus.errors import ManifestError
 from argus.model import ProgramGraph

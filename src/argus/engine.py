@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from argus.errors import SarifError, UnknownSinkError
 from argus.model import (
@@ -36,10 +36,8 @@ DEFAULT_MAX_FLOWS_PER_SINK = 32
 @dataclass(frozen=True)
 class FlowQuery:
     sinks: tuple[str, ...]
-    source_ids: Optional[tuple[str, ...]] = None
     max_length: int = DEFAULT_MAX_FLOW_LENGTH
     max_flows_per_sink: int = DEFAULT_MAX_FLOWS_PER_SINK
-    respect_visibility: bool = True
 
     def __post_init__(self):
         if self.max_length < 1:
@@ -48,28 +46,23 @@ class FlowQuery:
             raise ValueError("max_flows_per_sink must be >= 1")
 
 
-def select_sources(graph: ProgramGraph, query: FlowQuery) -> list[str]:
-    if query.source_ids is not None:
-        return sorted(set(query.source_ids))
-    return [n.id for n in graph.nodes_by_role(TaintRole.SOURCE)]
-
-
 def forward_search(graph: ProgramGraph, query: FlowQuery) -> list[DataFlow]:
-    """Enumerate taint flows from sources to each queried sink.
+    """Enumerate taint flows from source nodes to each queried sink.
 
     Raises :class:`UnknownSinkError` for sink ids absent from the graph.
     Flows never pass through sanitizer nodes, use only forward-visible
-    edges when ``respect_visibility`` is set, and have fewer than
-    ``max_length`` triples. Each sink gets the first
-    ``max_flows_per_sink`` flows in edge-id tuple order.
+    edges, and have fewer than ``max_length`` triples. Each distinct sink
+    gets the first ``max_flows_per_sink`` flows in edge-id tuple order.
     """
     for sink in query.sinks:
         if sink not in graph.nodes:
             raise UnknownSinkError(sink)
-    sources = select_sources(graph, query)
+    sources = [n.id for n in graph.nodes_by_role(TaintRole.SOURCE)]
+    limit = query.max_length - 1
+    cap = query.max_flows_per_sink
     out: list[DataFlow] = []
-    for sink in sorted(query.sinks):
-        dist = _distances_to(graph, sink, query)
+    for sink in sorted(set(query.sinks)):
+        dist = _distances_to(graph, sink, limit)
         # Out-edges are sorted by id and a sink always ends its path, so no
         # flow's edge-id tuple is a prefix of another's: depth-first order
         # over id-ordered edges is the sorted order, and the first flows
@@ -80,7 +73,7 @@ def forward_search(graph: ProgramGraph, query: FlowQuery) -> list[DataFlow]:
         )
         paths: list[tuple[FlowTriple, ...]] = []
         for edge in starts:
-            if _extend_paths(graph, (edge,), sink, query, dist, [], {edge.src}, paths):
+            if _extend_paths(graph, (edge,), sink, limit, cap, dist, [], {edge.src}, paths):
                 break
         for p in paths:
             out.append(DataFlow(triples=p, origin=FlowOrigin.FORWARD,
@@ -88,20 +81,20 @@ def forward_search(graph: ProgramGraph, query: FlowQuery) -> list[DataFlow]:
     return out
 
 
-def _distances_to(graph: ProgramGraph, sink: str, query: FlowQuery) -> dict[str, int]:
+def _distances_to(graph: ProgramGraph, sink: str, limit: int) -> dict[str, int]:
     """Fewest edges from each node to ``sink`` over the edges forward search
-    may take, for nodes within ``max_length - 1`` edges of it.
+    may take, for nodes within ``limit`` edges of it.
 
-    A breadth-first search over incoming edges. Sanitizers get no distance:
-    forward search never enters one, so no flow passes through it.
+    A breadth-first search over visible incoming edges. Sanitizers get no
+    distance: forward search never enters one, so no flow passes through it.
     """
     dist = {sink: 0}
     frontier = [sink]
-    for depth in range(1, query.max_length):
+    for depth in range(1, limit + 1):
         reached = []
         for node in frontier:
             for edge in graph.incoming(node):
-                if query.respect_visibility and not edge.visible_to_forward:
+                if not edge.visible_to_forward:
                     continue
                 prev = edge.src
                 if prev in dist or graph.nodes[prev].taint_role == TaintRole.SANITIZER:
@@ -118,19 +111,19 @@ def _extend_paths(
     graph: ProgramGraph,
     edges: Sequence[AccessPathEdge],
     sink: str,
-    query: FlowQuery,
+    limit: int,
+    cap: int,
     dist: dict[str, int],
     prefix: list[FlowTriple],
     visited: set[str],
     paths: list[tuple[FlowTriple, ...]],
 ) -> bool:
-    """Depth-first extension of ``prefix`` over ``edges``; True once
-    ``paths`` holds ``max_flows_per_sink`` flows."""
-    limit = query.max_length - 1
+    """Depth-first extension of ``prefix`` over ``edges`` to flows of at
+    most ``limit`` edges; True once ``paths`` holds ``cap`` flows."""
     if len(prefix) >= limit:
         return False
     for edge in edges:
-        if query.respect_visibility and not edge.visible_to_forward:
+        if not edge.visible_to_forward:
             continue
         nxt = edge.dst
         if nxt in visited:
@@ -138,7 +131,7 @@ def _extend_paths(
         triple = FlowTriple(edge.src, edge, nxt)
         if nxt == sink:
             paths.append(tuple(prefix + [triple]))
-            if len(paths) >= query.max_flows_per_sink:
+            if len(paths) >= cap:
                 return True
             continue
         # Enter only a node that can still reach the sink within the bound;
@@ -147,7 +140,7 @@ def _extend_paths(
             continue
         visited.add(nxt)
         prefix.append(triple)
-        done = _extend_paths(graph, graph.outgoing(nxt), sink, query, dist,
+        done = _extend_paths(graph, graph.outgoing(nxt), sink, limit, cap, dist,
                              prefix, visited, paths)
         prefix.pop()
         visited.remove(nxt)
@@ -183,17 +176,33 @@ def import_sarif(
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SarifError(f"{path}: cannot parse SARIF: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SarifError(f"{path}: SARIF document must be a JSON object")
     version = doc.get("version")
     if version != "2.1.0":
         raise SarifError(f"{path}: unsupported SARIF version {version!r}")
 
     result = SarifImportResult()
-    for run in doc.get("runs", []):
-        for res in run.get("results", []):
-            for code_flow in res.get("codeFlows", []):
-                for thread_flow in code_flow.get("threadFlows", []):
-                    _import_thread_flow(thread_flow, graph, max_length, result)
+    for run in _objects(doc, "runs", path):
+        for res in _objects(run, "results", path):
+            for code_flow in _objects(res, "codeFlows", path):
+                for thread_flow in _objects(code_flow, "threadFlows", path):
+                    locations = _objects(thread_flow, "locations", path)
+                    _import_thread_flow(locations, graph, max_length, result)
     return result
+
+
+def _objects(parent: dict, key: str, path: str) -> list[dict]:
+    """``parent[key]``, an array of objects; an absent key is an empty one."""
+    items = parent.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(i, dict) for i in items):
+        raise SarifError(f"{path}: {key} must be an array of objects")
+    return items
+
+
+def _member(obj, key: str):
+    """``obj[key]`` when ``obj`` is an object holding ``key``, else None."""
+    return obj.get(key) if isinstance(obj, dict) else None
 
 
 def _resolve_anchor(graph: ProgramGraph, uri: str, line: int) -> Optional[str]:
@@ -204,20 +213,28 @@ def _resolve_anchor(graph: ProgramGraph, uri: str, line: int) -> Optional[str]:
 
 
 def _import_thread_flow(
-    thread_flow: dict,
+    locations: list[dict],
     graph: ProgramGraph,
     max_length: int,
     result: SarifImportResult,
 ) -> None:
     node_ids: list[str] = []
-    for loc in thread_flow.get("locations", []):
-        phys = loc.get("location", {}).get("physicalLocation", loc.get("physicalLocation", {}))
-        uri = phys.get("artifactLocation", {}).get("uri")
-        line = phys.get("region", {}).get("startLine")
+    for loc in locations:
+        phys = (_member(_member(loc, "location"), "physicalLocation")
+                or _member(loc, "physicalLocation"))
+        uri = _member(_member(phys, "artifactLocation"), "uri")
+        line = _member(_member(phys, "region"), "startLine")
         if uri is None or line is None:
             result.skipped.append("thread flow skipped: location lacks uri/startLine")
             return
-        node_id = _resolve_anchor(graph, uri, int(line))
+        try:
+            start = int(line)
+        except (TypeError, ValueError):
+            result.skipped.append(
+                f"thread flow skipped: startLine {line!r} is not an integer"
+            )
+            return
+        node_id = _resolve_anchor(graph, uri, start)
         if node_id is None:
             result.skipped.append(
                 f"thread flow skipped: no anchor for {uri}:{line}"

@@ -21,6 +21,8 @@ from typing import Iterator, Optional, TextIO
 
 from argus import __version__
 from argus.advisories import (
+    DEFAULT_GATE_THRESHOLD,
+    DEFAULT_GATE_WEIGHTS,
     AdvisoryRecord,
     OfflineFixtureTransport,
     check_gate_weights,
@@ -82,8 +84,8 @@ class PipelineConfig:
     fixtures_dir: Optional[str] = None  # offline retrieval; None disables retrieval
     llm: str = "stub"  # "stub" | "replay:<dir>" | "live"
     analysis_backend: str = "builtin"  # "builtin" | "sarif:<path>"
-    gate_weights: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    gate_threshold: float = 0.5
+    gate_weights: tuple[float, float, float] = DEFAULT_GATE_WEIGHTS
+    gate_threshold: float = DEFAULT_GATE_THRESHOLD
     max_flow_length: int = DEFAULT_MAX_FLOW_LENGTH
     max_flows_per_sink: int = DEFAULT_MAX_FLOWS_PER_SINK
     max_depth: int = DEFAULT_MAX_DEPTH
@@ -310,6 +312,33 @@ def recover_flows(graph: ProgramGraph, sink_id: str, config: PipelineConfig) -> 
     return stitch(forward_search(graph, query), tree, graph)
 
 
+def find_flows(
+    graph: ProgramGraph,
+    sink_id: str,
+    config: PipelineConfig,
+    sarif_flows: Optional[list[DataFlow]] = None,
+) -> tuple[list[DataFlow], list[str]]:
+    """The flows to one sink, and why backward recovery dropped others.
+
+    The flows are forward search's or, given ``sarif_flows``, those of
+    them that end at the sink. Only when there are none does backward
+    recovery run, and then its stitched flows and drop reasons are given.
+    """
+    if sarif_flows is None:
+        query = FlowQuery(
+            sinks=(sink_id,),
+            max_length=config.max_flow_length,
+            max_flows_per_sink=config.max_flows_per_sink,
+        )
+        flows = forward_search(graph, query)
+    else:
+        flows = [f for f in sarif_flows if f.sink == sink_id]
+    if flows:
+        return flows, []
+    recovered = recover_flows(graph, sink_id, config)
+    return recovered.flows, recovered.dropped
+
+
 def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
     """Validate ``config`` and scan: every stage from dependency scan to
     review, in one report. Raises :class:`ConfigError` for an invalid
@@ -458,7 +487,7 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
         report.sinks.append(entry)
 
     # Stage 5+6: flow search with backward recovery, then review.
-    sarif_flows: list[DataFlow] = []
+    sarif_flows: Optional[list[DataFlow]] = None
     if config.analysis_backend.startswith("sarif:"):
         sarif_path = config.analysis_backend.split(":", 1)[1]
         sarif_result = import_sarif(sarif_path, graph, max_length=config.max_flow_length)
@@ -467,21 +496,8 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
 
     review_transcripts: list[Transcript] = []
     for sink_id in sink_ids:
-        if config.analysis_backend.startswith("sarif:"):
-            flows = [f for f in sarif_flows if f.sink == sink_id]
-        else:
-            query = FlowQuery(
-                sinks=(sink_id,),
-                max_length=config.max_flow_length,
-                max_flows_per_sink=config.max_flows_per_sink,
-            )
-            flows = forward_search(graph, query)
-
-        if not flows:
-            recovered = recover_flows(graph, sink_id, config)
-            report.warnings.extend(recovered.dropped)
-            flows = [s.combined for s in recovered.flows]
-
+        flows, dropped = find_flows(graph, sink_id, config, sarif_flows)
+        report.warnings.extend(dropped)
         for i, flow in enumerate(flows):
             # Validate first, so a flow that is dropped is never reviewed
             # and its review tokens are never metered.

@@ -43,10 +43,6 @@ class BackwardTree:
     nodes: list[TreeNode] = field(default_factory=list)
     leaf_indices: list[int] = field(default_factory=list)
 
-    @property
-    def leaves(self) -> list[TreeNode]:
-        return [self.nodes[i] for i in self.leaf_indices]
-
     def path_to_root(self, leaf_index: int) -> list[TreeNode]:
         """Tree nodes from the given leaf down to the root (inclusive)."""
         path = []
@@ -111,15 +107,8 @@ def promote_surrogates(tree: BackwardTree) -> tuple[str, ...]:
 
 
 @dataclass
-class StitchedFlow:
-    forward_part: DataFlow
-    backward_part: tuple[str, ...]  # call-site node chain, surrogate -> root sink
-    combined: DataFlow
-
-
-@dataclass
 class StitchResult:
-    flows: list[StitchedFlow] = field(default_factory=list)
+    flows: list[DataFlow] = field(default_factory=list)
     dropped: list[str] = field(default_factory=list)
 
 
@@ -215,16 +204,11 @@ def stitch(
             continue
         if len(chain) == 1:
             # Leaf is the root itself: identity stitch.
-            combined = flow
+            result.flows.append(flow)
         else:
-            combined = DataFlow(
+            result.flows.append(DataFlow(
                 triples=combined_triples,
                 origin=FlowOrigin.STITCHED,
                 max_length_bound=flow.max_length_bound,
-            )
-        result.flows.append(StitchedFlow(
-            forward_part=flow,
-            backward_part=tuple(chain),
-            combined=combined,
-        ))
+            ))
     return result

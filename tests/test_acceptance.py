@@ -8,9 +8,14 @@ import time
 from argus.cli import EXIT_CONFIG_ERROR, EXIT_CONFIRMED, EXIT_OK, main
 from argus.advisories import CommunityIssue, credibility_score, relevance_score
 from argus.engine import FlowQuery, forward_search
-from argus.model import FlowOrigin, TaintRole, load_program_graph, validate_flow
-from argus.pipeline import PipelineConfig, export_report, run_pipeline
-from argus.recursion import backward_expand, promote_surrogates, stitch
+from argus.model import (
+    DEFAULT_MAX_FLOW_LENGTH,
+    FlowOrigin,
+    TaintRole,
+    load_program_graph,
+    validate_flow,
+)
+from argus.pipeline import PipelineConfig, export_report, recover_flows, run_pipeline
 from argus.review import FinalStatus, review_flow
 from argus.synthetic import hidden_chain_graph, random_graph
 from tests.conftest import fixture_path
@@ -28,6 +33,12 @@ def _sinks(graph):
 
 def _report(line):
     print(f"PASS: {line}")
+
+
+def _recover(graph, sink_id):
+    """Backward recovery for one sink at the default settings, as a scan
+    runs it."""
+    return recover_flows(graph, sink_id, PipelineConfig(graph_path=""))
 
 
 def test_a_scoring_exactness():
@@ -71,11 +82,8 @@ def test_b_flow_model_invariants():
     # stitched flows must validate too (with bridges allowed)
     for seed in range(20):
         fix = hidden_chain_graph(seed, depth=2)
-        tree = backward_expand(fix.graph, fix.sink_id)
-        sites = tuple(sorted({l.call_site_node for l in tree.leaves}))
-        fflows = forward_search(fix.graph, FlowQuery(sinks=sites))
-        for sf in stitch(fflows, tree, fix.graph).flows:
-            verdict = validate_flow(sf.combined, fix.graph, allow_bridged=True)
+        for flow in _recover(fix.graph, fix.sink_id).flows:
+            verdict = validate_flow(flow, fix.graph, allow_bridged=True)
             assert verdict.ok, f"stitched seed {seed}: {verdict.violations}"
             checked += 1
     elapsed = time.monotonic() - start
@@ -113,21 +121,16 @@ def _assert_recovers(graph, sink_id):
     """Forward-only finds nothing; backward recovery finds flows whose
     endpoints agree with the visibility-off oracle; all flagged needs-human."""
     assert forward_search(graph, FlowQuery(sinks=(sink_id,))) == []
-    off = forward_search(graph, FlowQuery(sinks=(sink_id,),
-                                          respect_visibility=False,
-                                          max_flows_per_sink=1_000_000))
-    oracle_pairs = {(f.source, f.sink) for f in off}
-    assert oracle_pairs, "fixture has no ground truth to recover"
-    tree = backward_expand(graph, sink_id)
-    sites = tuple(sorted({l.call_site_node for l in tree.leaves}))
-    fflows = forward_search(graph, FlowQuery(sinks=sites))
-    result = stitch(fflows, tree, graph)
+    off = brute_force_all(graph, (sink_id,), DEFAULT_MAX_FLOW_LENGTH,
+                          respect_visibility=False)[sink_id]
+    oracle_sources = {graph.edges[ids[0]].src for ids in off}
+    assert oracle_sources, "fixture has no ground truth to recover"
+    result = _recover(graph, sink_id)
     assert result.flows, "backward recovery found nothing"
-    recovered_pairs = {(sf.combined.source, sf.combined.sink) for sf in result.flows}
-    assert recovered_pairs <= oracle_pairs
-    assert {p[1] for p in oracle_pairs} == {sink_id}
-    for sf in result.flows:
-        verdict = review_flow(sf.combined, graph)
+    assert {f.sink for f in result.flows} == {sink_id}
+    assert {f.source for f in result.flows} <= oracle_sources
+    for flow in result.flows:
+        verdict = review_flow(flow, graph)
         assert verdict.final_status == FinalStatus.NEEDS_HUMAN
 
 
@@ -169,12 +172,10 @@ def test_d_backward_recovery_and_no_false_stitches():
     # the reflective XML-factory chain mirror from the bundled mini repo
     g2 = load_program_graph(fixture_path("publiccms_mini", "graph.json"))
     assert forward_search(g2, FlowQuery(sinks=("n_newinst",))) == []
-    tree = backward_expand(g2, "n_newinst")
-    sites = tuple(sorted({l.call_site_node for l in tree.leaves} - {"n_newinst"}))
-    result = stitch(forward_search(g2, FlowQuery(sinks=sites)), tree, g2)
+    result = _recover(g2, "n_newinst")
     assert len(result.flows) == 1
-    assert result.flows[0].combined.origin == FlowOrigin.STITCHED
-    assert review_flow(result.flows[0].combined, g2).final_status == \
+    assert result.flows[0].origin == FlowOrigin.STITCHED
+    assert review_flow(result.flows[0], g2).final_status == \
         FinalStatus.NEEDS_HUMAN
     fixture_count += 1
     assert fixture_count >= 10
@@ -183,10 +184,7 @@ def test_d_backward_recovery_and_no_false_stitches():
     for seed in range(50):
         fix = hidden_chain_graph(seed, depth=2, plant_ground_truth=False,
                                  decoy_nodes=6)
-        tree = backward_expand(fix.graph, fix.sink_id)
-        sites = tuple(sorted({l.call_site_node for l in tree.leaves}))
-        fflows = forward_search(fix.graph, FlowQuery(sinks=sites))
-        result = stitch(fflows, tree, fix.graph)
+        result = _recover(fix.graph, fix.sink_id)
         assert result.flows == [], f"false stitch on control seed {seed}"
     _report(f"recovery on {fixture_count} hidden-edge fixtures "
             "(forward=0, every recovered flow needs-human); "

@@ -158,6 +158,9 @@ def test_transcript_file_is_jsonl_with_header(tmp_path):
     "[1, 2]",
     '{"content": "x"}',
     '{"role": "wizard", "content": "x"}',
+    '{"role": "assistant", "content": 5}',
+    '{"role": "assistant", "content": null}',
+    '{"role": "tool", "content": "x", "tool_name": 7}',
 ])
 def test_malformed_transcript_line_names_file_and_line(tmp_path, bad_line):
     path = tmp_path / "t.jsonl"

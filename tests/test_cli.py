@@ -65,6 +65,32 @@ def test_flows_subcommand_forward_and_stitched(capsys):
     assert any(e.startswith("bridge::") for e in edge_ids)
 
 
+def test_flows_repeated_sink_listed_once(capsys):
+    argv = ("flows", "--graph", fixture_path("sarif", "graph.json"))
+    code, once, _ = run_cli(capsys, *argv, "--sink", "s3")
+    assert code == EXIT_OK
+    assert len(json.loads(once)["forward"]) == 1
+    code, twice, _ = run_cli(capsys, *argv, "--sink", "s3", "--sink", "s3")
+    assert code == EXIT_OK
+    assert twice == once
+
+
+def test_flows_lists_sinks_in_sorted_order(capsys, tmp_path):
+    fix = hidden_chain_graph(4, depth=2)
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(graph_to_dict(fix.graph)))
+    argv = ("flows", "--graph", str(gpath))
+    sinks = ("f1_nsite", fix.sink_id)
+    code, forward, _ = run_cli(capsys, *argv, "--sink", sinks[0], "--sink", sinks[1])
+    assert code == EXIT_OK
+    code, backward, _ = run_cli(capsys, *argv, "--sink", sinks[1], "--sink", sinks[0])
+    assert code == EXIT_OK
+    assert forward == backward
+    sinks_printed = [flow["triples"][-1]["to"] for flow in json.loads(forward)["stitched"]]
+    assert sinks_printed == sorted(sinks_printed)
+    assert set(sinks_printed) == set(sinks)
+
+
 def test_flows_requires_sink(capsys):
     code, _, err = run_cli(
         capsys, "flows",
@@ -366,3 +392,28 @@ def test_deps_and_advisories_ignore_settings_only_scan_reads(capsys, tmp_path, c
                            "--llm", "replay:" + str(tmp_path / "missing"))
     assert code == EXIT_OK
     assert out == want
+
+
+def test_malformed_sarif_is_an_input_error(capsys, tmp_path):
+    sarif = tmp_path / "bad.sarif"
+    sarif.write_text("[]")
+    argv = ("scan", "--graph", fixture_path("sarif", "graph.json"), "--out", str(tmp_path / "out"))
+    code, _, err = run_cli(capsys, *argv, "--backend", f"sarif:{sarif}")
+    assert code == EXIT_CONFIG_ERROR
+    assert err.startswith(f"error: {sarif}: SARIF document must be a JSON object")
+    assert "internal error" not in err
+
+
+def test_non_integer_sarif_start_line_is_a_warning(capsys, tmp_path):
+    with open(fixture_path("sarif", "results.sarif")) as fh:
+        doc = json.load(fh)
+    loc = doc["runs"][0]["results"][0]["codeFlows"][0]["threadFlows"][0]["locations"][0]
+    loc["location"]["physicalLocation"]["region"]["startLine"] = "abc"
+    sarif = tmp_path / "bad.sarif"
+    sarif.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "scan", "--graph", fixture_path("sarif", "graph.json"),
+                           "--backend", f"sarif:{sarif}", "--out", str(tmp_path / "out"))
+    assert code != EXIT_CONFIG_ERROR
+    assert "internal error" not in err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "thread flow skipped: startLine 'abc' is not an integer" in report["warnings"]

@@ -6,6 +6,7 @@ from argus import recursion
 from argus.engine import FlowQuery, forward_search
 from argus.errors import SurrogateMismatchError, UnknownSinkError
 from argus.model import (
+    DEFAULT_MAX_FLOW_LENGTH,
     CallEdge,
     FlowOrigin,
     load_program_graph,
@@ -20,11 +21,16 @@ from argus.recursion import (
 )
 from argus.synthetic import hidden_chain_graph
 from tests.conftest import fixture_path
+from tests.oracles import brute_force_all
 
 
 @pytest.fixture
 def case2_graph():
     return load_program_graph(fixture_path("publiccms_mini", "graph.json"))
+
+
+def leaves(tree):
+    return [tree.nodes[i] for i in tree.leaf_indices]
 
 
 def test_depth0_tree_is_identity(case2_graph):
@@ -39,7 +45,7 @@ def test_depth0_tree_is_identity(case2_graph):
 
 def test_case2_tree_reaches_entry_function(case2_graph):
     tree = backward_expand(case2_graph, "n_newinst")
-    leaf_fns = {leaf.function_id for leaf in tree.leaves}
+    leaf_fns = {leaf.function_id for leaf in leaves(tree)}
     assert "fx" in leaf_fns
     assert "n_xarg" in promote_surrogates(tree)
 
@@ -70,7 +76,7 @@ def test_depth_bound_truncates():
     tree = backward_expand(fix.graph, fix.sink_id, max_depth=2)
     assert max(n.depth for n in tree.nodes) == 2
     # the depth-2 frontier is a leaf even though callers exist beyond it
-    assert any(n.depth == 2 for n in tree.leaves)
+    assert any(n.depth == 2 for n in leaves(tree))
 
 
 def test_promotion_order_is_deterministic():
@@ -99,17 +105,16 @@ def test_promotion_order_is_deterministic():
         call_edges.append(CallEdge(caller=fid, callee="f1", call_site_node=site))
     g2 = ProgramGraph(nodes, edges, functions, call_edges)
     tree = backward_expand(g2, fix.sink_id)
-    leaf_fns = [leaf.function_id for leaf in tree.leaves]
+    leaf_fns = [leaf.function_id for leaf in leaves(tree)]
     assert leaf_fns == sorted(leaf_fns)
-    assert promote_surrogates(tree) == tuple(leaf.call_site_node for leaf in tree.leaves)
+    assert promote_surrogates(tree) == tuple(leaf.call_site_node for leaf in leaves(tree))
 
 
 # --- stitching ---------------------------------------------------------------
 
 
 def surrogate_flows(graph, tree):
-    sites = sorted({leaf.call_site_node for leaf in tree.leaves})
-    query = FlowQuery(sinks=tuple(sites), max_flows_per_sink=1000)
+    query = FlowQuery(sinks=promote_surrogates(tree), max_flows_per_sink=1000)
     return forward_search(graph, query)
 
 
@@ -120,10 +125,11 @@ def test_identity_stitch_preserves_flow():
     assert flows
     result = stitch(flows, tree, g)
     assert not result.dropped
-    for sf in result.flows:
-        assert sf.combined is sf.forward_part
-        assert sf.combined.origin == FlowOrigin.FORWARD
-        assert not sf.combined.has_bridged_edge
+    assert len(result.flows) == len(flows)
+    for stitched, flow in zip(result.flows, flows):
+        assert stitched is flow
+        assert stitched.origin == FlowOrigin.FORWARD
+        assert not stitched.has_bridged_edge
 
 
 def test_hidden_chain_recovery():
@@ -137,10 +143,10 @@ def test_hidden_chain_recovery():
     result = stitch(flows, tree, g)
     assert len(result.flows) >= 1
     assert not result.dropped
-    for sf in result.flows:
-        assert sf.combined.origin == FlowOrigin.STITCHED
-        assert sf.combined.sink == fix.sink_id
-        assert validate_flow(sf.combined, g, allow_bridged=True).ok
+    for flow in result.flows:
+        assert flow.origin == FlowOrigin.STITCHED
+        assert flow.sink == fix.sink_id
+        assert validate_flow(flow, g, allow_bridged=True).ok
 
 
 def test_stitch_matches_visibility_off_oracle():
@@ -149,9 +155,8 @@ def test_stitch_matches_visibility_off_oracle():
     for seed in range(5):
         fix = hidden_chain_graph(seed, depth=2)
         g = fix.graph
-        off = forward_search(g, FlowQuery(sinks=(fix.sink_id,),
-                                          respect_visibility=False,
-                                          max_flows_per_sink=1000))
+        off = brute_force_all(g, (fix.sink_id,), DEFAULT_MAX_FLOW_LENGTH,
+                              respect_visibility=False)[fix.sink_id]
         tree = backward_expand(g, fix.sink_id)
         result = stitch(surrogate_flows(g, tree), tree, g)
         assert (len(off) > 0) == (len(result.flows) > 0)
@@ -169,10 +174,7 @@ def test_no_ground_truth_means_no_stitches():
 
 def test_foreign_flow_raises_mismatch(case2_graph):
     tree = backward_expand(case2_graph, "n_newinst")
-    flows = forward_search(
-        case2_graph,
-        FlowQuery(sinks=("n_wb",), source_ids=("n_doc",)),
-    )
+    flows = forward_search(case2_graph, FlowQuery(sinks=("n_wb",)))
     assert flows
     with pytest.raises(SurrogateMismatchError):
         stitch(flows, tree, case2_graph)
@@ -180,15 +182,14 @@ def test_foreign_flow_raises_mismatch(case2_graph):
 
 def test_case2_stitch_produces_bridged_flow(case2_graph):
     tree = backward_expand(case2_graph, "n_newinst")
-    flows = forward_search(
-        case2_graph, FlowQuery(sinks=("n_xarg",), source_ids=("n_doc",)),
-    )
+    flows = forward_search(case2_graph, FlowQuery(sinks=("n_xarg",)))
     result = stitch(flows, tree, case2_graph)
     assert len(result.flows) == 1
-    combined = result.flows[0].combined
+    combined = result.flows[0]
     assert combined.has_bridged_edge
     assert combined.sink == "n_newinst"
-    assert result.flows[0].backward_part == ("n_xarg", "n_newinst")
+    assert combined.triples[:-1] == flows[0].triples
+    assert combined.triples[-1].edge.id == "bridge::n_xarg->n_newinst"
 
 
 def test_two_forward_flows_share_backward_part():
@@ -203,10 +204,15 @@ def test_two_forward_flows_share_backward_part():
     g2 = ProgramGraph(list(g.nodes.values()), edges,
                       list(g.functions.values()), list(g.call_edges))
     tree = backward_expand(g2, fix.sink_id)
-    result = stitch(surrogate_flows(g2, tree), tree, g2)
+    flows = surrogate_flows(g2, tree)
+    result = stitch(flows, tree, g2)
     assert len(result.flows) == 2
-    parts = {sf.backward_part for sf in result.flows}
-    assert len(parts) == 1
+    # Both get the same bridge down the tree after their own forward part.
+    suffixes = {
+        stitched.triples[len(flow.triples):]
+        for stitched, flow in zip(result.flows, flows)
+    }
+    assert len(suffixes) == 1
 
 
 # --- soundness of bridges ----------------------------------------------------
@@ -243,8 +249,8 @@ def sanitized_boundary_graph():
 
 def test_no_bridge_through_a_sanitizer():
     g = sanitized_boundary_graph()
-    off = forward_search(g, FlowQuery(sinks=("sink",), respect_visibility=False))
-    assert off == []
+    off = brute_force_all(g, ("sink",), DEFAULT_MAX_FLOW_LENGTH, respect_visibility=False)
+    assert off == {"sink": set()}
     result = recover_flows(g, "sink", PipelineConfig(graph_path=""))
     assert result.flows == []
     assert len(result.dropped) == 1

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -82,3 +83,48 @@ def test_adjacent_nodes_without_edge_skip(graph, tmp_path):
     result = import_sarif(str(path), graph)
     assert result.flows == []
     assert any("no edge" in s for s in result.skipped)
+
+
+def _thread_flow_doc(*locations):
+    return {"version": "2.1.0",
+            "runs": [{"results": [{"codeFlows": [{"threadFlows": [{
+                "locations": list(locations)}]}]}]}]}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], "SARIF document must be a JSON object"),
+    ({"version": "2.1.0", "runs": {}}, "runs must be an array of objects"),
+    ({"version": "2.1.0", "runs": [1]}, "runs must be an array of objects"),
+    ({"version": "2.1.0", "runs": [{"results": "x"}]}, "results must be an array of objects"),
+    ({"version": "2.1.0", "runs": [{"results": [{"codeFlows": [None]}]}]},
+     "codeFlows must be an array of objects"),
+    ({"version": "2.1.0", "runs": [{"results": [{"codeFlows": [{"threadFlows": 3}]}]}]},
+     "threadFlows must be an array of objects"),
+    (_thread_flow_doc("loc"), "locations must be an array of objects"),
+])
+def test_non_object_structure_raises_naming_the_file(graph, tmp_path, doc, message):
+    path = tmp_path / "bad.sarif"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SarifError, match=f"{re.escape(str(path))}: {message}"):
+        import_sarif(str(path), graph)
+
+
+@pytest.mark.parametrize("line", ["abc", [11], {"n": 11}])
+def test_non_integer_start_line_skips_with_diagnostic(graph, tmp_path, line):
+    doc = _thread_flow_doc({"location": {"physicalLocation": {
+        "artifactLocation": {"uri": "app/handler.py"},
+        "region": {"startLine": line}}}})
+    path = tmp_path / "r.sarif"
+    path.write_text(json.dumps(doc))
+    result = import_sarif(str(path), graph)
+    assert result.flows == []
+    assert result.skipped == [f"thread flow skipped: startLine {line!r} is not an integer"]
+
+
+def test_non_object_location_skips_with_diagnostic(graph, tmp_path):
+    doc = _thread_flow_doc({"location": {"physicalLocation": "app/handler.py:11"}})
+    path = tmp_path / "r.sarif"
+    path.write_text(json.dumps(doc))
+    result = import_sarif(str(path), graph)
+    assert result.flows == []
+    assert any("uri/startLine" in s for s in result.skipped)
