@@ -155,9 +155,11 @@ def _cmd_flows(args: argparse.Namespace) -> int:
     graph = load_program_graph(config.graph_path)
     payload: dict[str, list] = {"forward": [], "stitched": []}
     for sink in sorted(set(args.sink)):
-        flows, _ = find_flows(graph, sink, config)
+        flows, dropped = find_flows(graph, sink, config)
         for flow in flows:
             payload[flow.origin.value].append(flow.to_dict())
+        for reason in dropped:
+            print(f"warning: {reason}", file=sys.stderr)
     print(json.dumps(payload, indent=2))
     return EXIT_OK
 

@@ -243,6 +243,20 @@ def test_flows_prints_the_stitched_flows_scan_reports(capsys, tmp_path):
     assert reported == printed
 
 
+def test_flows_prints_recovery_drop_reasons_on_stderr(capsys, tmp_path):
+    from tests.test_recursion import sanitized_boundary_graph
+
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(graph_to_dict(sanitized_boundary_graph())))
+    code, out, err = run_cli(capsys, "flows", "--graph", str(gpath), "--sink", "sink")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"forward": [], "stitched": []}
+    assert err.splitlines() == [
+        "warning: stitch dropped for flow ('e1',): no connectivity between 'site0' "
+        "and 'sink' even ignoring visibility"
+    ]
+
+
 def test_non_object_graph_entry_exit_2(capsys, tmp_path):
     gpath = tmp_path / "graph.json"
     gpath.write_text('{"format_version":"1","functions":[{"id":"f"}],"nodes":[1]}')

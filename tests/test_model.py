@@ -1,6 +1,7 @@
+import copy
 import gc
 import json
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -414,3 +415,163 @@ def test_graph_elements_are_slotted_and_replaceable():
     assert overlay.nodes["b"].taint_role == TaintRole.SINK
     assert overlay.nodes["b"].sink_kind == "sql"
     assert graph.nodes["b"].taint_role == TaintRole.NONE
+
+
+# --- loader: element checks, immutability, malformed documents -----------------
+
+
+@pytest.mark.parametrize("key, entry, direct, offending, message", [
+    ("nodes",
+     {"id": "s", "kind": "variable", "function_id": "f1", "label": "s",
+      "taint_role": "sanitizer", "source_kind": "http-param"},
+     lambda: ContentNode("s", NodeKind.VARIABLE, "s", "f1", TaintRole.SANITIZER,
+                         source_kind="http-param"),
+     "s", "sanitizer node 's' must not carry source_kind/sink_kind"),
+    ("edges",
+     {"id": "loop", "from": "a", "to": "a", "kind": "call-pass"},
+     lambda: AccessPathEdge("loop", "a", "a", EdgeKind.CALL_PASS),
+     "loop", "edge 'loop': self-loop only permitted for assign edges"),
+])
+def test_element_checks_run_on_load_and_on_construction(key, entry, direct, offending,
+                                                        message):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc[key].append(entry)
+    for build in (lambda: graph_from_dict(doc), direct):
+        with pytest.raises(GraphIntegrityError) as exc:
+            build()
+        assert exc.value.offending_id == offending
+        assert str(exc.value) == message
+
+
+def test_loaded_elements_are_frozen_twins_of_constructed_ones():
+    graph = make_graph(
+        nodes=[
+            {"id": "a", "kind": "parameter", "function_id": "f1", "label": "a",
+             "taint_role": "source", "source_kind": "http-param"},
+            {"id": "b", "kind": "call-argument", "function_id": None, "label": "b.exec",
+             "taint_role": "sink", "sink_kind": "command-exec"},
+            {"id": "c", "kind": "variable", "label": "c"},
+        ],
+        edges=[
+            {"id": "e1", "from": "a", "to": "b", "kind": "call-pass",
+             "visible_to_forward": False, "guard_tags": ["validated"]},
+            {"id": "e2", "from": "c", "to": "c", "kind": "assign"},
+        ],
+    )
+    twins = [
+        ContentNode("a", NodeKind.PARAMETER, "a", "f1", TaintRole.SOURCE, "http-param"),
+        ContentNode("b", NodeKind.CALL_ARGUMENT, "b.exec", None, TaintRole.SINK,
+                    sink_kind="command-exec"),
+        ContentNode("c", NodeKind.VARIABLE, "c"),
+        AccessPathEdge("e1", "a", "b", EdgeKind.CALL_PASS, False, frozenset({"validated"})),
+        AccessPathEdge("e2", "c", "c", EdgeKind.ASSIGN),
+    ]
+    for twin in twins:
+        table = graph.nodes if isinstance(twin, ContentNode) else graph.edges
+        loaded = table[twin.id]
+        assert type(loaded) is type(twin)
+        assert loaded == twin
+        assert hash(loaded) == hash(twin)
+        assert repr(loaded) == repr(twin)
+        for f in fields(loaded):
+            with pytest.raises(FrozenInstanceError):
+                setattr(loaded, f.name, getattr(loaded, f.name))
+            with pytest.raises(FrozenInstanceError):
+                delattr(loaded, f.name)
+    assert [e.bridged for e in graph.edges.values()] == [False, False]
+
+
+# A small valid document that uses every section and every field.
+_FULL = {
+    "format_version": "1",
+    "source_files": ["Main.java"],
+    "functions": [
+        {"id": "f1", "name": "main", "parameters": ["p"], "return_node": "r",
+         "is_entry_point": True},
+        {"id": "f2", "name": "helper", "parameters": [], "return_node": None,
+         "is_entry_point": False},
+    ],
+    "nodes": [
+        {"id": "p", "kind": "parameter", "function_id": "f1", "label": "p",
+         "taint_role": "source", "source_kind": "http-param", "sink_kind": None},
+        {"id": "r", "kind": "variable", "function_id": "f1", "label": "r",
+         "taint_role": "sanitizer", "source_kind": None, "sink_kind": None},
+        {"id": "s", "kind": "call-argument", "function_id": "f2", "label": "exec",
+         "taint_role": "sink", "source_kind": None, "sink_kind": "command-exec"},
+    ],
+    "edges": [
+        {"id": "e1", "from": "p", "to": "r", "kind": "assign",
+         "visible_to_forward": True, "guard_tags": []},
+        {"id": "e2", "from": "r", "to": "s", "kind": "call-pass",
+         "visible_to_forward": False, "guard_tags": ["validated"]},
+    ],
+    "call_edges": [{"caller": "f1", "callee": "f2", "call_site_node": "s"}],
+    "anchors": [{"file": "Main.java", "start_line": 3, "end_line": 4, "node_id": "s"}],
+}
+
+# One value of each JSON type, keyed by the type's name.
+_JSON_VALUES = {
+    "null": None, "boolean": True, "integer": 7, "number": 1.5, "string": "x",
+    "array": ["x"], "object": {"x": 1},
+}
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    for name, example in _JSON_VALUES.items():
+        if name != "null" and type(value) is type(example):
+            return name
+    raise AssertionError(f"not a JSON value: {value!r}")
+
+
+@st.composite
+def _mutated_documents(draw):
+    """``_FULL`` after one to three mutations, each at the document or at one
+    entry of one of its arrays: a field's value swapped for a value of
+    another JSON type, a key dropped, an unknown key added, or an entry
+    swapped for a non-object."""
+    doc = copy.deepcopy(_FULL)
+    for _ in range(draw(st.integers(1, 3))):
+        section = draw(st.sampled_from(
+            [None, "functions", "nodes", "edges", "call_edges", "anchors"]))
+        entries = doc.get(section) if section else None
+        if section and not (isinstance(entries, list) and entries):
+            continue
+        pos = draw(st.integers(0, len(entries) - 1)) if section else None
+        target = entries[pos] if section else doc
+        if not isinstance(target, dict):
+            continue
+        op = draw(st.sampled_from(["swap-type", "drop-key", "add-key", "non-object"]))
+        if op == "non-object" and section:
+            entries[pos] = draw(st.sampled_from(
+                [v for v in _JSON_VALUES.values() if not isinstance(v, dict)]))
+        elif op == "add-key":
+            target[draw(st.sampled_from(["mystery", "bridged", "id"]))] = draw(
+                st.sampled_from(list(_JSON_VALUES.values())))
+        elif target:
+            key = draw(st.sampled_from(sorted(target)))
+            if op == "drop-key":
+                del target[key]
+            else:
+                current = _json_type(target[key])
+                target[key] = draw(st.sampled_from(
+                    [v for name, v in _JSON_VALUES.items() if name != current]))
+    return doc
+
+
+def test_full_document_loads():
+    graph = graph_from_dict(copy.deepcopy(_FULL))
+    assert graph_to_dict(graph) == _FULL
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_mutated_documents())
+def test_malformed_documents_raise_only_graph_errors(doc):
+    try:
+        graph = graph_from_dict(doc)
+    except (GraphParseError, GraphIntegrityError):
+        return
+    assert isinstance(graph, ProgramGraph)
