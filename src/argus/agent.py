@@ -208,8 +208,8 @@ class LiveHttpBackend(LLMBackend):
 
     def complete(self, turns: Sequence[ChatTurn]) -> ChatTurn:
         import os
-
-        import requests
+        import urllib.error
+        import urllib.request
 
         key = os.environ.get(self.api_key_env)
         if not key:
@@ -217,18 +217,20 @@ class LiveHttpBackend(LLMBackend):
         messages = [
             {"role": t.role.value, "content": t.content} for t in turns
         ]
+        request = urllib.request.Request(
+            self.endpoint,
+            data=json.dumps({"model": self.model, "messages": messages}).encode("utf-8"),
+            headers={"Authorization": f"Bearer {key}", "Content-Type": "application/json"},
+            method="POST",
+        )
         try:
-            resp = requests.post(
-                self.endpoint,
-                json={"model": self.model, "messages": messages},
-                headers={"Authorization": f"Bearer {key}"},
-                timeout=self.timeout,
-            )
-            resp.raise_for_status()
-            doc = resp.json()
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                doc = json.load(resp)
             text = doc["choices"][0]["message"]["content"]
             usage = doc.get("usage", {})
         except Exception as exc:  # noqa: BLE001 - surfaced with partial transcript
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # an HTTP error holds the open response
             raise BackendError(f"live backend call failed: {exc}") from exc
         return ChatTurn(
             Role.ASSISTANT,

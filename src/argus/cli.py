@@ -21,7 +21,7 @@ from argus.agent import ReplayBackend, load_transcript, run_react_loop
 from argus.deps import parse_manifest
 from argus.errors import ArgusError, ConfigError
 from argus.model import load_program_graph
-from argus.pipeline import PipelineConfig, export_report, find_flows, run_pipeline
+from argus.pipeline import PipelineConfig, export_report, find_flows, run_pipeline, write_report_json
 
 EXIT_OK = 0
 EXIT_CONFIRMED = 1
@@ -78,7 +78,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         paths = export_report(report, config.out_dir)
         print(f"report written to {paths['json']} and {paths['markdown']}")
     else:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        write_report_json(report.to_dict(), sys.stdout)
     summary = report.summary()
     print(
         f"sinks={summary['candidate_sinks']} flows={summary['flows_total']} "

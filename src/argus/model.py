@@ -21,12 +21,10 @@ function each), and the elements it builds are equal to, hash like and are
 as immutable as those built through ``__init__``. :class:`gc_paused` turns
 that collector off and restores the caller's setting after.
 :func:`load_program_graph` runs under it, and so do a whole scan and a whole
-report export (``argus.pipeline``), since neither makes garbage cycles that
-grow with the graph: every container is kept or freed by reference
-counting, except the closures of the pure-Python JSON encoder (33 objects
-per indented ``json.dump``), which the first collection after the pause
-frees. Without the pause, a collection every few hundred allocations would
-walk the live graph.
+report export (``argus.pipeline``), since neither makes garbage cycles:
+every container is kept or freed by reference counting, so a collection
+after the pause finds nothing to free. Without the pause, a collection
+every few hundred allocations would walk the live graph.
 """
 
 from __future__ import annotations
@@ -524,6 +522,13 @@ def _all_strings(values: list) -> bool:
     return all(isinstance(v, str) for v in values)
 
 
+def _string(raw: dict, key: str, what: str) -> str:
+    value = raw[key]
+    if not isinstance(value, str):
+        raise GraphParseError(f"{what}: {key} must be a string, got {value!r}")
+    return value
+
+
 def _optional_str(raw: dict, key: str, what: str) -> Optional[str]:
     value = raw.get(key)
     if value is not None and not isinstance(value, str):
@@ -574,7 +579,7 @@ def _nodes(doc: dict, strict: bool, warnings: list[str]) -> list[ContentNode]:
             _unknown_fields(raw, _NODE_FIELDS, f"node {raw.get('id')!r}", strict, warnings)
         node_id = raw["id"]
         if type(node_id) is not str:
-            node_id = str(node_id)
+            node_id = _string(raw, "id", "node")
         kind = raw["kind"]
         try:
             kind = _NODE_KINDS[kind]
@@ -582,7 +587,7 @@ def _nodes(doc: dict, strict: bool, warnings: list[str]) -> list[ContentNode]:
             kind = NodeKind(kind)
         label = raw.get("label", "")
         if type(label) is not str:
-            label = str(label)
+            label = _string(raw, "label", f"node {node_id!r}")
         function_id = raw.get("function_id")
         if function_id is not None and type(function_id) is not str:
             function_id = _optional_str(raw, "function_id", "node")
@@ -625,13 +630,13 @@ def _edges(doc: dict, strict: bool, warnings: list[str]) -> list[AccessPathEdge]
             )
         edge_id = raw["id"]
         if type(edge_id) is not str:
-            edge_id = str(edge_id)
+            edge_id = _string(raw, "id", "edge")
         src = raw["from"]
         if type(src) is not str:
-            src = str(src)
+            src = _string(raw, "from", f"edge {edge_id!r}")
         dst = raw["to"]
         if type(dst) is not str:
-            dst = str(dst)
+            dst = _string(raw, "to", f"edge {edge_id!r}")
         kind = raw["kind"]
         try:
             kind = _EDGE_KINDS[kind]
@@ -721,10 +726,12 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                 raise GraphParseError(
                     f"function {raw.get('id')!r}: parameters must be a JSON array of strings"
                 )
+            function_id = _string(raw, "id", "function")
             functions.append(
                 FunctionDecl(
-                    id=str(raw["id"]),
-                    name=str(raw.get("name", raw["id"])),
+                    id=function_id,
+                    name=_string(raw, "name", f"function {function_id!r}")
+                    if "name" in raw else function_id,
                     parameters=tuple(parameters),
                     return_node=_optional_str(raw, "return_node", "function"),
                     is_entry_point=_flag(raw, "is_entry_point", False, "function"),
@@ -736,9 +743,9 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                 _unknown_fields(raw, _CALL_EDGE_FIELDS, "call edge", strict, warnings)
             call_edges.append(
                 CallEdge(
-                    caller=str(raw["caller"]),
-                    callee=str(raw["callee"]),
-                    call_site_node=str(raw["call_site_node"]),
+                    caller=_string(raw, "caller", "call edge"),
+                    callee=_string(raw, "callee", "call edge"),
+                    call_site_node=_string(raw, "call_site_node", "call edge"),
                 )
             )
         anchors = []
@@ -747,10 +754,10 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                 _unknown_fields(raw, _ANCHOR_FIELDS, "anchor", strict, warnings)
             anchors.append(
                 Anchor(
-                    file=str(raw["file"]),
+                    file=_string(raw, "file", "anchor"),
                     start_line=_anchor_line(raw, "start_line"),
                     end_line=_anchor_line(raw, "end_line"),
-                    node_id=str(raw["node_id"]),
+                    node_id=_string(raw, "node_id", "anchor"),
                 )
             )
     except KeyError as exc:

@@ -13,11 +13,13 @@ byte-identical report.json.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, TextIO
+from json.encoder import encode_basestring_ascii
+from typing import Any, Iterator, Optional, TextIO
 
 from argus import __version__
 from argus.advisories import (
@@ -567,10 +569,8 @@ def _export(report: VulnerabilityReport, out_dir: str) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
     md_path = os.path.join(out_dir, "report.md")
-    doc = report.to_dict()
     with _replacing(json_path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        write_report_json(report.to_dict(), fh)
     with _replacing(md_path) as fh:
         fh.write(render_markdown(report))
     return {"json": json_path, "markdown": md_path}
@@ -580,8 +580,8 @@ def _export(report: VulnerabilityReport, out_dir: str) -> dict[str, str]:
 def _replacing(path: str) -> Iterator[TextIO]:
     """A temporary file beside ``path`` to write to, renamed over ``path``
     when the block ends without error and removed when it raises. Taking a
-    file, not a string, lets ``json.dump`` stream the report instead of
-    holding its whole text in memory."""
+    file, not a string, lets :func:`write_report_json` stream the report
+    instead of holding its whole text in memory."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -593,8 +593,83 @@ def _replacing(path: str) -> Iterator[TextIO]:
         raise
 
 
+# Pieces of JSON text held before they are written out: few enough that the
+# held text stays small, enough that each write is worth its call.
+_FLUSH_PIECES = 256
+
+
+def write_report_json(doc: Any, fh: TextIO) -> None:
+    """Write ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` to ``fh``.
+
+    The output is byte for byte that of :mod:`json`, but in one recursive
+    pass: ``json``'s C encoder cannot indent, so ``json`` runs an indented
+    dump through its pure-Python generator encoder, which takes about twice
+    as long as this function on a report. Types
+    are tested in ``json``'s order, so ``str`` and ``int`` enum members
+    encode as their values. A dict key that is not a ``str``, and a value
+    of any type ``json`` would not encode without a ``default``, raise
+    ``TypeError``. The text is written in pieces of a few kilobytes, and
+    nothing here makes garbage cycles.
+    """
+    out: list[str] = []
+    _write_value(doc, "\n", out, fh)
+    out.append("\n")
+    fh.write("".join(out))
+
+
+def _write_value(o: Any, newline: str, out: list[str], fh: TextIO) -> None:
+    """Append the JSON text of ``o`` to ``out``. ``newline`` is the line
+    break and indent of ``o``'s own level; full pieces go to ``fh``."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(json.dumps(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        piece = "[" + inner
+        for item in o:
+            out.append(piece)
+            piece = "," + inner
+            _write_value(item, inner, out, fh)
+            if len(out) >= _FLUSH_PIECES:
+                fh.write("".join(out))
+                out.clear()
+        out.append(newline + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        piece = "{" + inner
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(piece + encode_basestring_ascii(key) + ": ")
+            piece = "," + inner
+            _write_value(value, inner, out, fh)
+            if len(out) >= _FLUSH_PIECES:
+                fh.write("".join(out))
+                out.clear()
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def render_markdown(report: VulnerabilityReport) -> str:
     summary = report.summary()
+    token_usage = io.StringIO()
+    write_report_json(report.token_usage, token_usage)
     lines = [
         "# Vulnerability Report",
         "",
@@ -611,7 +686,7 @@ def render_markdown(report: VulnerabilityReport) -> str:
         "",
         "## Token usage",
         "",
-        f"```\n{json.dumps(report.token_usage, indent=2, sort_keys=True)}\n```",
+        f"```\n{token_usage.getvalue()}```",
         "",
         "## Findings",
         "",

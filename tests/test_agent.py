@@ -1,11 +1,14 @@
+import io
 import json
 import re
+import urllib.error
 
 import pytest
 
 from argus.agent import (
     Budget,
     ChatTurn,
+    LiveHttpBackend,
     ReplayBackend,
     Role,
     ScriptedStubBackend,
@@ -215,3 +218,55 @@ def test_meter_arithmetic():
 def test_estimate_tokens_whitespace():
     assert estimate_tokens("") == 0
     assert estimate_tokens("one two  three\nfour") == 4
+
+
+ENDPOINT = "http://llm.invalid/v1/chat/completions"
+TURNS = [ChatTurn(Role.SYSTEM, "sys"), ChatTurn(Role.USER, "task")]
+
+
+def test_live_backend_posts_the_conversation(monkeypatch):
+    sent = []
+
+    def urlopen(request, timeout):
+        sent.append((request, timeout))
+        answer = {"choices": [{"message": {"content": "reply"}}],
+                  "usage": {"completion_tokens": 5}}
+        return io.BytesIO(json.dumps(answer).encode("utf-8"))
+
+    monkeypatch.setenv("ARGUS_API_KEY", "k123")
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    turn = LiveHttpBackend(ENDPOINT, "m1", timeout=7.0).complete(TURNS)
+    assert (turn.role, turn.content, turn.token_count) == (Role.ASSISTANT, "reply", 5)
+    [(request, timeout)] = sent
+    assert (request.full_url, request.get_method(), timeout) == (ENDPOINT, "POST", 7.0)
+    assert request.get_header("Authorization") == "Bearer k123"
+    assert request.get_header("Content-type") == "application/json"
+    assert json.loads(request.data) == {
+        "model": "m1",
+        "messages": [{"role": "system", "content": "sys"}, {"role": "user", "content": "task"}],
+    }
+
+
+def test_live_backend_without_key_sends_nothing(monkeypatch):
+    def urlopen(request, timeout):
+        raise AssertionError("no request may be sent without a key")
+
+    monkeypatch.delenv("ARGUS_API_KEY", raising=False)
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    with pytest.raises(BackendError, match="ARGUS_API_KEY"):
+        LiveHttpBackend(ENDPOINT, "m1").complete(TURNS)
+
+
+def test_live_backend_http_error_is_a_backend_error(monkeypatch):
+    responses = []
+
+    def urlopen(request, timeout):
+        body = io.BytesIO(b'{"error": "overloaded"}')
+        responses.append(body)
+        raise urllib.error.HTTPError(request.full_url, 503, "Service Unavailable", {}, body)
+
+    monkeypatch.setenv("ARGUS_API_KEY", "k123")
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    with pytest.raises(BackendError, match="503"):
+        LiveHttpBackend(ENDPOINT, "m1").complete(TURNS)
+    assert responses[0].closed

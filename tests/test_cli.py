@@ -130,6 +130,21 @@ def test_scan_needs_human_only_exit_0(capsys, tmp_path):
     assert doc["summary"]["verdicts"] == {"needs-human": 1}
 
 
+def test_scan_prints_the_bytes_of_report_json(capsys, tmp_path):
+    argv = (
+        "scan",
+        "--graph", fixture_path("datagear_mini", "graph.json"),
+        "--manifest", fixture_path("datagear_mini", "deps.json"),
+        "--fixtures", fixture_path("datagear_mini", "advisories"),
+        "--llm", "replay:" + fixture_path("datagear_mini", "replay"),
+    )
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIRMED
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert code == EXIT_CONFIRMED
+    assert printed.encode("utf-8") == (tmp_path / "report.json").read_bytes()
+
+
 def test_scan_empty_repo_exit_0(capsys, tmp_path):
     graph = {
         "format_version": "1",

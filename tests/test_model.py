@@ -527,6 +527,16 @@ def _json_type(value) -> str:
     raise AssertionError(f"not a JSON value: {value!r}")
 
 
+def _strings_in(value) -> set[str]:
+    if isinstance(value, str):
+        return {value}
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    if isinstance(value, list):
+        return set().union(*map(_strings_in, value))
+    return set()
+
+
 @st.composite
 def _mutated_documents(draw):
     """``_FULL`` after one to three mutations, each at the document or at one
@@ -575,3 +585,22 @@ def test_malformed_documents_raise_only_graph_errors(doc):
     except (GraphParseError, GraphIntegrityError):
         return
     assert isinstance(graph, ProgramGraph)
+    # Every string field holds a str taken from the document (or the empty
+    # default label), never one made by coercing a value of another type.
+    strings = [*graph.source_files]
+    optional = []
+    for n in graph.nodes.values():
+        strings += [n.id, n.label]
+        optional += [n.function_id, n.source_kind, n.sink_kind]
+    for e in graph.edges.values():
+        strings += [e.id, e.src, e.dst, *e.guard_tags]
+    for f in graph.functions.values():
+        strings += [f.id, f.name, *f.parameters]
+        optional.append(f.return_node)
+    for c in graph.call_edges:
+        strings += [c.caller, c.callee, c.call_site_node]
+    for a in graph.anchors:
+        strings += [a.file, a.node_id]
+    assert all(type(v) is str for v in strings)
+    assert all(v is None or type(v) is str for v in optional)
+    assert {*strings, *optional} <= _strings_in(doc) | {"", None}
