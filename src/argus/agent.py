@@ -103,16 +103,6 @@ def shape_digest(turns: Sequence[ChatTurn]) -> str:
     return h.hexdigest()
 
 
-def content_digest(turns: Sequence[ChatTurn]) -> str:
-    h = hashlib.sha256()
-    for t in turns:
-        h.update(t.role.value.encode())
-        h.update(b"\0")
-        h.update(t.content.encode())
-        h.update(b"\1")
-    return h.hexdigest()
-
-
 class LLMBackend:
     """Interface for loop backends."""
 
@@ -148,14 +138,13 @@ class ReplayBackend(LLMBackend):
     """Feeds back the assistant turns of a recorded transcript.
 
     Before each assistant turn is released, the live conversation's shape
-    digest must match the recorded prefix; strict mode compares full
-    content as well. Recorded token counts are reused for every turn so a
-    replayed run reproduces the original accounting exactly.
+    digest must match the recorded prefix. Recorded token counts are reused
+    for every turn so a replayed run reproduces the original accounting
+    exactly.
     """
 
-    def __init__(self, recorded: Transcript, *, strict: bool = False):
+    def __init__(self, recorded: Transcript):
         self.recorded = recorded
-        self.strict = strict
         self.model_tag = recorded.model_tag
         self._assistant_positions = [
             i for i, t in enumerate(recorded.turns) if t.role == Role.ASSISTANT
@@ -174,11 +163,6 @@ class ReplayBackend(LLMBackend):
             raise ReplayDivergenceError(
                 f"replay divergence before assistant turn {self._next}: "
                 "conversation shape differs from recording"
-            )
-        if self.strict and content_digest(turns) != content_digest(recorded_prefix):
-            raise ReplayDivergenceError(
-                f"replay divergence before assistant turn {self._next}: "
-                "prompt content differs from recording (strict mode)"
             )
         self._next += 1
         return self.recorded.turns[pos]

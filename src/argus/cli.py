@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands mirror the pipeline stages so each is independently
-scriptable: ``scan`` (full pipeline), ``deps``, ``advisories``,
-``flows``, and ``replay-verify``. Exit codes are a stable CI contract:
+scriptable: ``scan`` (full pipeline), ``deps``, ``advisories`` and
+``flows``. Exit codes are a stable CI contract:
 0 = ran with no confirmed findings, 1 = confirmed findings exist,
 2 = configuration, input or internal error.
 """
@@ -17,7 +17,6 @@ from dataclasses import fields
 from typing import Optional
 
 from argus.advisories import OfflineFixtureTransport, gate_finding, query_authoritative, retrieve_community
-from argus.agent import ReplayBackend, load_transcript, run_react_loop
 from argus.deps import parse_manifest
 from argus.errors import ArgusError, ConfigError
 from argus.model import load_program_graph
@@ -164,23 +163,6 @@ def _cmd_flows(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_replay_verify(args: argparse.Namespace) -> int:
-    transcript_path = args.transcript
-    recorded = load_transcript(transcript_path)
-    payloads = []
-    for _ in range(2):
-        backend = ReplayBackend(load_transcript(transcript_path))
-        system = next((t.content for t in recorded.turns if t.role.value == "system"), "")
-        user = next((t.content for t in recorded.turns if t.role.value == "user"), "")
-        outcome = run_react_loop(system, user, {}, backend)
-        payloads.append(outcome.final_payload)
-    if payloads[0] != payloads[1]:
-        print("replay NOT deterministic", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    print(f"replay deterministic: {len(recorded.turns)} turns, payload {len(payloads[0])} bytes")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="argus",
@@ -205,11 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_flows.add_argument("--sink", action="append", default=[],
                          help="target sink node id (repeatable)")
     p_flows.set_defaults(fn=_cmd_flows)
-
-    p_replay = sub.add_parser("replay-verify",
-                              help="check a recorded transcript replays deterministically")
-    p_replay.add_argument("transcript", help="transcript JSONL file")
-    p_replay.set_defaults(fn=_cmd_replay_verify)
 
     return parser
 

@@ -155,12 +155,21 @@ def _parse_deps_json(path: str) -> list[DependencyRecord]:
         raise ManifestError(f"{path}: missing format_version '1'")
     records: list[DependencyRecord] = []
     seen: set[tuple[str, str]] = set()
-    for i, raw in enumerate(doc.get("dependencies", [])):
-        try:
-            name = raw["name"]
-            version = raw.get("version") or UNRESOLVED
-        except (KeyError, TypeError) as exc:
-            raise ManifestError(f"{path}: dependency #{i} malformed: {exc}") from exc
+    entries = doc.get("dependencies", [])
+    if not isinstance(entries, list):
+        raise ManifestError(f"{path}: dependencies must be an array, got {entries!r}")
+    for i, raw in enumerate(entries):
+        if not isinstance(raw, dict):
+            raise ManifestError(f"{path}: dependency #{i} must be an object, got {raw!r}")
+        name = raw.get("name")
+        if not isinstance(name, str):
+            raise ManifestError(f"{path}: dependency #{i} name must be a string, got {name!r}")
+        version = raw.get("version")
+        if not isinstance(version, (str, type(None))):
+            raise ManifestError(
+                f"{path}: dependency #{i} version must be a string or null, got {version!r}"
+            )
+        version = version or UNRESOLVED
         key = (name, version)
         if key in seen:
             continue

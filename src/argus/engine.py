@@ -227,14 +227,13 @@ def _import_thread_flow(
         if uri is None or line is None:
             result.skipped.append("thread flow skipped: location lacks uri/startLine")
             return
-        try:
-            start = int(line)
-        except (TypeError, ValueError):
+        # Only a JSON integer is a line: not a bool, a float or a digit string.
+        if not isinstance(line, int) or isinstance(line, bool):
             result.skipped.append(
                 f"thread flow skipped: startLine {line!r} is not an integer"
             )
             return
-        node_id = _resolve_anchor(graph, uri, start)
+        node_id = _resolve_anchor(graph, uri, line)
         if node_id is None:
             result.skipped.append(
                 f"thread flow skipped: no anchor for {uri}:{line}"

@@ -402,19 +402,34 @@ class DataFlow:
     def has_bridged_edge(self) -> bool:
         return any(t.edge.bridged for t in self.triples)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, shared: Optional[dict] = None) -> dict:
+        """The flow as report JSON. Given ``shared``, a table that lives for
+        one report, each triple's dict is built once, keyed by its endpoints
+        and its edge object, and every flow with that triple holds the same
+        dict; the caller keeps the edges alive while the table lives."""
+        if shared is None:
+            triples = [_triple_to_dict(t) for t in self.triples]
+        else:
+            triples = []
+            for t in self.triples:
+                key = (t.from_node, id(t.edge), t.to_node)
+                d = shared.get(key)
+                if d is None:
+                    d = shared[key] = _triple_to_dict(t)
+                triples.append(d)
         return {
             "origin": self.origin.value,
             "max_length_bound": self.max_length_bound,
-            "triples": [
-                {
-                    "from": t.from_node,
-                    "edge": _edge_to_dict(t.edge, include_bridged=True),
-                    "to": t.to_node,
-                }
-                for t in self.triples
-            ],
+            "triples": triples,
         }
+
+
+def _triple_to_dict(t: FlowTriple) -> dict:
+    return {
+        "from": t.from_node,
+        "edge": _edge_to_dict(t.edge, include_bridged=True),
+        "to": t.to_node,
+    }
 
 
 @dataclass

@@ -197,7 +197,9 @@ class Finding:
     advisory_id: Optional[str] = None
     poc: Optional[PoCArtifact] = None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, shared: Optional[dict] = None) -> dict:
+        """The finding as report JSON; ``shared`` is passed on to
+        :meth:`DataFlow.to_dict` and :meth:`ReviewVerdict.to_dict`."""
         return {
             "sink": {
                 "node_id": self.sink_id,
@@ -206,8 +208,8 @@ class Finding:
             },
             "advisory": self.advisory_id,
             "poc_status": self.poc.status.value if self.poc else None,
-            "flow": self.flow.to_dict(),
-            "verdict": self.verdict.to_dict(),
+            "flow": self.flow.to_dict(shared),
+            "verdict": self.verdict.to_dict(shared),
         }
 
 
@@ -250,6 +252,11 @@ class VulnerabilityReport:
         }
 
     def to_dict(self) -> dict:
+        """The report as JSON values. Findings share one dict per distinct
+        flow triple and per distinct hop assessment, so a step that many
+        flows repeat is built once (and :func:`write_report_json` writes its
+        text once); the document equals one built without sharing."""
+        shared: dict = {}
         return {
             "report_version": REPORT_VERSION,
             "tool_version": __version__,
@@ -259,7 +266,7 @@ class VulnerabilityReport:
             "sinks": self.sinks,
             "advisories": self.advisories,
             "poc_artifacts": self.poc_artifacts,
-            "findings": [f.to_dict() for f in self.findings],
+            "findings": [f.to_dict(shared) for f in self.findings],
             "token_usage": self.token_usage,
             "warnings": sorted(self.warnings),
             "stage_errors": sorted(self.stage_errors),
@@ -604,23 +611,45 @@ def write_report_json(doc: Any, fh: TextIO) -> None:
     The output is byte for byte that of :mod:`json`, but in one recursive
     pass: ``json``'s C encoder cannot indent, so ``json`` runs an indented
     dump through its pure-Python generator encoder, which takes about twice
-    as long as this function on a report. Types
-    are tested in ``json``'s order, so ``str`` and ``int`` enum members
-    encode as their values. A dict key that is not a ``str``, and a value
-    of any type ``json`` would not encode without a ``default``, raise
-    ``TypeError``. The text is written in pieces of a few kilobytes, and
-    nothing here makes garbage cycles.
+    as long as this function on a report. Types are tested in ``json``'s
+    order, so ``str`` and ``int`` enum members encode as their values. A
+    dict key that is not a ``str``, and a value of any type ``json`` would
+    not encode without a ``default``, raise ``TypeError``.
+
+    A report's findings share the dicts of repeated flow triples and hops
+    (:meth:`VulnerabilityReport.to_dict`), so a dict object met again at the
+    same indent is written from the text made for it before: at its second
+    meeting it is rendered aside and its text kept, from the third on that
+    text is reused. The text of a dict met once is never kept. The output
+    is written in pieces of a few kilobytes, and nothing here makes
+    garbage cycles.
     """
     out: list[str] = []
-    _write_value(doc, "\n", out, fh)
+    _write_value(doc, "\n", out, fh, {})
     out.append("\n")
     fh.write("".join(out))
 
 
-def _write_value(o: Any, newline: str, out: list[str], fh: TextIO) -> None:
+def _write_value(
+    o: Any, newline: str, out: list[str], fh: Optional[TextIO], seen: dict
+) -> None:
     """Append the JSON text of ``o`` to ``out``. ``newline`` is the line
-    break and indent of ``o``'s own level; full pieces go to ``fh``."""
-    if isinstance(o, str):
+    break and indent of ``o``'s own level; full pieces go to ``fh`` unless
+    it is ``None``. ``seen`` maps ``(id, indent)`` of each non-empty dict
+    met so far to its text, or to ``""`` while it has been met once."""
+    if type(o) is dict and o:
+        key = (id(o), len(newline))
+        text = seen.get(key)
+        if text is None:  # first meeting: written as any dict
+            seen[key] = ""
+            _write_dict(o, newline, out, fh, seen)
+        else:
+            if not text:  # second meeting: rendered aside, unflushed, and kept
+                side: list[str] = []
+                _write_dict(o, newline, side, None, seen)
+                text = seen[key] = "".join(side)
+            out.append(text)
+    elif isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif o is None:
         out.append("null")
@@ -641,29 +670,36 @@ def _write_value(o: Any, newline: str, out: list[str], fh: TextIO) -> None:
         for item in o:
             out.append(piece)
             piece = "," + inner
-            _write_value(item, inner, out, fh)
-            if len(out) >= _FLUSH_PIECES:
+            _write_value(item, inner, out, fh, seen)
+            if len(out) >= _FLUSH_PIECES and fh is not None:
                 fh.write("".join(out))
                 out.clear()
         out.append(newline + "]")
     elif isinstance(o, dict):
-        if not o:
+        if o:
+            _write_dict(o, newline, out, fh, seen)
+        else:
             out.append("{}")
-            return
-        inner = newline + "  "
-        piece = "{" + inner
-        for key, value in sorted(o.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(piece + encode_basestring_ascii(key) + ": ")
-            piece = "," + inner
-            _write_value(value, inner, out, fh)
-            if len(out) >= _FLUSH_PIECES:
-                fh.write("".join(out))
-                out.clear()
-        out.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _write_dict(
+    o: dict, newline: str, out: list[str], fh: Optional[TextIO], seen: dict
+) -> None:
+    """Append the JSON text of the non-empty dict ``o``, as :func:`_write_value`."""
+    inner = newline + "  "
+    piece = "{" + inner
+    for key, value in sorted(o.items()):
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        out.append(piece + encode_basestring_ascii(key) + ": ")
+        piece = "," + inner
+        _write_value(value, inner, out, fh, seen)
+        if len(out) >= _FLUSH_PIECES and fh is not None:
+            fh.write("".join(out))
+            out.clear()
+    out.append(newline + "}")
 
 
 def render_markdown(report: VulnerabilityReport) -> str:

@@ -106,11 +106,30 @@ class ReviewVerdict:
     fell_back_to_rule: bool = False
     transcript: Optional[Transcript] = None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, shared: Optional[dict] = None) -> dict:
+        """The verdict as report JSON. Given ``shared``, a table that lives
+        for one report, each distinct hop assessment's dict is built once and
+        every verdict with an equal hop holds the same dict."""
+        if shared is None:
+            hops = [h.to_dict() for h in self.hops]
+        else:
+            hops = []
+            for h in self.hops:
+                key = (
+                    h.position,
+                    h.entry_description,
+                    h.content_and_path,
+                    h.neutralization,
+                    h.justification,
+                )
+                d = shared.get(key)
+                if d is None:
+                    d = shared[key] = h.to_dict()
+                hops.append(d)
         return {
             "reachable": self.reachable,
             "interrupting_constructs": list(self.interrupting_constructs),
-            "hops": [h.to_dict() for h in self.hops],
+            "hops": hops,
             "final_status": self.final_status.value,
             "mode": self.mode.value,
             "fell_back_to_rule": self.fell_back_to_rule,

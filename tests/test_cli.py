@@ -3,7 +3,6 @@ import shutil
 
 import pytest
 
-from argus.agent import ScriptedStubBackend, run_react_loop, save_transcript
 from argus.cli import EXIT_CONFIG_ERROR, EXIT_CONFIRMED, EXIT_OK, main
 from argus.model import graph_to_dict
 from argus.synthetic import hidden_chain_graph
@@ -223,23 +222,6 @@ def test_config_file_keys_reach_the_config(capsys, tmp_path):
     assert "gate weights" in err
 
 
-def test_replay_verify_subcommand(capsys, tmp_path):
-    outcome = run_react_loop(
-        "sys", "task", {},
-        ScriptedStubBackend(["```final\nanswer\n```"]),
-    )
-    path = tmp_path / "t.jsonl"
-    save_transcript(outcome.transcript, path)
-    code, out, _ = run_cli(capsys, "replay-verify", str(path))
-    assert code == EXIT_OK
-    assert "deterministic" in out
-
-
-def test_replay_verify_missing_file_exit_2(capsys):
-    code, _, _ = run_cli(capsys, "replay-verify", "/no/such.jsonl")
-    assert code == EXIT_CONFIG_ERROR
-
-
 def test_flows_prints_the_stitched_flows_scan_reports(capsys, tmp_path):
     fix = hidden_chain_graph(4, depth=2)
     gpath = tmp_path / "graph.json"
@@ -421,6 +403,24 @@ def test_deps_and_advisories_ignore_settings_only_scan_reads(capsys, tmp_path, c
                            "--llm", "replay:" + str(tmp_path / "missing"))
     assert code == EXIT_OK
     assert out == want
+
+
+def test_malformed_deps_json_is_an_input_error(capsys, tmp_path):
+    manifest = tmp_path / "deps.json"
+    manifest.write_text(json.dumps({"format_version": "1", "dependencies": 5}))
+    graph = fixture_path("datagear_mini", "graph.json")
+    code, _, err = run_cli(capsys, "deps", "--graph", graph, "--manifest", str(manifest))
+    assert code == EXIT_CONFIG_ERROR
+    assert err.startswith(f"error: {manifest}: dependencies must be an array")
+    assert "internal error" not in err
+    code, _, err = run_cli(capsys, "scan", "--graph", graph, "--manifest", str(manifest),
+                           "--out", str(tmp_path / "out"))
+    assert code != EXIT_CONFIG_ERROR
+    assert "internal error" not in err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["stage_errors"] == [
+        f"dependency_scan: {manifest}: dependencies must be an array, got 5"
+    ]
 
 
 def test_malformed_sarif_is_an_input_error(capsys, tmp_path):

@@ -97,6 +97,31 @@ def test_deps_json_fixture():
     assert [r.name for r in records] == ["org.datagear:datagear-analysis"]
 
 
+@pytest.mark.parametrize("dependencies, message", [
+    (5, "dependencies must be an array, got 5"),
+    (None, "dependencies must be an array, got None"),
+    (["x"], "dependency #0 must be an object, got 'x'"),
+    ([{"version": "1"}], "dependency #0 name must be a string, got None"),
+    ([{"name": 5, "version": "1"}], "dependency #0 name must be a string, got 5"),
+    ([{"name": ["a"], "version": "1"}], "dependency #0 name must be a string, got ['a']"),
+    ([{"name": "x", "version": "1"}, {"name": "y", "version": 7}],
+     "dependency #1 version must be a string or null, got 7"),
+])
+def test_deps_json_malformed_entry_raises(tmp_path, dependencies, message):
+    path = tmp_path / "deps.json"
+    path.write_text(json.dumps({"format_version": "1", "dependencies": dependencies}))
+    with pytest.raises(ManifestError) as info:
+        parse_manifest(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("entry", [{"name": "x"}, {"name": "x", "version": None}])
+def test_deps_json_version_may_be_absent_or_null(tmp_path, entry):
+    path = tmp_path / "deps.json"
+    path.write_text(json.dumps({"format_version": "1", "dependencies": [entry]}))
+    assert [(r.name, r.version) for r in parse_manifest(str(path))] == [("x", UNRESOLVED)]
+
+
 def test_unsupported_manifest(tmp_path):
     path = tmp_path / "requirements.txt"
     path.write_text("requests==2.0\n")

@@ -4,11 +4,21 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from argus.cli import EXIT_CONFIG_ERROR, main
 from argus.errors import ConfigError
-from argus.model import FlowOrigin, NodeKind, graph_to_dict
+from argus.model import (
+    AccessPathEdge,
+    ContentNode,
+    EdgeKind,
+    FlowOrigin,
+    FunctionDecl,
+    NodeKind,
+    ProgramGraph,
+    TaintRole,
+    graph_to_dict,
+)
 from argus.pipeline import PipelineConfig, export_report, run_pipeline, write_report_json
 from argus.review import FinalStatus, ReviewMode
 from argus.synthetic import hidden_chain_graph, random_graph
@@ -169,6 +179,34 @@ def _written(doc):
 @settings(max_examples=400, deadline=None)
 @given(doc=_json_values)
 def test_report_writer_matches_indented_json_dumps(doc):
+    assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def _docs_sharing_dicts(draw):
+    """A document that holds the same two dict objects several times, at
+    the same indent and at different ones; ``outer`` holds ``shared``."""
+    shared = draw(st.dictionaries(_keys, _json_values, min_size=1, max_size=3))
+    outer = {"k": shared, "j": [shared]}
+    leaves = st.one_of(st.sampled_from([shared, outer]), _scalars)
+    return draw(st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(_keys, inner, max_size=4),
+        ),
+        max_leaves=16,
+    ))
+
+
+_d = {"b": [1, {"c": None}], "a": "x"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_docs_sharing_dicts())
+@example(doc=[_d, _d, {"k": _d, "j": [_d]}])
+@example(doc={"k": _d, "j": [_d, _d, _d], "i": [[_d]]})
+def test_report_writer_reuses_the_text_of_a_repeated_dict_only_at_its_indent(doc):
     assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -377,6 +415,47 @@ def test_no_collection_starts_inside_a_scan(tmp_path):
         gc.set_threshold(*threshold)
         gc.callbacks.remove(record)
     assert report.findings
+
+
+def diamond_chain_graph(diamonds):
+    """``m0`` (a source) to ``m<diamonds>`` (a sink) through ``diamonds``
+    diamonds ``m<i> -> a<i> | b<i> -> m<i+1>``: 2**diamonds flows, which
+    share their prefixes and suffixes."""
+    ids = [f"m{i}" for i in range(diamonds + 1)]
+    ids += [f"{side}{i}" for i in range(diamonds) for side in "ab"]
+    roles = {"m0": TaintRole.SOURCE, f"m{diamonds}": TaintRole.SINK}
+    nodes = [
+        ContentNode(
+            id=nid, kind=NodeKind.VARIABLE, label=f"var.{nid}", function_id="f0",
+            taint_role=roles.get(nid, TaintRole.NONE),
+            source_kind="http-param" if nid == "m0" else None,
+            sink_kind="command-exec" if nid == f"m{diamonds}" else None,
+        )
+        for nid in ids
+    ]
+    edges = [
+        AccessPathEdge(id=f"e{i}{side}{half}", src=src, dst=dst, kind=EdgeKind.ASSIGN)
+        for i in range(diamonds)
+        for side in "ab"
+        for half, (src, dst) in enumerate(
+            [(f"m{i}", f"{side}{i}"), (f"{side}{i}", f"m{i + 1}")])
+    ]
+    return ProgramGraph(nodes, edges, [FunctionDecl(id="f0", name="f0", is_entry_point=True)])
+
+
+def test_report_builds_each_distinct_triple_and_hop_once(tmp_path):
+    report = run_pipeline(synthetic_config(diamond_chain_graph(3), tmp_path / "g.json"))
+    assert len(report.findings) == 8
+    doc = report.to_dict()
+    for part, key in (("flow", "triples"), ("verdict", "hops")):
+        steps = [step for f in doc["findings"] for step in f[part][key]]
+        distinct = {json.dumps(step, sort_keys=True) for step in steps}
+        assert len(steps) == 8 * 6 and len(distinct) < len(steps)
+        assert len({id(step) for step in steps}) == len(distinct)
+    # Shared or not, the document is the one each finding gives on its own.
+    assert doc["findings"] == [f.to_dict() for f in report.findings]
+    assert json.loads(json.dumps(doc)) == doc
+    assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_cyclic_garbage_of_a_scan_does_not_grow_with_the_graph(tmp_path):

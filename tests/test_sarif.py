@@ -109,7 +109,7 @@ def test_non_object_structure_raises_naming_the_file(graph, tmp_path, doc, messa
         import_sarif(str(path), graph)
 
 
-@pytest.mark.parametrize("line", ["abc", [11], {"n": 11}])
+@pytest.mark.parametrize("line", ["abc", [11], {"n": 11}, True, 11.9, "11"])
 def test_non_integer_start_line_skips_with_diagnostic(graph, tmp_path, line):
     doc = _thread_flow_doc({"location": {"physicalLocation": {
         "artifactLocation": {"uri": "app/handler.py"},
