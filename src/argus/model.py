@@ -403,20 +403,20 @@ class DataFlow:
         return any(t.edge.bridged for t in self.triples)
 
     def to_dict(self, shared: Optional[dict] = None) -> dict:
-        """The flow as report JSON. Given ``shared``, a table that lives for
-        one report, each triple's dict is built once, keyed by its endpoints
-        and its edge object, and every flow with that triple holds the same
-        dict; the caller keeps the edges alive while the table lives."""
+        """The flow as report JSON. Each triple's dict is built once per
+        ``shared`` table, keyed by its endpoints and its edge object, and
+        every flow with that triple holds the same dict; the caller keeps the
+        edges alive while the table lives. Without a table, the flow uses a
+        table of its own."""
         if shared is None:
-            triples = [_triple_to_dict(t) for t in self.triples]
-        else:
-            triples = []
-            for t in self.triples:
-                key = (t.from_node, id(t.edge), t.to_node)
-                d = shared.get(key)
-                if d is None:
-                    d = shared[key] = _triple_to_dict(t)
-                triples.append(d)
+            shared = {}
+        triples = []
+        for t in self.triples:
+            key = (t.from_node, id(t.edge), t.to_node)
+            d = shared.get(key)
+            if d is None:
+                d = shared[key] = _triple_to_dict(t)
+            triples.append(d)
         return {
             "origin": self.origin.value,
             "max_length_bound": self.max_length_bound,

@@ -107,25 +107,25 @@ class ReviewVerdict:
     transcript: Optional[Transcript] = None
 
     def to_dict(self, shared: Optional[dict] = None) -> dict:
-        """The verdict as report JSON. Given ``shared``, a table that lives
-        for one report, each distinct hop assessment's dict is built once and
-        every verdict with an equal hop holds the same dict."""
+        """The verdict as report JSON. Each distinct hop assessment's dict is
+        built once per ``shared`` table, and every verdict with an equal hop
+        holds the same dict. Without a table, the verdict uses a table of its
+        own."""
         if shared is None:
-            hops = [h.to_dict() for h in self.hops]
-        else:
-            hops = []
-            for h in self.hops:
-                key = (
-                    h.position,
-                    h.entry_description,
-                    h.content_and_path,
-                    h.neutralization,
-                    h.justification,
-                )
-                d = shared.get(key)
-                if d is None:
-                    d = shared[key] = h.to_dict()
-                hops.append(d)
+            shared = {}
+        hops = []
+        for h in self.hops:
+            key = (
+                h.position,
+                h.entry_description,
+                h.content_and_path,
+                h.neutralization,
+                h.justification,
+            )
+            d = shared.get(key)
+            if d is None:
+                d = shared[key] = h.to_dict()
+            hops.append(d)
         return {
             "reachable": self.reachable,
             "interrupting_constructs": list(self.interrupting_constructs),

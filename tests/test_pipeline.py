@@ -452,7 +452,7 @@ def test_report_builds_each_distinct_triple_and_hop_once(tmp_path):
         distinct = {json.dumps(step, sort_keys=True) for step in steps}
         assert len(steps) == 8 * 6 and len(distinct) < len(steps)
         assert len({id(step) for step in steps}) == len(distinct)
-    # Shared or not, the document is the one each finding gives on its own.
+    # Interned across the report or per finding, the document is the same.
     assert doc["findings"] == [f.to_dict() for f in report.findings]
     assert json.loads(json.dumps(doc)) == doc
     assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
