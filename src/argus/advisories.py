@@ -310,7 +310,7 @@ class OfflineFixtureTransport:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise TransportError(f"{path}: malformed fixture: {exc}") from exc
         if not isinstance(doc, list):
             raise TransportError(f"{path}: fixture must be a JSON array")
@@ -327,10 +327,40 @@ class OfflineFixtureTransport:
 # Retrieval
 
 
-def _record_from_raw(raw: dict, source: str, dep: DependencyRecord) -> AdvisoryRecord:
+# key -> the JSON types its value may have, where a fixture entry holds it
+_NULL = type(None)
+_ADVISORY_TYPES = {
+    "identifier": (str,),
+    "description": (str,),
+    "affected_versions": (str,),
+    "cve_id": (str, _NULL),
+    "severity": (str, int, float, _NULL),
+    "cvss_score": (int, float, _NULL),
+}
+_COMMUNITY_TYPES = {
+    "title": (str,), "body": (str,), "repo": (str,), "url": (str,),
+    "comment_count": (int,), "cve_linked": (bool,),
+}
+
+
+def _check_entry(raw, types: dict) -> None:
+    """Raise ValueError unless ``raw`` is an object whose keys in ``types``
+    hold values of their types (a bool only where ``bool`` is named)."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"entry must be an object, got {raw!r}")
+    for key, allowed in types.items():
+        value = raw.get(key)
+        if key in raw and (not isinstance(value, allowed)
+                           or isinstance(value, bool) and bool not in allowed):
+            names = " or ".join("null" if t is _NULL else t.__name__ for t in allowed)
+            raise ValueError(f"{key} must be {names}, got {value!r}")
+
+
+def _record_from_raw(raw, source: str, dep: DependencyRecord) -> AdvisoryRecord:
+    _check_entry(raw, _ADVISORY_TYPES)
     sev_raw = raw.get("severity")
     if isinstance(sev_raw, (int, float)):
-        severity = severity_from_cvss(float(sev_raw))
+        severity = severity_from_cvss(sev_raw)
     elif isinstance(sev_raw, str):
         try:
             severity = Severity(sev_raw.lower())
@@ -340,10 +370,10 @@ def _record_from_raw(raw: dict, source: str, dep: DependencyRecord) -> AdvisoryR
         severity = severity_from_cvss(raw.get("cvss_score"))
     return AdvisoryRecord(
         source=source,
-        identifier=str(raw["identifier"]),
-        description=str(raw.get("description", "")),
+        identifier=raw["identifier"],
+        description=raw.get("description", ""),
         severity=severity,
-        affected_versions=str(raw.get("affected_versions", "*")),
+        affected_versions=raw.get("affected_versions", "*"),
         cve_id=raw.get("cve_id"),
         dependency=dep.name,
     )
@@ -358,10 +388,10 @@ def query_authoritative(
     """Query all authoritative sources and merge the results.
 
     Per-source transport failures are non-fatal: partial results are
-    returned and a warning is appended. Records are deduplicated by
-    identifier (first source in canonical order wins), filtered to the
-    dependency's version when the range is resolvable, and sorted by
-    (severity desc, identifier).
+    returned and a warning is appended, as for an entry of the wrong
+    shape. Records are deduplicated by identifier (first source in
+    canonical order wins), filtered to the dependency's version when the
+    range is resolvable, and sorted by (severity desc, identifier).
     """
     if warnings is None:
         warnings = []
@@ -394,7 +424,9 @@ def retrieve_community(
     """Fetch community issues in hierarchical priority order.
 
     Primary-repository issues come before fork issues, and CVE/GHSA-linked
-    issues before unlinked ones; ties break on URL for determinism.
+    issues before unlinked ones; ties break on URL for determinism. An
+    entry of the wrong shape, or with neither a url nor a title, is skipped
+    with a warning.
     """
     if warnings is None:
         warnings = []
@@ -406,17 +438,19 @@ def retrieve_community(
     issues: list[CommunityIssue] = []
     for raw in raws:
         try:
-            issues.append(
-                CommunityIssue(
-                    title=str(raw.get("title", "")),
-                    body=str(raw.get("body", "")),
-                    comment_count=int(raw.get("comment_count", 0)),
-                    cve_linked=bool(raw.get("cve_linked", False)),
-                    repo=str(raw.get("repo", "primary")),
-                    url=str(raw.get("url", "")),
-                )
-            )
-        except (ValueError, TypeError) as exc:
+            _check_entry(raw, _COMMUNITY_TYPES)
+            if not (raw.get("url") or raw.get("title")):
+                # the url, else the title, names a gated issue as an advisory
+                raise ValueError("issue has neither a url nor a title")
+            issues.append(CommunityIssue(
+                title=raw.get("title", ""),
+                body=raw.get("body", ""),
+                comment_count=raw.get("comment_count", 0),
+                cve_linked=raw.get("cve_linked", False),
+                repo=raw.get("repo", "primary"),
+                url=raw.get("url", ""),
+            ))
+        except ValueError as exc:
             warnings.append(f"community: skipped malformed issue: {exc}")
     issues.sort(key=lambda i: (not i.from_primary_repo, not i.cve_linked, i.url))
     return issues

@@ -348,7 +348,7 @@ def load_transcript(path) -> Transcript:
                 tool_name=raw.get("tool_name"),
                 token_count=int(raw.get("token_count", 0)),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BackendError(
                 f"{path}: line {no}: malformed turn: {type(exc).__name__}: {exc}"
             ) from exc

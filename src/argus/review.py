@@ -1,11 +1,13 @@
 """Candidate-flow review: reachability, hop-by-hop audit, verdict.
 
-Rule mode is fully deterministic: edge guard tags are checked against an
-interrupting-construct lexicon and a neutralization mapping, with a
-fixed fatality policy. LLM mode runs when an agent backend is passed in:
-it requests the hop breakdown from the backend and falls back to rule
-mode (recording the fallback) whenever the payload does not match the
-expected schema.
+:func:`review_flow` is the one entry point. It flags the interrupting
+constructs on the flow's edges, assesses each hop, and adjudicates a
+verdict under a fixed fatality policy. Rule mode is fully deterministic:
+edge guard tags are checked against an interrupting-construct lexicon
+and a neutralization mapping. LLM mode runs when an agent backend is
+passed in: it requests the hop breakdown from the backend and falls back
+to the rules (recording the fallback) whenever the payload does not
+match the expected schema.
 
 Stitched flows carrying synthesized bridge edges can never be
 auto-confirmed; they always require human sign-off.
@@ -14,7 +16,7 @@ auto-confirmed; they always require human sign-off.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -90,14 +92,7 @@ class HopAssessment:
 
 
 @dataclass
-class ReachabilityFinding:
-    reachable: bool
-    interrupting_constructs: list[str] = field(default_factory=list)
-
-
-@dataclass
 class ReviewVerdict:
-    flow: DataFlow
     reachable: bool
     interrupting_constructs: list[str]
     hops: list[HopAssessment]
@@ -136,9 +131,9 @@ class ReviewVerdict:
         }
 
 
-def review_end_to_end(flow: DataFlow, graph: ProgramGraph) -> ReachabilityFinding:
-    """Flag interrupting constructs along the flow; fatal ones kill
-    reachability per the policy table."""
+def _reachability(flow: DataFlow) -> tuple[bool, list[str]]:
+    """(reachable, interrupting constructs) of the flow: every guard tag in
+    the lexicon is flagged, and a fatal one kills reachability."""
     constructs: list[str] = []
     fatal = False
     for t in flow.triples:
@@ -149,10 +144,10 @@ def review_end_to_end(flow: DataFlow, graph: ProgramGraph) -> ReachabilityFindin
             constructs.append(f"{construct} (edge {t.edge.id})")
             if tag in DEFAULT_FATAL_TAGS:
                 fatal = True
-    return ReachabilityFinding(reachable=not fatal, interrupting_constructs=constructs)
+    return not fatal, constructs
 
 
-def _describe_hop(t: FlowTriple, graph: ProgramGraph, position: int) -> tuple[str, str]:
+def _describe_hop(t: FlowTriple, graph: ProgramGraph) -> tuple[str, str]:
     from_label = graph.nodes[t.from_node].label if t.from_node in graph.nodes else t.from_node
     to_label = graph.nodes[t.to_node].label if t.to_node in graph.nodes else t.to_node
     entry = (
@@ -168,7 +163,7 @@ def rule_hop_assessments(flow: DataFlow, graph: ProgramGraph) -> list[HopAssessm
     sanitizer-adjacent nodes."""
     hops: list[HopAssessment] = []
     for i, t in enumerate(flow.triples, start=1):
-        entry, content = _describe_hop(t, graph, i)
+        entry, content = _describe_hop(t, graph)
         neutralization = Neutralization.NONE
         justification = ""
         for tag in sorted(t.edge.guard_tags):
@@ -229,65 +224,6 @@ def _parse_llm_hops(payload: str, n_triples: int) -> Optional[list[HopAssessment
     return hops
 
 
-def review_hop_by_hop(
-    flow: DataFlow,
-    graph: ProgramGraph,
-    *,
-    backend: Optional[LLMBackend] = None,
-) -> tuple[list[HopAssessment], bool, Optional[Transcript]]:
-    """Return (assessments, fell_back_to_rule, transcript). The hops come
-    from ``backend`` when one is given, else from the rules."""
-    if backend is None:
-        return rule_hop_assessments(flow, graph), False, None
-    task_lines = ["Candidate flow:"]
-    for i, t in enumerate(flow.triples, start=1):
-        entry, content = _describe_hop(t, graph, i)
-        tags = ",".join(sorted(t.edge.guard_tags)) or "-"
-        task_lines.append(f"{i}. {content} via {t.edge.kind.value} [tags: {tags}]")
-    outcome = run_react_loop(REVIEW_SYSTEM_PROMPT, "\n".join(task_lines), {}, backend)
-    hops = _parse_llm_hops(outcome.final_payload, len(flow.triples))
-    if hops is None:
-        return rule_hop_assessments(flow, graph), True, outcome.transcript
-    return hops, False, outcome.transcript
-
-
-def finalize_verdict(
-    flow: DataFlow,
-    finding: ReachabilityFinding,
-    hops: list[HopAssessment],
-    *,
-    mode: ReviewMode = ReviewMode.RULE,
-    fell_back_to_rule: bool = False,
-    transcript: Optional[Transcript] = None,
-    auto_confirm_forward_flows: bool = True,
-) -> ReviewVerdict:
-    """Three-way adjudication.
-
-    confirmed: reachable, every hop clean, no bridged edge (and
-    auto-confirmation enabled); refuted: a fatal construct or fatal
-    neutralization exists; needs-human: everything else.
-    """
-    bridged = flow.has_bridged_edge
-    fatal_neut = any(h.neutralization in DEFAULT_FATAL_NEUTRALIZATIONS for h in hops)
-    all_clean = all(h.neutralization == Neutralization.NONE for h in hops)
-    if not finding.reachable or fatal_neut:
-        status = FinalStatus.REFUTED
-    elif finding.reachable and all_clean and not bridged and auto_confirm_forward_flows:
-        status = FinalStatus.CONFIRMED
-    else:
-        status = FinalStatus.NEEDS_HUMAN
-    return ReviewVerdict(
-        flow=flow,
-        reachable=finding.reachable,
-        interrupting_constructs=finding.interrupting_constructs,
-        hops=hops,
-        final_status=status,
-        mode=mode,
-        fell_back_to_rule=fell_back_to_rule,
-        transcript=transcript,
-    )
-
-
 def review_flow(
     flow: DataFlow,
     graph: ProgramGraph,
@@ -295,16 +231,43 @@ def review_flow(
     backend: Optional[LLMBackend] = None,
     auto_confirm_forward_flows: bool = True,
 ) -> ReviewVerdict:
-    """Full review of one candidate flow: by LLM when ``backend`` is
-    given, else by rules."""
-    finding = review_end_to_end(flow, graph)
-    hops, fell_back, transcript = review_hop_by_hop(flow, graph, backend=backend)
-    return finalize_verdict(
-        flow,
-        finding,
-        hops,
+    """Review one candidate flow: its reachability, one assessment per hop,
+    and a three-way verdict.
+
+    The hops come from ``backend`` when one is given and its answer fits
+    the schema, else from :func:`rule_hop_assessments` (recorded as
+    ``fell_back_to_rule`` when a backend was given). The verdict is
+    refuted when a fatal construct or fatal neutralization exists;
+    confirmed when the flow is reachable, every hop is clean, no edge is
+    bridged and auto-confirmation is on; needs-human otherwise.
+    """
+    reachable, constructs = _reachability(flow)
+    hops = transcript = None
+    if backend is not None:
+        task_lines = ["Candidate flow:"]
+        for i, t in enumerate(flow.triples, start=1):
+            _, content = _describe_hop(t, graph)
+            tags = ",".join(sorted(t.edge.guard_tags)) or "-"
+            task_lines.append(f"{i}. {content} via {t.edge.kind.value} [tags: {tags}]")
+        outcome = run_react_loop(REVIEW_SYSTEM_PROMPT, "\n".join(task_lines), {}, backend)
+        transcript = outcome.transcript
+        hops = _parse_llm_hops(outcome.final_payload, len(flow.triples))
+    fell_back = backend is not None and hops is None
+    if hops is None:
+        hops = rule_hop_assessments(flow, graph)
+    if not reachable or any(h.neutralization in DEFAULT_FATAL_NEUTRALIZATIONS for h in hops):
+        status = FinalStatus.REFUTED
+    elif (auto_confirm_forward_flows and not flow.has_bridged_edge
+          and all(h.neutralization == Neutralization.NONE for h in hops)):
+        status = FinalStatus.CONFIRMED
+    else:
+        status = FinalStatus.NEEDS_HUMAN
+    return ReviewVerdict(
+        reachable=reachable,
+        interrupting_constructs=constructs,
+        hops=hops,
+        final_status=status,
         mode=ReviewMode.RULE if backend is None else ReviewMode.LLM,
         fell_back_to_rule=fell_back,
         transcript=transcript,
-        auto_confirm_forward_flows=auto_confirm_forward_flows,
     )

@@ -231,3 +231,96 @@ def test_community_cve_linked_first_within_repo(tmp_path):
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
     issues = retrieve_community(dep, transport)
     assert [i.url for i in issues] == ["u2", "u1"]
+
+
+# --- malformed fixture entries -----------------------------------------------
+
+
+GOOD_ADVISORY = {"identifier": "CVE-GOOD", "severity": "high"}
+
+
+@pytest.mark.parametrize("entry, message", [
+    (5, "entry must be an object, got 5"),
+    ({"identifier": 5}, "identifier must be str, got 5"),
+    ({"identifier": "X", "description": 5}, "description must be str, got 5"),
+    ({"identifier": "X", "affected_versions": ["*"]},
+     "affected_versions must be str, got ['*']"),
+    ({"identifier": "X", "cve_id": [1]}, "cve_id must be str or null, got [1]"),
+    ({"identifier": "X", "severity": True},
+     "severity must be str or int or float or null, got True"),
+    ({"identifier": "X", "cvss_score": "high"},
+     "cvss_score must be int or float or null, got 'high'"),
+    ({"identifier": "X", "cvss_score": False},
+     "cvss_score must be int or float or null, got False"),
+], ids=["not-object", "identifier", "description", "affected_versions", "cve_id",
+        "severity-bool", "cvss_score-str", "cvss_score-bool"])
+def test_malformed_advisory_entry_is_skipped(tmp_path, entry, message):
+    (tmp_path / "NVD__a__b.json").write_text(json.dumps([entry, GOOD_ADVISORY]))
+    dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
+    warnings = []
+    records = query_authoritative(dep, OfflineFixtureTransport(str(tmp_path)), warnings=warnings)
+    assert [r.identifier for r in records] == ["CVE-GOOD"]
+    assert warnings == [f"NVD: skipped malformed advisory: {message}"]
+
+
+def test_numeric_severity_and_cvss_score_are_kept(tmp_path):
+    (tmp_path / "OSV__a__b.json").write_text(json.dumps([
+        {"identifier": "A", "severity": 9.8},
+        {"identifier": "B", "severity": None, "cvss_score": 5},
+        {"identifier": "C", "cve_id": None, "description": "d", "affected_versions": "*"},
+    ]))
+    dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
+    warnings = []
+    records = query_authoritative(dep, OfflineFixtureTransport(str(tmp_path)), warnings=warnings)
+    assert [(r.identifier, r.severity) for r in records] == [
+        ("A", Severity.CRITICAL), ("B", Severity.MEDIUM), ("C", Severity.UNKNOWN),
+    ]
+    assert warnings == []
+
+
+def test_non_utf8_fixture_is_a_source_warning(tmp_path):
+    path = tmp_path / "NVD__a__b.json"
+    path.write_bytes(b"\xff\xfe[]")
+    (tmp_path / "OSV__a__b.json").write_text(json.dumps([GOOD_ADVISORY]))
+    dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
+    warnings = []
+    records = query_authoritative(dep, OfflineFixtureTransport(str(tmp_path)), warnings=warnings)
+    assert [r.identifier for r in records] == ["CVE-GOOD"]
+    assert len(warnings) == 1
+    assert warnings[0].startswith(f"NVD: {path}: malformed fixture: ")
+
+
+GOOD_ISSUE = {"title": "t", "body": "b", "comment_count": 1, "cve_linked": False,
+              "repo": "primary", "url": "u-good"}
+
+
+@pytest.mark.parametrize("entry, message", [
+    (5, "entry must be an object, got 5"),
+    (dict(GOOD_ISSUE, title=5), "title must be str, got 5"),
+    (dict(GOOD_ISSUE, body=None), "body must be str, got None"),
+    (dict(GOOD_ISSUE, repo=["primary"]), "repo must be str, got ['primary']"),
+    (dict(GOOD_ISSUE, url=7), "url must be str, got 7"),
+    (dict(GOOD_ISSUE, comment_count="3"), "comment_count must be int, got '3'"),
+    (dict(GOOD_ISSUE, comment_count=2.5), "comment_count must be int, got 2.5"),
+    (dict(GOOD_ISSUE, comment_count=True), "comment_count must be int, got True"),
+    (dict(GOOD_ISSUE, cve_linked="no"), "cve_linked must be bool, got 'no'"),
+], ids=["not-object", "title", "body", "repo", "url", "comment_count-str",
+        "comment_count-float", "comment_count-bool", "cve_linked-str"])
+def test_malformed_community_entry_is_skipped(tmp_path, entry, message):
+    (tmp_path / "community__a__b.json").write_text(json.dumps([entry, GOOD_ISSUE]))
+    dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
+    warnings = []
+    issues = retrieve_community(dep, OfflineFixtureTransport(str(tmp_path)), warnings=warnings)
+    assert [i.url for i in issues] == ["u-good"]
+    assert warnings == [f"community: skipped malformed issue: {message}"]
+
+
+def test_community_entry_without_url_or_title_is_skipped(tmp_path):
+    # it would pass the gate, but names no advisory
+    unnamed = {"body": "potential vulnerability: a crafted payload", "comment_count": 6}
+    (tmp_path / "community__a__b.json").write_text(json.dumps([unnamed, GOOD_ISSUE]))
+    dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
+    warnings = []
+    issues = retrieve_community(dep, OfflineFixtureTransport(str(tmp_path)), warnings=warnings)
+    assert [i.url for i in issues] == ["u-good"]
+    assert warnings == ["community: skipped malformed issue: issue has neither a url nor a title"]

@@ -157,6 +157,7 @@ def test_transcript_file_is_jsonl_with_header(tmp_path):
     '{"role": "assistant", "content": 5}',
     '{"role": "assistant", "content": null}',
     '{"role": "tool", "content": "x", "tool_name": 7}',
+    '{"role": "user", "content": "x", "token_count": Infinity}',
 ])
 def test_malformed_transcript_line_names_file_and_line(tmp_path, bad_line):
     path = tmp_path / "t.jsonl"

@@ -1,10 +1,18 @@
+import contextlib
+import dataclasses
+import io
 import json
+import os
 import shutil
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from argus.cli import EXIT_CONFIG_ERROR, EXIT_CONFIRMED, EXIT_OK, main
 from argus.model import graph_to_dict
+from argus.pipeline import PipelineConfig
 from argus.synthetic import hidden_chain_graph
 from tests.conftest import fixture_path
 
@@ -446,3 +454,122 @@ def test_non_integer_sarif_start_line_is_a_warning(capsys, tmp_path):
     assert "internal error" not in err
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "thread flow skipped: startLine 'abc' is not an integer" in report["warnings"]
+
+
+
+# --- exit-code contract under mutated inputs ------------------------------------
+
+
+COMMUNITY_FIXTURE = "community__org.datagear__datagear-analysis.json"
+
+# (fixture directory, document in a copy of it) of every document mutated
+FUZZED_DOCUMENTS = (
+    ("datagear_mini", "advisories/NVD__org.datagear__datagear-analysis.json"),
+    ("datagear_mini", "advisories/" + COMMUNITY_FIXTURE),
+    ("datagear_mini", "replay/poc__CVE-2024-37759.jsonl"),
+    ("datagear_mini", "deps.json"),
+    ("datagear_mini", "config.json"),
+    ("sarif", "results.sarif"),
+)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=4,
+)
+
+# Keys a mutation may add to an object: the config's and the fixture entries'.
+ADDED_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig)) + (
+    "identifier", "cvss_score", "severity", "cve_id", "comment_count", "cve_linked", "title", "url",
+)
+
+
+def _scan_inputs(root, name):
+    """Copy fixture directory ``name`` to ``root`` and write there the config
+    of a scan of it; return the config's path."""
+    shutil.copytree(fixture_path(name), root, dirs_exist_ok=True)
+    config = {"graph_path": os.path.join(root, "graph.json")}
+    if name == "sarif":
+        config["analysis_backend"] = "sarif:" + os.path.join(root, "results.sarif")
+    else:
+        shutil.copy(fixture_path("community", COMMUNITY_FIXTURE), os.path.join(root, "advisories"))
+        config.update(
+            manifest_paths=[os.path.join(root, "deps.json")],
+            fixtures_dir=os.path.join(root, "advisories"),
+            llm="replay:" + os.path.join(root, "replay"),
+        )
+    path = os.path.join(root, "config.json")
+    with open(path, "w") as fh:
+        json.dump(config, fh)
+    return path
+
+
+def _slots(doc):
+    """(container, key) of every value nested in ``doc``, outermost first."""
+    slots = []
+    containers = [doc]
+    while containers:
+        value = containers.pop(0)
+        if isinstance(value, dict):
+            items = list(value.items())
+        elif isinstance(value, list):
+            items = list(enumerate(value))
+        else:
+            continue
+        for key, child in items:
+            slots.append((value, key))
+            containers.append(child)
+    return slots
+
+
+def _mutate(data, doc):
+    """``doc`` with one nested value replaced or dropped, one key added to an
+    object, or the whole document replaced, as ``data`` draws."""
+    slots = _slots(doc)
+    objects = [v for v in [doc] + [c[k] for c, k in slots] if isinstance(v, dict)]
+    action = data.draw(st.sampled_from(("replace", "drop", "add")))
+    if action == "add" and objects:
+        obj = data.draw(st.sampled_from(objects))
+        obj[data.draw(st.sampled_from(ADDED_KEYS))] = data.draw(JSON_VALUES)
+        return doc
+    container, key = data.draw(st.sampled_from([(None, None)] + slots))
+    if container is None:
+        return data.draw(JSON_VALUES)
+    if action == "drop":
+        del container[key]
+    else:
+        container[key] = data.draw(JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(document=st.sampled_from(FUZZED_DOCUMENTS), data=st.data())
+def test_scan_exit_code_contract_holds_for_mutated_inputs(document, data):
+    name, relpath = document
+    lines = relpath.endswith(".jsonl")
+    with tempfile.TemporaryDirectory() as root:
+        config = _scan_inputs(root, name)
+        path = os.path.join(root, relpath)
+        with open(path) as fh:
+            doc = [json.loads(line) for line in fh] if lines else json.load(fh)
+        for _ in range(data.draw(st.integers(1, 3))):
+            doc = _mutate(data, doc)
+        with open(path, "w") as fh:
+            if lines and isinstance(doc, list):
+                fh.writelines(json.dumps(line) + "\n" for line in doc)
+            else:
+                json.dump(doc, fh)
+        out = os.path.join(root, "out")
+        err = io.StringIO()
+        # no live backend can be reached without its key
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            os.environ.pop("ARGUS_API_KEY", None)
+            code = main(["scan", "--config", config, "--out", out])
+        assert code in (EXIT_OK, EXIT_CONFIRMED, EXIT_CONFIG_ERROR), err.getvalue()
+        assert "internal error" not in err.getvalue()
+        if code != EXIT_CONFIG_ERROR:
+            with open(os.path.join(out, "report.json")) as fh:
+                confirmed = json.load(fh)["summary"]["confirmed"]
+            assert (code == EXIT_CONFIRMED) == (confirmed > 0)

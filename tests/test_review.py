@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import random
 
 import pytest
 
 from argus.agent import ScriptedStubBackend
+from argus.engine import FlowQuery, forward_search
 from argus.model import (
     AccessPathEdge,
     ContentNode,
@@ -18,10 +21,11 @@ from argus.review import (
     FinalStatus,
     HopAssessment,
     Neutralization,
-    review_end_to_end,
+    ReviewMode,
     review_flow,
     rule_hop_assessments,
 )
+from argus.synthetic import random_graph
 
 
 def build(guard_tags=(), bridged=False):
@@ -76,9 +80,9 @@ def test_encoded_tag_downgrades_to_needs_human():
 
 def test_caught_tag_flagged_but_not_fatal():
     graph, flow = build(guard_tags=("caught",))
-    finding = review_end_to_end(flow, graph)
-    assert finding.reachable
-    assert any("exception handler" in c for c in finding.interrupting_constructs)
+    verdict = review_flow(flow, graph)
+    assert verdict.reachable
+    assert any("exception handler" in c for c in verdict.interrupting_constructs)
 
 
 def test_bridged_flow_never_auto_confirms():
@@ -177,3 +181,29 @@ def test_verdict_serializes():
     assert doc["final_status"] == "needs-human"
     assert doc["hops"][0]["neutralization"] == "encoding"
     json.dumps(doc)  # must be JSON-serializable
+
+
+def test_llm_fallback_is_the_rule_review():
+    """An answer that fails the schema leaves the rule review as it is, only
+    marked as an LLM review that fell back to it."""
+    tag_sets = [(), (), ("validated",), ("sanitized",), ("encoded",), ("caught",), ("cast",)]
+    statuses = set()
+    for seed in range(10):
+        rng = random.Random(seed)
+        base = random_graph(seed, n_nodes=12, n_edges=30)
+        edges = [dataclasses.replace(e, guard_tags=frozenset(rng.choice(tag_sets)))
+                 for e in base.edges.values()]
+        graph = ProgramGraph(base.nodes.values(), edges, base.functions.values())
+        sinks = tuple(n.id for n in graph.nodes_by_role(TaintRole.SINK))
+        for flow in forward_search(graph, FlowQuery(sinks, max_length=6, max_flows_per_sink=8)):
+            rule = review_flow(flow, graph)
+            llm = review_flow(flow, graph, backend=ScriptedStubBackend(["```final\n[]\n```"]))
+            assert llm.reachable == rule.reachable
+            assert llm.interrupting_constructs == rule.interrupting_constructs
+            assert llm.hops == rule.hops
+            assert llm.final_status == rule.final_status
+            assert llm.mode == ReviewMode.LLM
+            assert llm.fell_back_to_rule
+            assert llm.transcript is not None
+            statuses.add(rule.final_status)
+    assert statuses == set(FinalStatus)
