@@ -327,8 +327,11 @@ def save_transcript(transcript: Transcript, path) -> None:
 
 
 def load_transcript(path) -> Transcript:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(no, line) for no, line in enumerate(fh, start=1) if line.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(no, line) for no, line in enumerate(fh, start=1) if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise BackendError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise BackendError(f"{path}: empty transcript file")
     header = _transcript_line(path, *lines[0])

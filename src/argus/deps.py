@@ -149,7 +149,7 @@ def _parse_deps_json(path: str) -> list[DependencyRecord]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != "1":
         raise ManifestError(f"{path}: missing format_version '1'")

@@ -174,7 +174,7 @@ def import_sarif(
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SarifError(f"{path}: cannot parse SARIF: {exc}") from exc
     if not isinstance(doc, dict):
         raise SarifError(f"{path}: SARIF document must be a JSON object")

@@ -504,6 +504,7 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
         report.warnings.extend(sarif_result.skipped)
 
     review_transcripts: list[Transcript] = []
+    review_steps: dict = {}  # flow step -> its review, shared by every flow
     for sink_id in sink_ids:
         flows, dropped = find_flows(graph, sink_id, config, sarif_flows)
         report.warnings.extend(dropped)
@@ -526,6 +527,7 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
                     graph,
                     backend=review_backend,
                     auto_confirm_forward_flows=config.auto_confirm_forward_flows,
+                    shared=review_steps,
                 )
             except ArgusError as exc:
                 # A failing review backend costs the flow its LLM review,
@@ -535,6 +537,7 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
                     flow,
                     graph,
                     auto_confirm_forward_flows=config.auto_confirm_forward_flows,
+                    shared=review_steps,
                 )
             if verdict.transcript is not None:
                 review_transcripts.append(verdict.transcript)

@@ -9,6 +9,11 @@ passed in: it requests the hop breakdown from the backend and falls back
 to the rules (recording the fallback) whenever the payload does not
 match the expected schema.
 
+Each distinct flow step ``(from, edge, to)`` is described and
+rule-assessed once per scan (one ``shared`` table), and flows that share
+a step share its hop assessment. The LLM conversation and the hops parsed
+from its answer stay per flow.
+
 Stitched flows carrying synthesized bridge edges can never be
 auto-confirmed; they always require human sign-off.
 """
@@ -69,7 +74,7 @@ class FinalStatus(str, Enum):
     NEEDS_HUMAN = "needs-human"
 
 
-@dataclass
+@dataclass(frozen=True)
 class HopAssessment:
     position: int  # 1-based triple index
     entry_description: str
@@ -131,56 +136,79 @@ class ReviewVerdict:
         }
 
 
-def _reachability(flow: DataFlow) -> tuple[bool, list[str]]:
-    """(reachable, interrupting constructs) of the flow: every guard tag in
-    the lexicon is flagged, and a fatal one kills reachability."""
-    constructs: list[str] = []
-    fatal = False
+class _Step:
+    """What review reads of one flow step ``(from, edge, to)``: its hop
+    texts, its prompt line, its rule neutralization and its interrupting
+    constructs, plus the rule :class:`HopAssessment` of each position it
+    takes. It depends only on the step and the graph, so :func:`_steps`
+    builds it once per table and flows that share the step share it."""
+
+    __slots__ = ("edge", "entry", "content", "prompt", "neutralization",
+                 "justification", "constructs", "fatal", "hops")
+
+    def __init__(self, t: FlowTriple, graph: ProgramGraph):
+        edge = self.edge = t.edge  # held, so the id in the step's key stays its own
+        from_label = graph.nodes[t.from_node].label if t.from_node in graph.nodes else t.from_node
+        to_label = graph.nodes[t.to_node].label if t.to_node in graph.nodes else t.to_node
+        kind = edge.kind.value
+        self.entry = (
+            f"taint enters via {kind} edge {edge.id}"
+            + (" (bridged gap)" if edge.bridged else "")
+        )
+        self.content = f"{from_label or t.from_node} -> {to_label or t.to_node}"
+        tags = sorted(edge.guard_tags)
+        self.prompt = f"{self.content} via {kind} [tags: {','.join(tags) or '-'}]"
+        # Every guard tag in the lexicon is flagged; a fatal one kills
+        # reachability.
+        self.constructs = [
+            f"{INTERRUPTING_LEXICON[tag]} (edge {edge.id})"
+            for tag in tags if tag in INTERRUPTING_LEXICON
+        ]
+        self.fatal = not DEFAULT_FATAL_TAGS.isdisjoint(tags)
+        # The first neutralizing tag, else a sanitizer endpoint.
+        self.neutralization = Neutralization.NONE
+        self.justification = ""
+        for tag in tags:
+            mapped = NEUTRALIZING_TAGS.get(tag)
+            if mapped is not None:
+                self.neutralization = mapped
+                self.justification = f"edge {edge.id} tagged {tag!r}"
+                break
+        else:
+            for endpoint in (t.from_node, t.to_node):
+                node = graph.nodes.get(endpoint)
+                if node is not None and node.taint_role == TaintRole.SANITIZER:
+                    self.neutralization = Neutralization.SANITIZATION
+                    self.justification = f"node {endpoint} is a sanitizer"
+                    break
+        self.hops: dict[int, HopAssessment] = {}
+
+    def hop(self, position: int) -> HopAssessment:
+        h = self.hops.get(position)
+        if h is None:
+            h = self.hops[position] = HopAssessment(
+                position, self.entry, self.content, self.neutralization, self.justification
+            )
+        return h
+
+
+def _steps(flow: DataFlow, graph: ProgramGraph, shared: dict) -> list[_Step]:
+    """The flow's steps, each built once per ``shared`` table, keyed like
+    :meth:`DataFlow.to_dict` by its endpoints and its edge object."""
+    steps = []
     for t in flow.triples:
-        for tag in sorted(t.edge.guard_tags):
-            construct = INTERRUPTING_LEXICON.get(tag)
-            if construct is None:
-                continue
-            constructs.append(f"{construct} (edge {t.edge.id})")
-            if tag in DEFAULT_FATAL_TAGS:
-                fatal = True
-    return not fatal, constructs
-
-
-def _describe_hop(t: FlowTriple, graph: ProgramGraph) -> tuple[str, str]:
-    from_label = graph.nodes[t.from_node].label if t.from_node in graph.nodes else t.from_node
-    to_label = graph.nodes[t.to_node].label if t.to_node in graph.nodes else t.to_node
-    entry = (
-        f"taint enters via {t.edge.kind.value} edge {t.edge.id}"
-        + (" (bridged gap)" if t.edge.bridged else "")
-    )
-    content = f"{from_label or t.from_node} -> {to_label or t.to_node}"
-    return entry, content
+        key = (t.from_node, id(t.edge), t.to_node)
+        step = shared.get(key)
+        if step is None:
+            step = shared[key] = _Step(t, graph)
+        steps.append(step)
+    return steps
 
 
 def rule_hop_assessments(flow: DataFlow, graph: ProgramGraph) -> list[HopAssessment]:
     """One assessment per triple, derived from guard tags and
     sanitizer-adjacent nodes."""
-    hops: list[HopAssessment] = []
-    for i, t in enumerate(flow.triples, start=1):
-        entry, content = _describe_hop(t, graph)
-        neutralization = Neutralization.NONE
-        justification = ""
-        for tag in sorted(t.edge.guard_tags):
-            mapped = NEUTRALIZING_TAGS.get(tag)
-            if mapped is not None:
-                neutralization = mapped
-                justification = f"edge {t.edge.id} tagged {tag!r}"
-                break
-        if neutralization == Neutralization.NONE:
-            for endpoint in (t.from_node, t.to_node):
-                node = graph.nodes.get(endpoint)
-                if node is not None and node.taint_role == TaintRole.SANITIZER:
-                    neutralization = Neutralization.SANITIZATION
-                    justification = f"node {endpoint} is a sanitizer"
-                    break
-        hops.append(HopAssessment(i, entry, content, neutralization, justification))
-    return hops
+    return [s.hop(i) for i, s in enumerate(_steps(flow, graph, {}), start=1)]
 
 
 REVIEW_SYSTEM_PROMPT = (
@@ -193,9 +221,13 @@ REVIEW_SYSTEM_PROMPT = (
 )
 
 _VALID_NEUTRALIZATIONS = {n.value for n in Neutralization}
+_TEXT_FIELDS = ("entry_description", "content_and_path", "justification")
 
 
 def _parse_llm_hops(payload: str, n_triples: int) -> Optional[list[HopAssessment]]:
+    """The answer's hops, or None when it does not fit the schema: an array
+    of one object per hop, whose ``position`` is the hop's integer index and
+    whose text fields are strings when present."""
     try:
         doc = json.loads(payload)
     except json.JSONDecodeError:
@@ -206,19 +238,18 @@ def _parse_llm_hops(payload: str, n_triples: int) -> Optional[list[HopAssessment
     for i, raw in enumerate(doc, start=1):
         if not isinstance(raw, dict):
             return None
-        if raw.get("position") != i:
+        position = raw.get("position")
+        if type(position) is not int or position != i:
             return None
         neut = raw.get("neutralization", "none")
-        if neut not in _VALID_NEUTRALIZATIONS:
+        if not isinstance(neut, str) or neut not in _VALID_NEUTRALIZATIONS:
             return None
+        texts = [raw.get(k, "") for k in _TEXT_FIELDS]
+        if not all(isinstance(text, str) for text in texts):
+            return None
+        entry, content, justification = texts
         try:
-            hops.append(HopAssessment(
-                position=i,
-                entry_description=str(raw.get("entry_description", "")),
-                content_and_path=str(raw.get("content_and_path", "")),
-                neutralization=Neutralization(neut),
-                justification=str(raw.get("justification", "")),
-            ))
+            hops.append(HopAssessment(i, entry, content, Neutralization(neut), justification))
         except ValueError:
             return None
     return hops
@@ -230,6 +261,7 @@ def review_flow(
     *,
     backend: Optional[LLMBackend] = None,
     auto_confirm_forward_flows: bool = True,
+    shared: Optional[dict] = None,
 ) -> ReviewVerdict:
     """Review one candidate flow: its reachability, one assessment per hop,
     and a three-way verdict.
@@ -240,21 +272,26 @@ def review_flow(
     refuted when a fatal construct or fatal neutralization exists;
     confirmed when the flow is reachable, every hop is clean, no edge is
     bridged and auto-confirmation is on; needs-human otherwise.
+
+    Each distinct step of the flow is described and rule-assessed once per
+    ``shared`` table, which must serve one graph; flows reviewed through
+    one table share their steps' hop assessments. Without a table, the
+    call uses a table of its own.
     """
-    reachable, constructs = _reachability(flow)
+    steps = _steps(flow, graph, {} if shared is None else shared)
+    reachable = not any(s.fatal for s in steps)
+    constructs = [c for s in steps for c in s.constructs]
     hops = transcript = None
     if backend is not None:
-        task_lines = ["Candidate flow:"]
-        for i, t in enumerate(flow.triples, start=1):
-            _, content = _describe_hop(t, graph)
-            tags = ",".join(sorted(t.edge.guard_tags)) or "-"
-            task_lines.append(f"{i}. {content} via {t.edge.kind.value} [tags: {tags}]")
-        outcome = run_react_loop(REVIEW_SYSTEM_PROMPT, "\n".join(task_lines), {}, backend)
+        task = "\n".join(
+            ["Candidate flow:"] + [f"{i}. {s.prompt}" for i, s in enumerate(steps, start=1)]
+        )
+        outcome = run_react_loop(REVIEW_SYSTEM_PROMPT, task, {}, backend)
         transcript = outcome.transcript
-        hops = _parse_llm_hops(outcome.final_payload, len(flow.triples))
+        hops = _parse_llm_hops(outcome.final_payload, len(steps))
     fell_back = backend is not None and hops is None
     if hops is None:
-        hops = rule_hop_assessments(flow, graph)
+        hops = [s.hop(i) for i, s in enumerate(steps, start=1)]
     if not reachable or any(h.neutralization in DEFAULT_FATAL_NEUTRALIZATIONS for h in hops):
         status = FinalStatus.REFUTED
     elif (auto_confirm_forward_flows and not flow.has_bridged_edge

@@ -288,6 +288,24 @@ def test_malformed_replay_transcript_exit_2(capsys, tmp_path):
     assert ": not valid JSON: " in err
 
 
+def test_non_utf8_replay_transcript_exit_2(capsys, tmp_path):
+    replay = tmp_path / "replay"
+    shutil.copytree(fixture_path("datagear_mini", "replay"), replay)
+    victim = sorted(replay.glob("poc__*.jsonl"))[0]
+    victim.write_bytes(b"\xff{}")
+    code, _, err = run_cli(
+        capsys, "scan",
+        "--graph", fixture_path("datagear_mini", "graph.json"),
+        "--manifest", fixture_path("datagear_mini", "deps.json"),
+        "--fixtures", fixture_path("datagear_mini", "advisories"),
+        "--llm", f"replay:{replay}",
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_CONFIG_ERROR
+    assert err.startswith(f"error: {victim}: not UTF-8 text: ")
+    assert "internal error" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("scan", "--max-depth", "0"),
     ("scan", "--nf", "0"),
@@ -431,6 +449,23 @@ def test_malformed_deps_json_is_an_input_error(capsys, tmp_path):
     ]
 
 
+def test_non_utf8_deps_json_is_an_input_error(capsys, tmp_path):
+    manifest = tmp_path / "deps.json"
+    manifest.write_bytes(b"\xff{}")
+    graph = fixture_path("datagear_mini", "graph.json")
+    code, _, err = run_cli(capsys, "deps", "--graph", graph, "--manifest", str(manifest))
+    assert code == EXIT_CONFIG_ERROR
+    assert err.startswith(f"error: {manifest}: malformed JSON: ")
+    assert "internal error" not in err
+    code, _, err = run_cli(capsys, "scan", "--graph", graph, "--manifest", str(manifest),
+                           "--out", str(tmp_path / "out"))
+    assert code != EXIT_CONFIG_ERROR
+    assert "internal error" not in err
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    [stage_error] = report["stage_errors"]
+    assert stage_error.startswith(f"dependency_scan: {manifest}: malformed JSON: ")
+
+
 def test_malformed_sarif_is_an_input_error(capsys, tmp_path):
     sarif = tmp_path / "bad.sarif"
     sarif.write_text("[]")
@@ -438,6 +473,16 @@ def test_malformed_sarif_is_an_input_error(capsys, tmp_path):
     code, _, err = run_cli(capsys, *argv, "--backend", f"sarif:{sarif}")
     assert code == EXIT_CONFIG_ERROR
     assert err.startswith(f"error: {sarif}: SARIF document must be a JSON object")
+    assert "internal error" not in err
+
+
+def test_non_utf8_sarif_is_an_input_error(capsys, tmp_path):
+    sarif = tmp_path / "bad.sarif"
+    sarif.write_bytes(b"\xff{}")
+    argv = ("scan", "--graph", fixture_path("sarif", "graph.json"), "--out", str(tmp_path / "out"))
+    code, _, err = run_cli(capsys, *argv, "--backend", f"sarif:{sarif}")
+    assert code == EXIT_CONFIG_ERROR
+    assert err.startswith(f"error: {sarif}: cannot parse SARIF: ")
     assert "internal error" not in err
 
 
