@@ -1,9 +1,9 @@
 """LLM agent substrate: reason/act loop, tool dispatch, transcripts.
 
 Backends are pluggable: a scripted stub for tests, a replay backend that
-feeds back a recorded transcript (verifying the conversation shape via a
-digest), and a live HTTP backend configured externally. Assistant turns
-carry fenced action blocks::
+feeds back a recorded transcript (the live conversation's roles and tool
+names must match the recording), and a live HTTP backend configured
+externally. Assistant turns carry fenced action blocks::
 
     ```tool <name>
     {json args}
@@ -21,7 +21,6 @@ Transcript files are JSON-lines: a header object with ``model_tag`` and
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -79,8 +78,6 @@ class Transcript:
 @dataclass
 class AgentOutcome:
     final_payload: str
-    steps_taken: int
-    budget_exhausted: bool
     transcript: Transcript
     stop_reason: str = "final-answer"  # final-answer | step-exhaustion | token-exhaustion
     token_overshoot: int = 0
@@ -90,17 +87,6 @@ class AgentOutcome:
 class Budget:
     max_steps: int = 8
     max_tokens: int = 100_000
-
-
-def shape_digest(turns: Sequence[ChatTurn]) -> str:
-    """Digest over the (role, tool name) sequence of a conversation."""
-    h = hashlib.sha256()
-    for t in turns:
-        h.update(t.role.value.encode())
-        h.update(b"\0")
-        h.update((t.tool_name or "").encode())
-        h.update(b"\1")
-    return h.hexdigest()
 
 
 class LLMBackend:
@@ -137,10 +123,10 @@ class ScriptedStubBackend(LLMBackend):
 class ReplayBackend(LLMBackend):
     """Feeds back the assistant turns of a recorded transcript.
 
-    Before each assistant turn is released, the live conversation's shape
-    digest must match the recorded prefix. Recorded token counts are reused
-    for every turn so a replayed run reproduces the original accounting
-    exactly.
+    Before each assistant turn is released, the live conversation's roles
+    and tool names must match the recording's turns before it. Recorded
+    token counts are reused for every turn so a replayed run reproduces the
+    original accounting exactly.
     """
 
     def __init__(self, recorded: Transcript):
@@ -158,8 +144,8 @@ class ReplayBackend(LLMBackend):
                 f"than the {len(self._assistant_positions)} recorded"
             )
         pos = self._assistant_positions[self._next]
-        recorded_prefix = self.recorded.turns[:pos]
-        if shape_digest(turns) != shape_digest(recorded_prefix):
+        recorded = [(t.role, t.tool_name) for t in self.recorded.turns[:pos]]
+        if [(t.role, t.tool_name) for t in turns] != recorded:
             raise ReplayDivergenceError(
                 f"replay divergence before assistant turn {self._next}: "
                 "conversation shape differs from recording"
@@ -175,19 +161,22 @@ class ReplayBackend(LLMBackend):
         return estimate_tokens(turn.content)
 
 
+API_KEY_ENV = "ARGUS_API_KEY"
+LIVE_TIMEOUT_S = 60.0
+
+
 class LiveHttpBackend(LLMBackend):
     """Minimal chat-completions client; endpoint and key are configuration.
 
-    The API key is read from the named environment variable at call time;
-    no key material is ever persisted.
+    The API key is read from ``ARGUS_API_KEY`` at call time; no key
+    material is ever persisted. An answer whose content is not a string,
+    or whose ``usage.completion_tokens`` is not a count, is a
+    :class:`BackendError`; without a count the completion is estimated.
     """
 
-    def __init__(self, endpoint: str, model: str, api_key_env: str = "ARGUS_API_KEY",
-                 timeout: float = 60.0):
+    def __init__(self, endpoint: str, model: str):
         self.endpoint = endpoint
         self.model = model
-        self.api_key_env = api_key_env
-        self.timeout = timeout
         self.model_tag = model
 
     def complete(self, turns: Sequence[ChatTurn]) -> ChatTurn:
@@ -195,9 +184,9 @@ class LiveHttpBackend(LLMBackend):
         import urllib.error
         import urllib.request
 
-        key = os.environ.get(self.api_key_env)
+        key = os.environ.get(API_KEY_ENV)
         if not key:
-            raise BackendError(f"environment variable {self.api_key_env} is not set")
+            raise BackendError(f"environment variable {API_KEY_ENV} is not set")
         messages = [
             {"role": t.role.value, "content": t.content} for t in turns
         ]
@@ -208,19 +197,22 @@ class LiveHttpBackend(LLMBackend):
             method="POST",
         )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+            with urllib.request.urlopen(request, timeout=LIVE_TIMEOUT_S) as resp:
                 doc = json.load(resp)
             text = doc["choices"][0]["message"]["content"]
-            usage = doc.get("usage", {})
+            usage = doc.get("usage")
+            count = None if usage is None else usage.get("completion_tokens")
         except Exception as exc:  # noqa: BLE001 - surfaced with partial transcript
             if isinstance(exc, urllib.error.HTTPError):
                 exc.close()  # an HTTP error holds the open response
             raise BackendError(f"live backend call failed: {exc}") from exc
-        return ChatTurn(
-            Role.ASSISTANT,
-            text,
-            token_count=int(usage.get("completion_tokens", estimate_tokens(text))),
-        )
+        if not isinstance(text, str):
+            raise BackendError(f"live backend answer content is not a string: {text!r}")
+        if count is None:
+            count = estimate_tokens(text)
+        elif type(count) is not int or count < 0:
+            raise BackendError(f"live backend completion_tokens is not a count: {count!r}")
+        return ChatTurn(Role.ASSISTANT, text, token_count=count)
 
 
 ToolFn = Callable[[dict], str]
@@ -258,17 +250,13 @@ def run_react_loop(
     def total_tokens() -> int:
         return transcript.total_prompt_tokens + transcript.total_completion_tokens
 
-    steps = 0
-    while steps < budget.max_steps:
-        steps += 1
+    for _ in range(budget.max_steps):
         assistant = backend.complete(turns)
         turns.append(assistant)
 
         if total_tokens() > budget.max_tokens:
             return AgentOutcome(
                 final_payload="",
-                steps_taken=steps,
-                budget_exhausted=True,
                 transcript=transcript,
                 stop_reason="token-exhaustion",
                 token_overshoot=total_tokens() - budget.max_tokens,
@@ -276,12 +264,7 @@ def run_react_loop(
 
         final = _FINAL_BLOCK.search(assistant.content)
         if final:
-            return AgentOutcome(
-                final_payload=final.group(1).strip(),
-                steps_taken=steps,
-                budget_exhausted=False,
-                transcript=transcript,
-            )
+            return AgentOutcome(final.group(1).strip(), transcript)
         tool = _TOOL_BLOCK.search(assistant.content)
         if tool:
             name, raw_args = tool.group(1), tool.group(2)
@@ -300,8 +283,6 @@ def run_react_loop(
 
     return AgentOutcome(
         final_payload="",
-        steps_taken=steps,
-        budget_exhausted=True,
         transcript=transcript,
         stop_reason="step-exhaustion",
     )

@@ -59,7 +59,6 @@ class DependencyRecord:
 
 @dataclass
 class UsageRecord:
-    dependency: DependencyRecord
     node_ids: list[str] = field(default_factory=list)
 
     @property
@@ -198,5 +197,4 @@ def find_usages(graph: ProgramGraph, dep: DependencyRecord) -> UsageRecord:
     """Collect all content nodes whose label is the dependency's package
     prefix or lies under it (the prefix followed by ``.``), in
     lexicographic id order."""
-    node_ids = graph.label_index().under(dep.package_prefix)
-    return UsageRecord(dependency=dep, node_ids=node_ids)
+    return UsageRecord(graph.label_index().under(dep.package_prefix))

@@ -7,9 +7,9 @@ declarations, and call edges. A data flow is an ordered list of
 (from_node, edge, to_node) triples whose consecutive endpoints chain
 together; the flow length is strictly bounded by the configured maximum.
 
-Graphs are immutable after load and safe for concurrent reads: the lazily
-built indexes are pure functions of the graph, so a build that two threads
-race on yields equal tables.
+Graphs are immutable after load. The incoming-edge and label indexes are
+built on first use; an overlay from :meth:`ProgramGraph.with_sinks` shares
+the ones its parent built before it.
 
 The graph's element classes are frozen, slotted dataclasses, and every edge
 without guard tags shares one empty frozenset, so a loaded graph leaves few
@@ -206,17 +206,6 @@ class LabelIndex:
         )
 
 
-class _SharedIndexes:
-    """Indexes built on first use from edges and labels alone, so a graph and
-    its :meth:`ProgramGraph.with_sinks` overlays can share them."""
-
-    __slots__ = ("incoming", "labels")
-
-    def __init__(self):
-        self.incoming: Optional[dict[str, tuple[AccessPathEdge, ...]]] = None
-        self.labels: Optional[LabelIndex] = None
-
-
 class ProgramGraph:
     """Immutable program graph with id-indexed lookups.
 
@@ -226,8 +215,8 @@ class ProgramGraph:
     more than one edge is then sorted by edge id. The incoming-edge index,
     the label index and the per-role node lists are built on first use, so
     load pays for none of them. :meth:`with_sinks` returns an overlay with
-    its own node table that shares every other table and index with its
-    parent.
+    its own node table that shares every other table with its parent, and
+    the indexes its parent built before it.
     """
 
     def __init__(
@@ -259,7 +248,9 @@ class ProgramGraph:
         self._out: dict[str, tuple[AccessPathEdge, ...]] = {
             src: tuple(es) for src, es in by_src.items()
         }
-        self._shared = _SharedIndexes()
+        # Built from edges and labels alone, so an overlay can share them.
+        self._incoming: Optional[dict[str, tuple[AccessPathEdge, ...]]] = None
+        self._labels: Optional[LabelIndex] = None
         # Roles change in an overlay, so these lists are never shared.
         self._by_role: dict[TaintRole, tuple[ContentNode, ...]] = {}
 
@@ -322,20 +313,18 @@ class ProgramGraph:
     def incoming(self, node_id: str) -> tuple[AccessPathEdge, ...]:
         """Edges into ``node_id``. The index is built on the first call, so
         graphs no search walks backwards never pay for it."""
-        shared = self._shared
-        if shared.incoming is None:
+        if self._incoming is None:
             by_dst: dict[str, list[AccessPathEdge]] = {}
             for e in self.edges.values():
                 by_dst.setdefault(e.dst, []).append(e)
-            shared.incoming = {dst: tuple(es) for dst, es in by_dst.items()}
-        return shared.incoming.get(node_id, ())
+            self._incoming = {dst: tuple(es) for dst, es in by_dst.items()}
+        return self._incoming.get(node_id, ())
 
     def label_index(self) -> LabelIndex:
         """The label index, built on the first call."""
-        shared = self._shared
-        if shared.labels is None:
-            shared.labels = LabelIndex(self.nodes.values())
-        return shared.labels
+        if self._labels is None:
+            self._labels = LabelIndex(self.nodes.values())
+        return self._labels
 
     def nodes_by_role(self, role: TaintRole) -> list[ContentNode]:
         """The nodes with ``role`` in id order, as a new list; the first call
@@ -355,8 +344,9 @@ class ProgramGraph:
         role ``NONE`` are marked: nodes already marked, sources and
         sanitizers keep their role. Unknown ids are ignored. The overlay
         gets its own node table, in the same order, and shares every other
-        table and index with this graph, which is left unchanged; marking
-        a sink changes no label and no edge, so nothing is checked again.
+        table with this graph, which is left unchanged, as well as the
+        indexes this graph has built so far; marking a sink changes no label
+        and no edge, so nothing is checked again.
         """
         overlay = copy.copy(self)
         overlay.nodes = nodes = dict(self.nodes)

@@ -61,7 +61,6 @@ from argus.model import (
 from argus.poc import (
     CandidateOrigin,
     PoCArtifact,
-    SinkCandidate,
     derive_sink_candidates,
     generate_poc,
     load_sink_registry,
@@ -447,27 +446,24 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
             poc_transcripts.append(artifact.transcript)
         report.poc_artifacts.append(artifact.to_dict())
 
-    # Stage 4: sink assembly.
-    candidates: list[SinkCandidate] = list(registry_sink_candidates(graph, registry))
+    # Stage 4: sink assembly. A node claimed by both origins is attributed
+    # to the static registry: the agentic path only gets credit for sinks
+    # static tooling lacks. A node's advisory is the first, in id order,
+    # whose PoC names it.
+    sink_origin: dict[str, CandidateOrigin] = {}
+    sink_kind: dict[str, str] = {}
+    for cand in registry_sink_candidates(graph, registry):
+        for node_id in cand.matched_node_ids:
+            sink_origin[node_id] = cand.origin
+            sink_kind[node_id] = cand.sink_kind
     candidate_advisory: dict[str, str] = {}
     for adv_id in sorted(pocs):
         for cand in derive_sink_candidates(pocs[adv_id], graph):
-            candidates.append(cand)
             for node_id in cand.matched_node_ids:
                 candidate_advisory.setdefault(node_id, adv_id)
-
-    # A node claimed by both origins is attributed to the static registry:
-    # the agentic path only gets credit for sinks static tooling lacks.
-    sink_origin: dict[str, CandidateOrigin] = {}
-    sink_kind: dict[str, str] = {}
-    for cand in candidates:
-        for node_id in cand.matched_node_ids:
-            if cand.origin == CandidateOrigin.STATIC_REGISTRY:
-                sink_origin[node_id] = CandidateOrigin.STATIC_REGISTRY
-                sink_kind[node_id] = cand.sink_kind
-            elif node_id not in sink_origin:
-                sink_origin[node_id] = cand.origin
-                sink_kind[node_id] = cand.sink_kind
+                if node_id not in sink_origin:
+                    sink_origin[node_id] = cand.origin
+                    sink_kind[node_id] = cand.sink_kind
     # Sinks already marked in the graph count as statically known.
     for node in graph.nodes_by_role(TaintRole.SINK):
         sink_origin.setdefault(node.id, CandidateOrigin.STATIC_REGISTRY)

@@ -94,17 +94,11 @@ class CandidateOrigin(str, Enum):
     STATIC_REGISTRY = "static_registry"
 
 
-class MatchConfidence(str, Enum):
-    EXACT = "exact"
-    FUZZY = "fuzzy"
-
-
 @dataclass(frozen=True)
 class SinkCandidate:
     callable_name: str
     matched_node_ids: tuple[str, ...]
     origin: CandidateOrigin
-    confidence: MatchConfidence
     sink_kind: str = "unknown"
 
 
@@ -130,14 +124,16 @@ def generate_poc(
 
 
 def parse_poc_payload(advisory: AdvisoryRecord, payload: str) -> PoCArtifact:
+    """The artifact a PoC answer describes. The answer must be a JSON
+    object whose fields, where present, are strings (an absent field is
+    ``""``) and not all empty; any other answer gives a rejected artifact
+    that keeps the raw payload."""
     try:
         doc = json.loads(payload)
-        if not isinstance(doc, dict):
-            raise ValueError("payload is not a JSON object")
-        fields = {k: str(doc.get(k, "")) for k in _POC_FIELDS}
-    except (json.JSONDecodeError, ValueError):
-        return PoCArtifact(advisory=advisory, status=PoCStatus.REJECTED, raw_payload=payload)
-    if not any(fields.values()):
+    except json.JSONDecodeError:
+        doc = None
+    fields = {k: doc.get(k, "") for k in _POC_FIELDS} if isinstance(doc, dict) else {}
+    if not all(isinstance(v, str) for v in fields.values()) or not any(fields.values()):
         return PoCArtifact(advisory=advisory, status=PoCStatus.REJECTED, raw_payload=payload)
     complete = all(fields[k] for k in _POC_FIELDS)
     status = PoCStatus.VERIFIED if complete else PoCStatus.PLAUSIBLE
@@ -152,34 +148,21 @@ def extract_callable_names(*texts: str) -> list[str]:
     return sorted(names)
 
 
-def _match_label(graph: ProgramGraph, name: str) -> tuple[MatchConfidence, tuple[str, ...]]:
+def _match_label(graph: ProgramGraph, name: str) -> tuple[str, ...]:
     """Sorted ids of the nodes labelled exactly ``name``; failing those,
     of the nodes whose label ends in the dot-segments of ``name``."""
     labels = graph.label_index()
-    exact_ids = labels.exact(name)
-    if exact_ids:
-        return MatchConfidence.EXACT, tuple(exact_ids)
-    return MatchConfidence.FUZZY, tuple(labels.ending(name))
+    return tuple(labels.exact(name) or labels.ending(name))
 
 
 def derive_sink_candidates(poc: PoCArtifact, graph: ProgramGraph) -> list[SinkCandidate]:
-    """Bind callable names mentioned by a PoC to graph nodes.
-
-    Exact label matches come first, then suffix (fuzzy) matches; names
-    with no match are retained with an empty node list so they can still
-    seed downstream registry matching.
-    """
-    exact: list[SinkCandidate] = []
-    fuzzy: list[SinkCandidate] = []
-    for name in extract_callable_names(poc.trigger_code, poc.code_pattern):
-        confidence, node_ids = _match_label(graph, name)
-        (exact if confidence == MatchConfidence.EXACT else fuzzy).append(SinkCandidate(
-            callable_name=name,
-            matched_node_ids=node_ids,
-            origin=CandidateOrigin.ADVISORY_POC,
-            confidence=confidence,
-        ))
-    return exact + fuzzy
+    """Bind callable names mentioned by a PoC to graph nodes: one candidate
+    per name, in name order. A name with no match keeps its candidate,
+    with no node ids."""
+    return [
+        SinkCandidate(name, _match_label(graph, name), CandidateOrigin.ADVISORY_POC)
+        for name in extract_callable_names(poc.trigger_code, poc.code_pattern)
+    ]
 
 
 def load_sink_registry(path: Optional[str] = None) -> dict[str, list[str]]:
@@ -219,13 +202,9 @@ def registry_sink_candidates(
     out: list[SinkCandidate] = []
     for sink_kind in sorted(registry):
         for name in sorted(registry[sink_kind]):
-            confidence, node_ids = _match_label(graph, name)
+            node_ids = _match_label(graph, name)
             if node_ids:
                 out.append(SinkCandidate(
-                    callable_name=name,
-                    matched_node_ids=node_ids,
-                    origin=CandidateOrigin.STATIC_REGISTRY,
-                    confidence=confidence,
-                    sink_kind=sink_kind,
+                    name, node_ids, CandidateOrigin.STATIC_REGISTRY, sink_kind
                 ))
     return out

@@ -205,12 +205,6 @@ def _steps(flow: DataFlow, graph: ProgramGraph, shared: dict) -> list[_Step]:
     return steps
 
 
-def rule_hop_assessments(flow: DataFlow, graph: ProgramGraph) -> list[HopAssessment]:
-    """One assessment per triple, derived from guard tags and
-    sanitizer-adjacent nodes."""
-    return [s.hop(i) for i, s in enumerate(_steps(flow, graph, {}), start=1)]
-
-
 REVIEW_SYSTEM_PROMPT = (
     "You audit candidate taint flows hop by hop. For each hop report how "
     "taint enters, the content and path involved, and whether validation, "
@@ -267,7 +261,8 @@ def review_flow(
     and a three-way verdict.
 
     The hops come from ``backend`` when one is given and its answer fits
-    the schema, else from :func:`rule_hop_assessments` (recorded as
+    the schema, else from the rules: one assessment per step, from its
+    edge's guard tags and its sanitizer endpoints (recorded as
     ``fell_back_to_rule`` when a backend was given). The verdict is
     refuted when a fatal construct or fatal neutralization exists;
     confirmed when the flow is reachable, every hop is clean, no edge is

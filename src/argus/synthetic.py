@@ -83,7 +83,6 @@ class HiddenChainFixture:
     graph: ProgramGraph
     source_id: str
     sink_id: str
-    leaf_function: str
 
 
 def hidden_chain_graph(
@@ -187,5 +186,4 @@ def hidden_chain_graph(
         graph=graph,
         source_id=entry_nodes[0],
         sink_id=nid(depth, "sink"),
-        leaf_function="f0",
     )

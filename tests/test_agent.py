@@ -8,6 +8,7 @@ import pytest
 from argus.agent import (
     Budget,
     ChatTurn,
+    LIVE_TIMEOUT_S,
     LiveHttpBackend,
     ReplayBackend,
     Role,
@@ -26,19 +27,21 @@ TOOL = '```tool lookup\n{"key": "a"}\n```'
 RAMBLE = "let me think about this some more"
 
 
+def assistant_turns(outcome):
+    return sum(t.role == Role.ASSISTANT for t in outcome.transcript.turns)
+
+
 def test_stub_immediate_final():
     outcome = run_react_loop("sys", "task", {}, ScriptedStubBackend([FINAL]))
     assert outcome.final_payload == '{"answer": 42}'
-    assert outcome.steps_taken == 1
-    assert not outcome.budget_exhausted
+    assert assistant_turns(outcome) == 1
     assert outcome.stop_reason == "final-answer"
 
 
 def test_stub_never_final_exhausts_steps():
     backend = ScriptedStubBackend([RAMBLE])
     outcome = run_react_loop("sys", "task", {}, backend, Budget(max_steps=3))
-    assert outcome.steps_taken == 3
-    assert outcome.budget_exhausted
+    assert assistant_turns(outcome) == 3
     assert outcome.stop_reason == "step-exhaustion"
     assert outcome.final_payload == ""
 
@@ -81,7 +84,6 @@ def test_token_budget_exhaustion_records_overshoot():
     backend = ScriptedStubBackend([long])
     outcome = run_react_loop("sys", "task", {}, backend, Budget(max_steps=10, max_tokens=20))
     assert outcome.stop_reason == "token-exhaustion"
-    assert outcome.budget_exhausted
     assert outcome.token_overshoot > 0
 
 
@@ -99,7 +101,8 @@ def test_replay_reproduces_run_exactly():
     replay = ReplayBackend(first.transcript)
     second = run_react_loop("sys", "task", {"lookup": lambda a: "v"}, replay)
     assert second.final_payload == first.final_payload
-    assert second.steps_taken == first.steps_taken
+    assert assistant_turns(second) == assistant_turns(first)
+    assert second.stop_reason == first.stop_reason == "final-answer"
     assert [t.content for t in second.transcript.turns] == \
         [t.content for t in first.transcript.turns]
     assert [t.token_count for t in second.transcript.turns] == \
@@ -117,6 +120,33 @@ def test_replay_diverging_shape_raises():
         run_react_loop("sys", "task", {}, replay, Budget(max_steps=10))
         # replay has 2 assistant turns; a third request must fail
         replay.complete(first.transcript.turns)
+
+
+def recorded_with(turns):
+    """A recording of ``record_run`` whose turns ``turns`` rewrites."""
+    recorded = record_run().transcript
+    return Transcript(turns=turns(recorded.turns), model_tag=recorded.model_tag)
+
+
+SHAPE_DIFFERS = "conversation shape differs from recording"
+
+
+def test_replay_extra_recorded_turn_raises():
+    # The recording has a second user turn before its first assistant turn.
+    replay = ReplayBackend(recorded_with(lambda turns: turns[:2] + turns[1:]))
+    with pytest.raises(ReplayDivergenceError, match=SHAPE_DIFFERS):
+        run_react_loop("sys", "task", {"lookup": lambda a: "v"}, replay)
+
+
+def test_replay_other_tool_name_raises():
+    # The recording's tool turn is named "other"; the live loop calls "lookup".
+    def rename_tool(turns):
+        return [ChatTurn(t.role, t.content, "other", t.token_count) if t.role == Role.TOOL
+                else t for t in turns]
+
+    replay = ReplayBackend(recorded_with(rename_tool))
+    with pytest.raises(ReplayDivergenceError, match=SHAPE_DIFFERS):
+        run_react_loop("sys", "task", {"lookup": lambda a: "v"}, replay)
 
 
 def test_replay_exhaustion_raises():
@@ -229,10 +259,10 @@ def test_live_backend_posts_the_conversation(monkeypatch):
 
     monkeypatch.setenv("ARGUS_API_KEY", "k123")
     monkeypatch.setattr("urllib.request.urlopen", urlopen)
-    turn = LiveHttpBackend(ENDPOINT, "m1", timeout=7.0).complete(TURNS)
+    turn = LiveHttpBackend(ENDPOINT, "m1").complete(TURNS)
     assert (turn.role, turn.content, turn.token_count) == (Role.ASSISTANT, "reply", 5)
     [(request, timeout)] = sent
-    assert (request.full_url, request.get_method(), timeout) == (ENDPOINT, "POST", 7.0)
+    assert (request.full_url, request.get_method(), timeout) == (ENDPOINT, "POST", LIVE_TIMEOUT_S)
     assert request.get_header("Authorization") == "Bearer k123"
     assert request.get_header("Content-type") == "application/json"
     assert json.loads(request.data) == {
@@ -264,3 +294,35 @@ def test_live_backend_http_error_is_a_backend_error(monkeypatch):
     with pytest.raises(BackendError, match="503"):
         LiveHttpBackend(ENDPOINT, "m1").complete(TURNS)
     assert responses[0].closed
+
+
+def answering(monkeypatch, answer):
+    """Make every live call get ``answer``, as JSON, from the endpoint."""
+    def urlopen(request, timeout):
+        return io.BytesIO(json.dumps(answer).encode("utf-8"))
+
+    monkeypatch.setenv("ARGUS_API_KEY", "k123")
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+
+
+@pytest.mark.parametrize("usage", [{"usage": None}, {"usage": {"completion_tokens": None}}],
+                         ids=["usage-null", "count-null"])
+def test_live_backend_without_a_count_estimates_it(monkeypatch, usage):
+    answering(monkeypatch, {"choices": [{"message": {"content": "two words"}}], **usage})
+    assert LiveHttpBackend(ENDPOINT, "m1").complete(TURNS).token_count == 2
+
+
+@pytest.mark.parametrize("answer", [
+    {"choices": [{"message": {"content": None}}]},
+    {"choices": [{"message": {"content": ["reply"]}}]},
+    {"choices": [{"message": {"content": "reply"}}], "usage": [1]},
+    {"choices": [{"message": {"content": "reply"}}], "usage": {"completion_tokens": "abc"}},
+    {"choices": [{"message": {"content": "reply"}}], "usage": {"completion_tokens": -3}},
+    {"choices": [{"message": {"content": "reply"}}], "usage": {"completion_tokens": 2.5}},
+    {"choices": [{"message": {"content": "reply"}}], "usage": {"completion_tokens": True}},
+], ids=["content-null", "content-list", "usage-list", "count-str", "count-negative",
+        "count-float", "count-bool"])
+def test_live_backend_malformed_answer_is_a_backend_error(monkeypatch, answer):
+    answering(monkeypatch, answer)
+    with pytest.raises(BackendError, match="live backend"):
+        LiveHttpBackend(ENDPOINT, "m1").complete(TURNS)

@@ -23,7 +23,7 @@ from argus.model import (
     load_program_graph,
     validate_flow,
 )
-from argus.poc import MatchConfidence, _match_label
+from argus.poc import _match_label
 from argus.synthetic import hidden_chain_graph, random_graph
 from tests.conftest import fixture_path
 
@@ -213,11 +213,9 @@ def _naive_usages(graph, prefix):
 def _naive_match(graph, name):
     exact = sorted(n.id for n in graph.nodes.values() if n.label == name)
     if exact:
-        return MatchConfidence.EXACT, tuple(exact)
+        return tuple(exact)
     dotted = "." + name
-    return MatchConfidence.FUZZY, tuple(
-        sorted(n.id for n in graph.nodes.values() if n.label.endswith(dotted))
-    )
+    return tuple(sorted(n.id for n in graph.nodes.values() if n.label.endswith(dotted)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -265,6 +263,9 @@ def test_with_sinks_overlay_marks_only_unmarked_nodes():
     roles_before = {n.id: (n.taint_role, n.sink_kind) for n in graph.nodes.values()}
     # Fill the parent's role lists first: the overlay must not inherit them.
     assert [n.id for n in graph.nodes_by_role(TaintRole.SINK)] == ["old"]
+    # Build the parent's label index first, as a scan does: the overlay
+    # shares the indexes its parent built before it.
+    labels = graph.label_index()
     overlay = graph.with_sinks(
         {"a": "command-exec", "src": "x", "san": "x", "old": "x", "ghost": "x"}
     )
@@ -281,7 +282,7 @@ def test_with_sinks_overlay_marks_only_unmarked_nodes():
         assert overlay.outgoing(node_id) == graph.outgoing(node_id)
         assert overlay.incoming(node_id) == graph.incoming(node_id)
     assert overlay.edges is graph.edges
-    assert overlay.label_index() is graph.label_index()
+    assert overlay.label_index() is labels
 
     assert [n.id for n in overlay.nodes_by_role(TaintRole.SINK)] == ["a", "old"]
     assert [n.id for n in graph.nodes_by_role(TaintRole.SINK)] == ["old"]

@@ -334,6 +334,25 @@ def test_llm_review_runs_on_every_llm_backend(tmp_path, capsys, monkeypatch):
     assert report.token_usage["per_stage"]["review"] == {"prompt": 0, "completion": 0}
 
 
+def test_malformed_live_review_answer_costs_only_the_llm_review(monkeypatch):
+    # The endpoint answers with a null content: each flow's review call
+    # fails as a backend error, and the flow is reviewed by rules.
+    def urlopen(request, timeout):
+        return io.BytesIO(b'{"choices": [{"message": {"content": null}}]}')
+
+    monkeypatch.setenv("ARGUS_API_KEY", "k123")
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    live = publiccms_config(llm="live", review_mode="llm", manifest_paths=[],
+                            live_llm_endpoint="http://localhost:9", live_llm_model="m")
+    report = run_pipeline(live)
+    assert report.findings
+    assert all(f.verdict.mode == ReviewMode.RULE for f in report.findings)
+    assert len(report.stage_errors) == len(report.findings)
+    for f, error in zip(report.findings, sorted(report.stage_errors)):
+        assert error.startswith(f"review {f.sink_id}: ")
+        assert "not a string" in error
+
+
 def test_config_digest_stable_and_sensitive():
     a, b = datagear_config(), datagear_config()
     assert a.digest() == b.digest()

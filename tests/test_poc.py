@@ -7,7 +7,6 @@ from argus.agent import ScriptedStubBackend
 from argus.model import load_program_graph
 from argus.poc import (
     CandidateOrigin,
-    MatchConfidence,
     PoCArtifact,
     PoCStatus,
     derive_sink_candidates,
@@ -66,6 +65,20 @@ def test_empty_object_payload_rejected():
     assert art.status == PoCStatus.REJECTED
 
 
+@pytest.mark.parametrize("field, value", [
+    ("patch", None),
+    ("trigger_code", ["com.x.Y.run"]),
+    ("root_cause", 5),
+    ("explanation", {"why": "e"}),
+])
+def test_non_string_field_rejected_with_raw_preserved(field, value):
+    payload = json.dumps({**FULL_PAYLOAD, field: value})
+    art = parse_poc_payload(advisory(), payload)
+    assert art.status == PoCStatus.REJECTED
+    assert art.raw_payload == payload
+    assert (art.trigger_code, art.patch) == ("", "")
+
+
 def test_verified_invariant_enforced():
     with pytest.raises(ValueError):
         PoCArtifact(advisory=advisory(), status=PoCStatus.VERIFIED)
@@ -104,10 +117,9 @@ def test_derive_exact_match():
     graph = load_program_graph(fixture_path("publiccms_mini", "graph.json"))
     poc = poc_with(pattern="javax.xml.parsers.DocumentBuilderFactory.newInstance")
     cands = derive_sink_candidates(poc, graph)
-    exact = [c for c in cands if c.confidence == MatchConfidence.EXACT]
-    assert len(exact) == 1
-    assert exact[0].matched_node_ids == ("n_newinst",)
-    assert exact[0].origin == CandidateOrigin.ADVISORY_POC
+    assert len(cands) == 1
+    assert cands[0].matched_node_ids == ("n_newinst",)
+    assert cands[0].origin == CandidateOrigin.ADVISORY_POC
 
 
 def test_derive_fuzzy_suffix_match():
@@ -116,7 +128,6 @@ def test_derive_fuzzy_suffix_match():
     cands = derive_sink_candidates(poc, graph)
     fuzzy = [c for c in cands if c.matched_node_ids]
     assert len(fuzzy) == 1
-    assert fuzzy[0].confidence == MatchConfidence.FUZZY
     assert fuzzy[0].matched_node_ids == ("n_eval",)
 
 

@@ -25,7 +25,6 @@ from argus.review import (
     Neutralization,
     ReviewMode,
     review_flow,
-    rule_hop_assessments,
 )
 from argus.synthetic import random_graph
 from tests.conftest import fixture_path
@@ -112,7 +111,7 @@ def test_sanitizer_adjacent_node_neutralizes():
     e2 = AccessPathEdge("e2", "san", "t", EdgeKind.ASSIGN)
     graph = ProgramGraph(nodes, [e1, e2], [FunctionDecl("f1", "f1")])
     flow = DataFlow(triples=(FlowTriple("s", e1, "san"), FlowTriple("san", e2, "t")))
-    hops = rule_hop_assessments(flow, graph)
+    hops = review_flow(flow, graph).hops
     assert hops[0].neutralization == Neutralization.SANITIZATION
     assert "sanitizer" in hops[0].justification
 
@@ -124,7 +123,7 @@ def test_hop_assessment_invariant():
 
 def test_hop_descriptions_mention_bridged_gap():
     graph, flow = build(bridged=True)
-    hops = rule_hop_assessments(flow, graph)
+    hops = review_flow(flow, graph).hops
     assert "bridged gap" in hops[1].entry_description
 
 
@@ -191,7 +190,7 @@ def test_llm_mistyped_field_falls_back(field, value):
     rows[0][field] = value
     verdict = review_flow(flow, graph, backend=ScriptedStubBackend([final_block(rows)]))
     assert verdict.fell_back_to_rule
-    assert verdict.hops == rule_hop_assessments(flow, graph)
+    assert verdict.hops == review_flow(flow, graph).hops
     assert verdict.final_status == FinalStatus.CONFIRMED
 
 
