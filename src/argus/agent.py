@@ -326,13 +326,16 @@ def load_transcript(path) -> Transcript:
                 raise TypeError(f"content must be a string, got {raw['content']!r}")
             if not isinstance(raw.get("tool_name"), (str, type(None))):
                 raise TypeError(f"tool_name must be a string or null, got {raw['tool_name']!r}")
+            count = raw.get("token_count", 0)
+            if type(count) is not int:
+                raise TypeError(f"token_count must be an integer, got {count!r}")
             turns.append(ChatTurn(
                 role=Role(raw.get("role")),
                 content=raw["content"],
                 tool_name=raw.get("tool_name"),
-                token_count=int(raw.get("token_count", 0)),
+                token_count=count,
             ))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(
                 f"{path}: line {no}: malformed turn: {type(exc).__name__}: {exc}"
             ) from exc

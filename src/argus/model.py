@@ -166,31 +166,38 @@ def _by_id(items: Iterable, what: str) -> dict:
     return table
 
 
-def _columns(pairs: list[tuple[str, str]]) -> tuple[list[str], list[str]]:
-    return [a for a, _ in pairs], [b for _, b in pairs]
-
-
 class LabelIndex:
     """Node ids by label, for exact, dotted-prefix and dotted-suffix lookups.
 
-    Holds the (label, id) pairs sorted by label, then id, and the same pairs
-    with each label reversed, sorted the same way, each as two parallel
-    columns. Every lookup is one or two bisect ranges and returns sorted ids.
-    The ranges use that ``"/"`` is the code point right after ``"."``: a
-    label starts with ``p + "."`` iff it lies in ``[p + ".", p + "/")``.
+    Holds the nodes' labels in one stable sort by label, with their ids as a
+    parallel column, and a dict from each label's last dot-segment to its
+    positions in those columns. An exact or prefix lookup is one or two
+    bisect ranges over the labels; the prefix ranges use that ``"/"`` is the
+    code point right after ``"."``: a label starts with ``p + "."`` iff it
+    lies in ``[p + ".", p + "/")``. A suffix lookup reads only the labels
+    that share the name's last segment. Every lookup returns sorted ids.
     """
 
     def __init__(self, nodes: Iterable[ContentNode]):
-        pairs = sorted((n.label, n.id) for n in nodes)
-        self._labels, self._ids = _columns(pairs)
-        self._reversed, self._reversed_ids = _columns(
-            sorted((label[::-1], node_id) for label, node_id in pairs)
-        )
+        ordered = sorted(nodes, key=attrgetter("label"))
+        self._labels = labels = [n.label for n in ordered]
+        self._ids = [n.id for n in ordered]
+        by_last: dict[str, list[int]] = {}
+        for pos, label in enumerate(labels):
+            by_last.setdefault(label.rpartition(".")[2], []).append(pos)
+        self._by_last = by_last
 
     def exact(self, name: str) -> list[str]:
         """Ids of the nodes labelled ``name``."""
         labels = self._labels
-        return self._ids[bisect_left(labels, name):bisect_right(labels, name)]
+        lo = bisect_left(labels, name)
+        if lo == len(labels) or labels[lo] != name:
+            return []
+        hi = bisect_right(labels, name, lo)
+        ids = self._ids[lo:hi]
+        if hi - lo > 1:
+            ids.sort()
+        return ids
 
     def under(self, prefix: str) -> list[str]:
         """Ids of the nodes labelled ``prefix`` or ``prefix`` + ``"."`` + anything."""
@@ -200,10 +207,14 @@ class LabelIndex:
 
     def ending(self, name: str) -> list[str]:
         """Ids of the nodes whose label ends in ``"."`` + ``name``."""
-        rev, labels = name[::-1], self._reversed
-        return sorted(
-            self._reversed_ids[bisect_left(labels, rev + "."):bisect_left(labels, rev + "/")]
-        )
+        positions = self._by_last.get(name.rpartition(".")[2])
+        if positions is None:
+            return []
+        dotted, labels, ids = "." + name, self._labels, self._ids
+        found = [ids[p] for p in positions if labels[p].endswith(dotted)]
+        if len(found) > 1:
+            found.sort()
+        return found
 
 
 class ProgramGraph:
@@ -214,9 +225,12 @@ class ProgramGraph:
     edges are bucketed by source in document order, and each bucket of
     more than one edge is then sorted by edge id. The incoming-edge index,
     the label index and the per-role node lists are built on first use, so
-    load pays for none of them. :meth:`with_sinks` returns an overlay with
-    its own node table that shares every other table with its parent, and
-    the indexes its parent built before it.
+    load pays for none of them. The incoming-edge index keeps one list of
+    edges per target, in document order, and :meth:`incoming` returns a
+    tuple copy of the one bucket asked for, so no caller can change it.
+    :meth:`with_sinks` returns an overlay with its own node table that
+    shares every other table with its parent, and the indexes its parent
+    built before it.
     """
 
     def __init__(
@@ -249,7 +263,7 @@ class ProgramGraph:
             src: tuple(es) for src, es in by_src.items()
         }
         # Built from edges and labels alone, so an overlay can share them.
-        self._incoming: Optional[dict[str, tuple[AccessPathEdge, ...]]] = None
+        self._incoming: Optional[dict[str, list[AccessPathEdge]]] = None
         self._labels: Optional[LabelIndex] = None
         # Roles change in an overlay, so these lists are never shared.
         self._by_role: dict[TaintRole, tuple[ContentNode, ...]] = {}
@@ -311,14 +325,15 @@ class ProgramGraph:
         return self._out.get(node_id, ())
 
     def incoming(self, node_id: str) -> tuple[AccessPathEdge, ...]:
-        """Edges into ``node_id``. The index is built on the first call, so
-        graphs no search walks backwards never pay for it."""
+        """Edges into ``node_id``, in document order. The index is built on
+        the first call, so graphs no search walks backwards never pay for
+        it; only the buckets a search reads are copied."""
         if self._incoming is None:
             by_dst: dict[str, list[AccessPathEdge]] = {}
             for e in self.edges.values():
                 by_dst.setdefault(e.dst, []).append(e)
-            self._incoming = {dst: tuple(es) for dst, es in by_dst.items()}
-        return self._incoming.get(node_id, ())
+            self._incoming = by_dst
+        return tuple(self._incoming.get(node_id, ()))
 
     def label_index(self) -> LabelIndex:
         """The label index, built on the first call."""

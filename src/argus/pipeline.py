@@ -307,7 +307,14 @@ def _safe_name(text: str) -> str:
 def recover_flows(graph: ProgramGraph, sink_id: str, config: PipelineConfig) -> StitchResult:
     """Backward recovery for a sink forward search cannot reach: grow the
     sink's caller tree, search forward to the call sites at its leaves and
-    stitch the flows found there back onto the sink."""
+    stitch the flows found there back onto the sink. A sink that belongs
+    to no function has no caller tree: its recovery is skipped, with that
+    reason."""
+    sink = graph.nodes.get(sink_id)
+    if sink is not None and sink.function_id is None:
+        return StitchResult(
+            dropped=[f"sink {sink_id!r} belongs to no function; backward recovery skipped"]
+        )
     tree = backward_expand(graph, sink_id, config.max_depth)
     targets = tuple(site for site in promote_surrogates(tree) if site != sink_id)
     if not targets:

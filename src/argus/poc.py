@@ -130,7 +130,7 @@ def parse_poc_payload(advisory: AdvisoryRecord, payload: str) -> PoCArtifact:
     that keeps the raw payload."""
     try:
         doc = json.loads(payload)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
         doc = None
     fields = {k: doc.get(k, "") for k in _POC_FIELDS} if isinstance(doc, dict) else {}
     if not all(isinstance(v, str) for v in fields.values()) or not any(fields.values()):

@@ -224,7 +224,7 @@ def _parse_llm_hops(payload: str, n_triples: int) -> Optional[list[HopAssessment
     whose text fields are strings when present."""
     try:
         doc = json.loads(payload)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
         return None
     if not isinstance(doc, list) or len(doc) != n_triples:
         return None

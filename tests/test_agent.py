@@ -188,6 +188,9 @@ def test_transcript_file_is_jsonl_with_header(tmp_path):
     '{"role": "assistant", "content": null}',
     '{"role": "tool", "content": "x", "tool_name": 7}',
     '{"role": "user", "content": "x", "token_count": Infinity}',
+    '{"role": "user", "content": "x", "token_count": true}',
+    '{"role": "user", "content": "x", "token_count": "7"}',
+    '{"role": "user", "content": "x", "token_count": 2.9}',
 ])
 def test_malformed_transcript_line_names_file_and_line(tmp_path, bad_line):
     path = tmp_path / "t.jsonl"

@@ -16,6 +16,8 @@ from argus.pipeline import PipelineConfig
 from argus.synthetic import hidden_chain_graph
 from tests.conftest import fixture_path
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -286,6 +288,75 @@ def test_malformed_replay_transcript_exit_2(capsys, tmp_path):
     assert code == EXIT_CONFIG_ERROR
     assert err.startswith(f"error: {victim}: line ")
     assert ": not valid JSON: " in err
+
+
+def test_deeply_nested_poc_answer_is_a_rejected_artifact(capsys, tmp_path):
+    replay = tmp_path / "replay"
+    shutil.copytree(fixture_path("datagear_mini", "replay"), replay)
+    victim = sorted(replay.glob("poc__*.jsonl"))[0]
+    rows = [json.loads(line) for line in victim.read_text().splitlines()]
+    for row in rows:
+        if row.get("role") == "assistant":
+            row["content"] = "```final\n" + "[" * 100_000 + "\n```"
+    victim.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    code, _, err = run_cli(
+        capsys, "scan",
+        "--graph", fixture_path("datagear_mini", "graph.json"),
+        "--manifest", fixture_path("datagear_mini", "deps.json"),
+        "--fixtures", fixture_path("datagear_mini", "advisories"),
+        "--llm", f"replay:{replay}",
+        "--out", str(tmp_path / "out"),
+    )
+    # The PoC named the only sink, so without it nothing is confirmed.
+    assert code == EXIT_OK
+    assert err.endswith("sinks=0 flows=0 confirmed=0\n")
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [(p["advisory"], p["status"]) for p in doc["poc_artifacts"]] == [
+        ("CVE-2024-37759", "rejected")
+    ]
+    assert doc["stage_errors"] == []
+
+
+def _with_orphan_sink(tmp_path):
+    """publiccms_mini's graph plus one sink node that belongs to no function
+    and has no flow into it; returns the new graph's path."""
+    with open(fixture_path("publiccms_mini", "graph.json")) as fh:
+        doc = json.load(fh)
+    doc["nodes"].append({
+        "id": "n_orphan_sink", "kind": "variable", "function_id": None,
+        "label": "orphan", "taint_role": "sink", "sink_kind": "sql",
+    })
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+ORPHAN_WARNING = "sink 'n_orphan_sink' belongs to no function; backward recovery skipped"
+
+
+def test_sink_of_no_function_is_skipped_with_a_warning(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys, "scan",
+        "--graph", _with_orphan_sink(tmp_path),
+        "--manifest", fixture_path("publiccms_mini", "pom.xml"),
+        "--fixtures", fixture_path("publiccms_mini", "advisories"),
+        "--llm", "replay:" + fixture_path("publiccms_mini", "replay"),
+        "--out", str(tmp_path / "out"),
+    )
+    with open(os.path.join(GOLDEN, "publiccms_mini", "report.json")) as fh:
+        golden = json.load(fh)
+    assert code == EXIT_OK
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert doc["findings"] == golden["findings"]
+    assert doc["warnings"] == golden["warnings"] + [ORPHAN_WARNING]
+    assert doc["stage_errors"] == golden["stage_errors"]
+
+    code, out, err = run_cli(
+        capsys, "flows", "--graph", str(tmp_path / "graph.json"), "--sink", "n_orphan_sink"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out) == {"forward": [], "stitched": []}
+    assert err.splitlines() == [f"warning: {ORPHAN_WARNING}"]
 
 
 def test_non_utf8_replay_transcript_exit_2(capsys, tmp_path):

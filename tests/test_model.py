@@ -240,6 +240,62 @@ def test_label_index_matches_naive_scans(labels, queries, marked):
             assert _match_label(g, q) == _naive_match(g, q)
 
 
+# Few segments, so that many labels share their last segment and a suffix
+# name of several segments matches some labels and not others.
+_SHARED_SEGMENT = st.sampled_from(["", "a", "b", "ab", "-", "/"])
+_SHARED_LABEL = st.lists(_SHARED_SEGMENT, min_size=1, max_size=5).map(".".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.lists(_SHARED_LABEL, min_size=1, max_size=30),
+    data=st.data(),
+)
+def test_label_index_shared_last_segments_match_naive_scans(base, data):
+    # Repeated labels, with ids drawn in shuffled order, so that the ids of
+    # equal labels sort apart from the nodes' order in the graph.
+    labels = base + data.draw(st.lists(st.sampled_from(base), max_size=10))
+    order = data.draw(st.permutations(range(len(labels))))
+    graph = ProgramGraph(
+        [ContentNode(f"n{order[i]}", NodeKind.VARIABLE, label, "f")
+         for i, label in enumerate(labels)],
+        [],
+        [FunctionDecl("f", "f")],
+    )
+    # Each label's suffixes of one or more segments, and drawn names.
+    queries = {".".join(label.split(".")[k:]) for label in labels
+               for k in range(label.count(".") + 1)}
+    queries.update(data.draw(st.lists(_SHARED_LABEL, max_size=5)))
+    index = graph.label_index()
+    for q in sorted(queries):
+        assert index.exact(q) == sorted(n.id for n in graph.nodes.values() if n.label == q)
+        assert index.ending(q) == sorted(
+            n.id for n in graph.nodes.values() if n.label.endswith("." + q)
+        )
+        dep = DependencyRecord(Ecosystem.GENERIC, q + ":artifact", "1")
+        assert find_usages(graph, dep).node_ids == _naive_usages(graph, q)
+        assert _match_label(graph, q) == _naive_match(graph, q)
+
+
+def _incoming_graphs():
+    for seed in range(3):
+        yield random_graph(seed, n_nodes=40, n_edges=120, hidden_edge_fraction=0.2)
+        yield hidden_chain_graph(seed, depth=3).graph
+
+
+def test_incoming_matches_a_scan_of_the_edges():
+    for graph in _incoming_graphs():
+        marked = {node_id: "k" for node_id in list(graph.nodes)[::3]}
+        # One overlay made before its parent builds the index, one after.
+        fresh = graph.with_sinks(marked)
+        for g in (fresh, graph, graph.with_sinks(marked)):
+            for node_id in g.nodes:
+                assert g.incoming(node_id) == tuple(
+                    e for e in g.edges.values() if e.dst == node_id
+                )
+        assert graph.incoming("no-such-node") == ()
+
+
 def overlay_graph():
     nodes = [
         ContentNode("src", NodeKind.PARAMETER, "p", "f1", TaintRole.SOURCE, "http-param"),

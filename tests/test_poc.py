@@ -60,6 +60,13 @@ def test_non_json_payload_rejected_with_raw_preserved():
     assert art.raw_payload == "this is not json"
 
 
+def test_deeply_nested_payload_rejected_with_raw_preserved():
+    payload = "[" * 100_000
+    art = parse_poc_payload(advisory(), payload)
+    assert art.status == PoCStatus.REJECTED
+    assert art.raw_payload == payload
+
+
 def test_empty_object_payload_rejected():
     art = parse_poc_payload(advisory(), "{}")
     assert art.status == PoCStatus.REJECTED

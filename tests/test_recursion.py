@@ -8,7 +8,11 @@ from argus.errors import SurrogateMismatchError, UnknownSinkError
 from argus.model import (
     DEFAULT_MAX_FLOW_LENGTH,
     CallEdge,
+    ContentNode,
     FlowOrigin,
+    NodeKind,
+    ProgramGraph,
+    TaintRole,
     load_program_graph,
     validate_flow,
 )
@@ -53,6 +57,20 @@ def test_case2_tree_reaches_entry_function(case2_graph):
 def test_unknown_sink_raises(case2_graph):
     with pytest.raises(UnknownSinkError):
         backward_expand(case2_graph, "nope")
+
+
+def test_sink_of_no_function_has_no_tree_and_no_recovery(case2_graph):
+    sink = ContentNode("orphan", NodeKind.VARIABLE, "orphan", None, TaintRole.SINK,
+                       sink_kind="sql")
+    g = ProgramGraph([*case2_graph.nodes.values(), sink], case2_graph.edges.values(),
+                     case2_graph.functions.values(), case2_graph.call_edges)
+    with pytest.raises(UnknownSinkError):
+        backward_expand(g, "orphan")
+    result = recover_flows(g, "orphan", PipelineConfig(graph_path=""))
+    assert result.flows == []
+    assert result.dropped == [
+        "sink 'orphan' belongs to no function; backward recovery skipped"
+    ]
 
 
 def test_mutual_recursion_terminates():

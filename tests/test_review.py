@@ -168,6 +168,15 @@ def test_llm_schema_failure_falls_back_to_rule():
     assert verdict.final_status == FinalStatus.CONFIRMED  # rule mode sees clean flow
 
 
+def test_llm_deeply_nested_answer_falls_back_to_rule():
+    graph, flow = build()
+    backend = ScriptedStubBackend(["```final\n" + "[" * 100_000 + "\n```"])
+    verdict = review_flow(flow, graph, backend=backend)
+    assert verdict.fell_back_to_rule
+    assert verdict.hops == review_flow(flow, graph).hops
+    assert verdict.final_status == FinalStatus.CONFIRMED
+
+
 def test_llm_wrong_hop_count_falls_back():
     graph, flow = build()
     backend = ScriptedStubBackend([llm_payload(1)])
