@@ -12,14 +12,13 @@ aggregate.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from argus.errors import InvalidWeightsError, TransportError
+from argus.errors import InvalidWeightsError, TransportError, read_json
 from argus.deps import DependencyRecord
 
 AUTHORITATIVE_SOURCES = ("NVD", "OSV", "GHSA", "Snyk")
@@ -307,11 +306,7 @@ class OfflineFixtureTransport:
         path = os.path.join(self.fixture_dir, filename)
         if not os.path.exists(path):
             return []
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TransportError(f"{path}: malformed fixture: {exc}") from exc
+        doc = read_json(path, TransportError, f"{path}: malformed fixture")
         if not isinstance(doc, list):
             raise TransportError(f"{path}: fixture must be a JSON array")
         return doc

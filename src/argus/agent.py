@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence
 
-from argus.errors import BackendError, ReplayDivergenceError
+from argus.errors import BackendError, ReplayDivergenceError, parse_json
 
 TRANSCRIPT_FORMAT_VERSION = "1"
 
@@ -343,10 +343,7 @@ def load_transcript(path) -> Transcript:
 
 
 def _transcript_line(path, no: int, line: str) -> dict:
-    try:
-        row = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise BackendError(f"{path}: line {no}: not valid JSON: {exc}") from exc
+    row = parse_json(line, BackendError, f"{path}: line {no}: not valid JSON")
     if not isinstance(row, dict):
         raise BackendError(f"{path}: line {no}: not a JSON object")
     return row

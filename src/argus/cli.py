@@ -18,7 +18,7 @@ from typing import Optional
 
 from argus.advisories import OfflineFixtureTransport, gate_finding, query_authoritative, retrieve_community
 from argus.deps import parse_manifest
-from argus.errors import ArgusError, ConfigError
+from argus.errors import ArgusError, ConfigError, read_json
 from argus.model import load_program_graph
 from argus.pipeline import PipelineConfig, export_report, find_flows, run_pipeline, write_report_json
 
@@ -53,11 +53,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     them; every default lives in PipelineConfig. Unknown keys are ignored."""
     raw = {}
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        raw = read_json(args.config, ConfigError, f"cannot read config {args.config}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config {args.config} must be a JSON object")
     values = {key: raw[key] for key in _CONFIG_KEYS if key in raw}

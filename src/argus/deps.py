@@ -9,13 +9,12 @@ prefix or with a name under it.
 
 from __future__ import annotations
 
-import json
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from enum import Enum
 
-from argus.errors import ManifestError
+from argus.errors import ManifestError, read_json
 from argus.model import ProgramGraph
 
 UNRESOLVED = "unresolved"
@@ -88,7 +87,7 @@ def _strip_ns(tag: str) -> str:
 def _parse_pom(path: str) -> list[DependencyRecord]:
     try:
         tree = ET.parse(path)
-    except ET.ParseError as exc:
+    except (OSError, ET.ParseError) as exc:
         raise ManifestError(f"{path}: malformed XML: {exc}") from exc
     root = tree.getroot()
     if _strip_ns(root.tag) != "project":
@@ -145,11 +144,7 @@ def _parse_pom(path: str) -> list[DependencyRecord]:
 
 
 def _parse_deps_json(path: str) -> list[DependencyRecord]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"{path}: malformed JSON: {exc}") from exc
+    doc = read_json(path, ManifestError, f"{path}: malformed JSON")
     if not isinstance(doc, dict) or doc.get("format_version") != "1":
         raise ManifestError(f"{path}: missing format_version '1'")
     records: list[DependencyRecord] = []

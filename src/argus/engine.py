@@ -14,11 +14,10 @@ locations are resolved to content nodes via the graph's anchor table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from argus.errors import SarifError, UnknownSinkError
+from argus.errors import SarifError, UnknownSinkError, read_json
 from argus.model import (
     DEFAULT_MAX_FLOW_LENGTH,
     AccessPathEdge,
@@ -171,11 +170,7 @@ def import_sarif(
     consecutive nodes must be joined by a graph edge; otherwise the whole
     flow is skipped with a diagnostic, never emitted partially.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SarifError(f"{path}: cannot parse SARIF: {exc}") from exc
+    doc = read_json(path, SarifError, f"{path}: cannot parse SARIF")
     if not isinstance(doc, dict):
         raise SarifError(f"{path}: SARIF document must be a JSON object")
     version = doc.get("version")

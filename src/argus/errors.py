@@ -1,4 +1,13 @@
-"""Exception hierarchy shared across the pipeline."""
+"""Exception hierarchy shared across the pipeline, and the JSON read boundary.
+
+Every JSON input (graph, config, manifest, sink registry, SARIF file,
+advisory fixture, transcript line) is decoded by :func:`read_json` or
+:func:`parse_json`. They turn an unreadable file, non-UTF-8 text, malformed
+JSON and JSON nested too deep to decode into the caller's input error.
+"""
+
+import json
+from typing import Any
 
 
 class ArgusError(Exception):
@@ -59,3 +68,23 @@ class SurrogateMismatchError(ArgusError):
 
 class ConfigError(ArgusError):
     """Pipeline configuration is invalid (maps to CLI exit code 2)."""
+
+
+def parse_json(text: str, error: type[ArgusError], prefix: str) -> Any:
+    """``json.loads(text)``; text that is not JSON, or is nested too deep to
+    decode, raises ``error(f"{prefix}: {exc}")``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError
+        raise error(f"{prefix}: {exc}") from exc
+
+
+def read_json(path, error: type[ArgusError], prefix: str) -> Any:
+    """The JSON document in the UTF-8 file ``path``; a file that cannot be
+    read or decoded raises ``error(f"{prefix}: {exc}")``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: UnicodeDecodeError
+        raise error(f"{prefix}: {exc}") from exc
+    return parse_json(text, error, prefix)

@@ -31,14 +31,13 @@ from __future__ import annotations
 
 import copy
 import gc
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from argus.errors import GraphIntegrityError, GraphParseError
+from argus.errors import GraphIntegrityError, GraphParseError, read_json
 
 FORMAT_VERSION = "1"
 
@@ -714,11 +713,7 @@ def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str
     return and on error, and a caller that had collection off keeps it off.
     """
     with gc_paused():
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise GraphParseError(f"{path}: not valid JSON: {exc}") from exc
+        doc = read_json(path, GraphParseError, f"{path}: cannot read graph")
         return graph_from_dict(doc, strict=strict, warnings=warnings)
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 from argus.advisories import AdvisoryRecord
 from argus.agent import LLMBackend, Transcript, run_react_loop
-from argus.errors import ConfigError
+from argus.errors import ConfigError, read_json
 from argus.model import ProgramGraph
 
 _IDENTIFIER = re.compile(
@@ -177,11 +177,7 @@ def load_sink_registry(path: Optional[str] = None) -> dict[str, list[str]]:
             "r", encoding="utf-8"
         ) as fh:
             return json.load(fh)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            registry = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read sink registry {path}: {exc}") from exc
+    registry = read_json(path, ConfigError, f"cannot read sink registry {path}")
     if not isinstance(registry, dict) or not all(
         isinstance(names, list) and all(isinstance(n, str) for n in names)
         for names in registry.values()

@@ -572,6 +572,75 @@ def test_non_integer_sarif_start_line_is_a_warning(capsys, tmp_path):
     assert "thread flow skipped: startLine 'abc' is not an integer" in report["warnings"]
 
 
+DEEP_JSON = "[" * 100_000
+
+# (fixture directory, file of a scan of a copy of it) of every JSON input kind
+JSON_INPUTS = {
+    "graph": ("datagear_mini", "graph.json"),
+    "config": ("datagear_mini", "config.json"),
+    "registry": ("datagear_mini", "registry.json"),
+    "sarif": ("sarif", "results.sarif"),
+    "transcript": ("datagear_mini", "replay/poc__CVE-2024-37759.jsonl"),
+    "deps": ("datagear_mini", "deps.json"),
+    "fixture": ("datagear_mini", "advisories/NVD__org.datagear__datagear-analysis.json"),
+}
+
+
+def _report(root):
+    return json.loads((root / "out" / "report.json").read_text())
+
+
+@pytest.mark.parametrize("kind", sorted(JSON_INPUTS))
+def test_deeply_nested_json_input_is_an_input_error(capsys, tmp_path, kind):
+    name, relpath = JSON_INPUTS[kind]
+    config = _scan_inputs(str(tmp_path), name)
+    path = str(tmp_path / relpath)
+    if kind == "registry":
+        with open(config) as fh:
+            values = json.load(fh)
+        with open(config, "w") as fh:
+            json.dump(dict(values, sink_registry_path=path), fh)
+    with open(path, "w") as fh:
+        fh.write(DEEP_JSON)
+    code, _, err = run_cli(capsys, "scan", "--config", config, "--out", str(tmp_path / "out"))
+    assert "internal error" not in err
+    if kind == "deps":
+        assert code != EXIT_CONFIG_ERROR
+        [stage_error] = _report(tmp_path)["stage_errors"]
+        assert stage_error.startswith(f"dependency_scan: {path}: malformed JSON: ")
+    elif kind == "fixture":
+        assert code != EXIT_CONFIG_ERROR
+        assert any(w.startswith(f"NVD: {path}: malformed fixture: ")
+                   for w in _report(tmp_path)["warnings"])
+    else:
+        assert code == EXIT_CONFIG_ERROR
+        assert path in err
+
+
+def test_advisory_fixture_that_is_a_directory_is_a_warning(capsys, tmp_path):
+    config = _scan_inputs(str(tmp_path), "datagear_mini")
+    path = tmp_path / "advisories" / "OSV__org.datagear__datagear-analysis.json"
+    path.mkdir()
+    code, _, err = run_cli(capsys, "scan", "--config", config, "--out", str(tmp_path / "out"))
+    assert code == EXIT_CONFIRMED  # the NVD fixture still yields its findings
+    assert "internal error" not in err
+    assert any(w.startswith(f"OSV: {path}: malformed fixture: ")
+               for w in _report(tmp_path)["warnings"])
+
+
+@pytest.mark.parametrize("name, message", [("deps.json", "malformed JSON"),
+                                           ("pom.xml", "malformed XML")])
+def test_manifest_that_is_a_directory_is_a_stage_error(capsys, tmp_path, name, message):
+    manifest = tmp_path / name
+    manifest.mkdir()
+    code, _, err = run_cli(capsys, "scan", "--graph", fixture_path("datagear_mini", "graph.json"),
+                           "--manifest", str(manifest), "--out", str(tmp_path / "out"))
+    assert code != EXIT_CONFIG_ERROR
+    assert "internal error" not in err
+    [stage_error] = _report(tmp_path)["stage_errors"]
+    assert stage_error.startswith(f"dependency_scan: {manifest}: {message}: ")
+
+
 
 # --- exit-code contract under mutated inputs ------------------------------------
 
@@ -585,7 +654,9 @@ FUZZED_DOCUMENTS = (
     ("datagear_mini", "replay/poc__CVE-2024-37759.jsonl"),
     ("datagear_mini", "deps.json"),
     ("datagear_mini", "config.json"),
+    ("datagear_mini", "graph.json"),
     ("sarif", "results.sarif"),
+    ("sarif", "graph.json"),
 )
 
 JSON_VALUES = st.recursive(
@@ -671,11 +742,15 @@ def test_scan_exit_code_contract_holds_for_mutated_inputs(document, data):
             doc = [json.loads(line) for line in fh] if lines else json.load(fh)
         for _ in range(data.draw(st.integers(1, 3))):
             doc = _mutate(data, doc)
+        if lines and isinstance(doc, list):
+            text = "".join(json.dumps(line) + "\n" for line in doc)
+        else:
+            text = json.dumps(doc)
+        if data.draw(st.booleans()):  # nest the text too deep to decode from some offset
+            offset = data.draw(st.integers(0, len(text)))
+            text = text[:offset] + DEEP_JSON + text[offset:]
         with open(path, "w") as fh:
-            if lines and isinstance(doc, list):
-                fh.writelines(json.dumps(line) + "\n" for line in doc)
-            else:
-                json.dump(doc, fh)
+            fh.write(text)
         out = os.path.join(root, "out")
         err = io.StringIO()
         # no live backend can be reached without its key

@@ -100,6 +100,39 @@ def test_no_functions_rejected():
         graph_from_dict(doc)
 
 
+F1 = MINIMAL["functions"][0]
+PARAM = {"id": "p", "kind": "parameter", "function_id": "f1", "label": "p"}
+
+
+def _call(caller="f1", callee="f1", site="a"):
+    return [{"caller": caller, "callee": callee, "call_site_node": site}]
+
+
+@pytest.mark.parametrize("overrides, offending, message", [
+    ({"functions": [], "nodes": [], "edges": []}, "<functions>", "graph declares no functions"),
+    ({"nodes": [dict(MINIMAL["nodes"][0], function_id="ghost"), MINIMAL["nodes"][1]]},
+     "ghost", "node 'a' references unknown function 'ghost'"),
+    ({"functions": [dict(F1, parameters=["ghost"])]},
+     "ghost", "function 'f1' references unknown parameter 'ghost'"),
+    ({"functions": [dict(F1, parameters=["p"]), {"id": "f2", "name": "g"}],
+      "nodes": MINIMAL["nodes"] + [dict(PARAM, function_id="f2")]},
+     "p", "function 'f1': node 'p' is not a parameter it owns"),
+    ({"functions": [dict(F1, parameters=["p", "p"])], "nodes": MINIMAL["nodes"] + [PARAM]},
+     "p", "function 'f1': duplicate parameter 'p'"),
+    ({"functions": [dict(F1, return_node="ghost")]},
+     "ghost", "function 'f1' references unknown return node"),
+    ({"call_edges": _call(caller="ghost")}, "ghost", "call edge caller 'ghost' unknown"),
+    ({"call_edges": _call(callee="ghost")}, "ghost", "call edge callee 'ghost' unknown"),
+    ({"call_edges": _call(site="ghost")}, "ghost", "call edge site 'ghost' unknown"),
+    ({"call_edges": _call()}, "a", "call site 'a' must be a call-argument or call-return node"),
+])
+def test_integrity_errors_name_the_offending_id(overrides, offending, message):
+    with pytest.raises(GraphIntegrityError) as exc:
+        make_graph(**overrides)
+    assert exc.value.offending_id == offending
+    assert str(exc.value) == message
+
+
 def test_sanitizer_with_sink_kind_rejected():
     with pytest.raises(GraphIntegrityError):
         ContentNode(id="x", kind=NodeKind.VARIABLE, label="x",

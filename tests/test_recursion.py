@@ -210,6 +210,17 @@ def test_case2_stitch_produces_bridged_flow(case2_graph):
     assert combined.triples[-1].edge.id == "bridge::n_xarg->n_newinst"
 
 
+def test_stitch_over_the_length_bound_is_dropped_with_a_reason(case2_graph):
+    tree = backward_expand(case2_graph, "n_newinst")
+    flows = forward_search(case2_graph, FlowQuery(sinks=("n_xarg",), max_length=3))
+    assert [flow.edge_ids for flow in flows] == [("e1", "e2")]
+    result = stitch(flows, tree, case2_graph)
+    assert result.flows == []
+    assert result.dropped == [
+        "stitch dropped for flow ('e1', 'e2'): combined length 3 breaks bound 3"
+    ]
+
+
 def test_two_forward_flows_share_backward_part():
     fix = hidden_chain_graph(2, depth=1, intra_hops=1)
     g = fix.graph
