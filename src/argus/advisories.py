@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -200,11 +201,18 @@ def quality_score(issue: CommunityIssue) -> float:
     return 0.2 * (length + depth + impact + code + solution)
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or float, not a bool, in the range of
+    finite floats (so not NaN, an infinity or a too-large int)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def check_gate_weights(weights: Sequence[float]) -> None:
     if (
         not isinstance(weights, (list, tuple))
         or len(weights) != 3
-        or not all(isinstance(w, (int, float)) for w in weights)
+        or not all(is_finite_number(w) for w in weights)
         or abs(sum(weights) - 1.0) > 1e-9
     ):
         raise InvalidWeightsError(f"gate weights must be 3 values summing to 1, got {weights}")

@@ -16,11 +16,17 @@ import traceback
 from dataclasses import fields
 from typing import Optional
 
-from argus.advisories import OfflineFixtureTransport, gate_finding, query_authoritative, retrieve_community
 from argus.deps import parse_manifest
 from argus.errors import ArgusError, ConfigError, read_json
 from argus.model import load_program_graph
-from argus.pipeline import PipelineConfig, export_report, find_flows, run_pipeline, write_report_json
+from argus.pipeline import (
+    PipelineConfig,
+    export_report,
+    find_flows,
+    retrieve_advisories,
+    run_pipeline,
+    write_report_json,
+)
 
 EXIT_OK = 0
 EXIT_CONFIRMED = 1
@@ -41,8 +47,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nf", dest="max_flow_length", type=int, help="maximum flow length bound")
     p.add_argument("--max-depth", type=int, help="backward tree depth bound")
     p.add_argument("--gate-threshold", type=float, help="community gate threshold")
-    p.add_argument("--auto-confirm-forward-flows", action=argparse.BooleanOptionalAction,
-                   default=None, help="let clean forward flows auto-confirm")
 
 
 _CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
@@ -105,40 +109,10 @@ def _cmd_advisories(args: argparse.Namespace) -> int:
     if config.fixtures_dir is None:
         raise ConfigError("advisories requires --fixtures (offline retrieval directory)")
     config.validate_retrieval()
-    transport = OfflineFixtureTransport(config.fixtures_dir)
+    deps = [dep for manifest in config.manifest_paths for dep in parse_manifest(manifest)]
     warnings: list[str] = []
-    out = []
-    for manifest in config.manifest_paths:
-        for dep in parse_manifest(manifest):
-            records = query_authoritative(dep, transport, warnings=warnings)
-            scored = [
-                {
-                    "url": f.issue.url,
-                    "relevance": f.relevance,
-                    "credibility": f.credibility,
-                    "quality": f.quality,
-                    "aggregate": f.aggregate,
-                    "passed_gate": f.passed_gate,
-                }
-                for f in (
-                    gate_finding(i, config.gate_weights, config.gate_threshold)
-                    for i in retrieve_community(dep, transport, warnings=warnings)
-                )
-            ]
-            out.append({
-                "dependency": dep.name,
-                "authoritative": [
-                    {
-                        "source": r.source,
-                        "identifier": r.identifier,
-                        "severity": r.severity.value,
-                        "cve_id": r.cve_id,
-                    }
-                    for r in records
-                ],
-                "community": scored,
-            })
-    print(json.dumps({"dependencies": out, "warnings": warnings}, indent=2))
+    _, entries = retrieve_advisories(config, deps, warnings)
+    print(json.dumps({"advisories": entries, "warnings": warnings}, indent=2))
     return EXIT_OK
 
 

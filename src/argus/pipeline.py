@@ -29,6 +29,7 @@ from argus.advisories import (
     OfflineFixtureTransport,
     check_gate_weights,
     gate_finding,
+    is_finite_number,
     query_authoritative,
     retrieve_community,
 )
@@ -41,7 +42,7 @@ from argus.agent import (
     load_transcript,
     meter_tokens,
 )
-from argus.deps import find_usages, parse_manifest
+from argus.deps import DependencyRecord, find_usages, parse_manifest
 from argus.engine import (
     DEFAULT_MAX_FLOWS_PER_SINK,
     FlowQuery,
@@ -91,9 +92,7 @@ class PipelineConfig:
     max_flows_per_sink: int = DEFAULT_MAX_FLOWS_PER_SINK
     max_depth: int = DEFAULT_MAX_DEPTH
     out_dir: Optional[str] = None
-    auto_confirm_forward_flows: bool = True
     review_mode: str = "rule"  # "rule" | "llm"
-    scan_unused_dependencies: bool = True
     sink_registry_path: Optional[str] = None
     live_llm_endpoint: Optional[str] = None
     live_llm_model: Optional[str] = None
@@ -110,9 +109,7 @@ class PipelineConfig:
             "max_flow_length": self.max_flow_length,
             "max_flows_per_sink": self.max_flows_per_sink,
             "max_depth": self.max_depth,
-            "auto_confirm_forward_flows": self.auto_confirm_forward_flows,
             "review_mode": self.review_mode,
-            "scan_unused_dependencies": self.scan_unused_dependencies,
         }
 
     def digest(self) -> str:
@@ -140,9 +137,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown llm backend spec: {self.llm!r}")
         if self.review_mode not in ("rule", "llm"):
             raise ConfigError(f"review_mode must be 'rule' or 'llm', got {self.review_mode!r}")
-        for name in ("auto_confirm_forward_flows", "scan_unused_dependencies"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.analysis_backend.startswith("sarif:"):
             sarif_path = self.analysis_backend.split(":", 1)[1]
             if not os.path.exists(sarif_path):
@@ -170,8 +164,8 @@ class PipelineConfig:
         if fixtures is not None and not os.path.isdir(fixtures):
             raise ConfigError(f"fixture directory not found: {fixtures}")
         threshold = self.gate_threshold
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-            raise ConfigError(f"gate_threshold must be a number, got {threshold!r}")
+        if not is_finite_number(threshold):
+            raise ConfigError(f"gate_threshold must be a finite number, got {threshold!r}")
         try:
             check_gate_weights(self.gate_weights)
         except InvalidWeightsError as exc:
@@ -354,6 +348,58 @@ def find_flows(
     return recovered.flows, recovered.dropped
 
 
+def retrieve_advisories(
+    config: PipelineConfig, deps: list[DependencyRecord], warnings: list[str]
+) -> tuple[list[AdvisoryRecord], list[dict]]:
+    """Stage 2: the advisories of ``deps`` in ``config.fixtures_dir``, and
+    the report's ``advisories`` entries; both are empty without a fixture
+    directory. ``config`` must have passed ``validate_retrieval``.
+
+    The advisories are each dependency's authoritative records and the
+    community issues that pass the gate, in identifier order. The entries
+    are every scored community issue, in retrieval order, then one per
+    advisory. Skipped fixture entries are appended to ``warnings``.
+    """
+    advisories: list[AdvisoryRecord] = []
+    entries: list[dict] = []
+    if config.fixtures_dir is None:
+        return advisories, entries
+    transport = OfflineFixtureTransport(config.fixtures_dir)
+    for dep in deps:
+        advisories.extend(query_authoritative(dep, transport, warnings=warnings))
+        for issue in retrieve_community(dep, transport, warnings=warnings):
+            finding = gate_finding(issue, config.gate_weights, config.gate_threshold)
+            identifier = issue.url or issue.title
+            entries.append({
+                "source": "community",
+                "identifier": identifier,
+                "dependency": dep.name,
+                "scores": {
+                    "relevance": finding.relevance,
+                    "credibility": finding.credibility,
+                    "quality": finding.quality,
+                    "aggregate": finding.aggregate,
+                },
+                "passed_gate": finding.passed_gate,
+            })
+            if finding.passed_gate:
+                advisories.append(AdvisoryRecord(
+                    source="community",
+                    identifier=identifier,
+                    description=f"{issue.title}\n{issue.body}",
+                    dependency=dep.name,
+                ))
+    advisories.sort(key=lambda a: a.identifier)
+    entries.extend({
+        "source": adv.source,
+        "identifier": adv.identifier,
+        "severity": adv.severity.value,
+        "cve_id": adv.cve_id,
+        "dependency": adv.dependency,
+    } for adv in advisories)
+    return advisories, entries
+
+
 def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
     """Validate ``config`` and scan: every stage from dependency scan to
     review, in one report. Raises :class:`ConfigError` for an invalid
@@ -388,45 +434,7 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
     usages = {dep.name: find_usages(graph, dep) for dep in deps}
 
     # Stage 2: advisory retrieval and community gating.
-    advisories: list[AdvisoryRecord] = []
-    if config.fixtures_dir is not None and deps:
-        transport = OfflineFixtureTransport(config.fixtures_dir)
-        for dep in deps:
-            if not config.scan_unused_dependencies and not usages[dep.name].used:
-                continue
-            advisories.extend(
-                query_authoritative(dep, transport, warnings=report.warnings)
-            )
-            for issue in retrieve_community(dep, transport, warnings=report.warnings):
-                finding = gate_finding(issue, config.gate_weights, config.gate_threshold)
-                report.advisories.append({
-                    "source": "community",
-                    "identifier": issue.url or issue.title,
-                    "dependency": dep.name,
-                    "scores": {
-                        "relevance": finding.relevance,
-                        "credibility": finding.credibility,
-                        "quality": finding.quality,
-                        "aggregate": finding.aggregate,
-                    },
-                    "passed_gate": finding.passed_gate,
-                })
-                if finding.passed_gate:
-                    advisories.append(AdvisoryRecord(
-                        source="community",
-                        identifier=issue.url or issue.title,
-                        description=f"{issue.title}\n{issue.body}",
-                        dependency=dep.name,
-                    ))
-    advisories.sort(key=lambda a: a.identifier)
-    for adv in advisories:
-        report.advisories.append({
-            "source": adv.source,
-            "identifier": adv.identifier,
-            "severity": adv.severity.value,
-            "cve_id": adv.cve_id,
-            "dependency": adv.dependency,
-        })
+    advisories, report.advisories = retrieve_advisories(config, deps, report.warnings)
 
     # Stage 3: PoC generation per advisory.
     poc_transcripts: list[Transcript] = []
@@ -525,23 +533,12 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
                 if config.review_mode == "llm" else None
             )
             try:
-                verdict = review_flow(
-                    flow,
-                    graph,
-                    backend=review_backend,
-                    auto_confirm_forward_flows=config.auto_confirm_forward_flows,
-                    shared=review_steps,
-                )
+                verdict = review_flow(flow, graph, backend=review_backend, shared=review_steps)
             except ArgusError as exc:
                 # A failing review backend costs the flow its LLM review,
                 # never its finding: it is reviewed by rules instead.
                 report.stage_errors.append(f"review {sink_id}: {exc}")
-                verdict = review_flow(
-                    flow,
-                    graph,
-                    auto_confirm_forward_flows=config.auto_confirm_forward_flows,
-                    shared=review_steps,
-                )
+                verdict = review_flow(flow, graph, shared=review_steps)
             if verdict.transcript is not None:
                 review_transcripts.append(verdict.transcript)
             advisory_id = candidate_advisory.get(sink_id)

@@ -254,7 +254,6 @@ def review_flow(
     graph: ProgramGraph,
     *,
     backend: Optional[LLMBackend] = None,
-    auto_confirm_forward_flows: bool = True,
     shared: Optional[dict] = None,
 ) -> ReviewVerdict:
     """Review one candidate flow: its reachability, one assessment per hop,
@@ -265,8 +264,8 @@ def review_flow(
     edge's guard tags and its sanitizer endpoints (recorded as
     ``fell_back_to_rule`` when a backend was given). The verdict is
     refuted when a fatal construct or fatal neutralization exists;
-    confirmed when the flow is reachable, every hop is clean, no edge is
-    bridged and auto-confirmation is on; needs-human otherwise.
+    confirmed when the flow is reachable, every hop is clean and no edge
+    is bridged; needs-human otherwise.
 
     Each distinct step of the flow is described and rule-assessed once per
     ``shared`` table, which must serve one graph; flows reviewed through
@@ -289,8 +288,7 @@ def review_flow(
         hops = [s.hop(i) for i, s in enumerate(steps, start=1)]
     if not reachable or any(h.neutralization in DEFAULT_FATAL_NEUTRALIZATIONS for h in hops):
         status = FinalStatus.REFUTED
-    elif (auto_confirm_forward_flows and not flow.has_bridged_edge
-          and all(h.neutralization == Neutralization.NONE for h in hops)):
+    elif not flow.has_bridged_edge and all(h.neutralization == Neutralization.NONE for h in hops):
         status = FinalStatus.CONFIRMED
     else:
         status = FinalStatus.NEEDS_HUMAN

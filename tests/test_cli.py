@@ -46,8 +46,47 @@ def test_advisories_subcommand(capsys):
     )
     assert code == EXIT_OK
     doc = json.loads(out)
-    auth = doc["dependencies"][0]["authoritative"]
-    assert [r["identifier"] for r in auth] == ["CVE-2025-31672"]
+    assert sorted(doc) == ["advisories", "warnings"]
+    assert [(a["source"], a["identifier"], a["dependency"]) for a in doc["advisories"]] == [
+        ("NVD", "CVE-2025-31672", "org.apache.poi:poi-ooxml")
+    ]
+    assert doc["warnings"] == []
+
+
+def _with_community_fixture(tmp_path):
+    """A copy of datagear_mini's advisory fixtures plus the community issues
+    of its dependency; returns the copy's path."""
+    fixtures = tmp_path / "advisories"
+    shutil.copytree(fixture_path("datagear_mini", "advisories"), fixtures)
+    shutil.copy(fixture_path("community", COMMUNITY_FIXTURE), fixtures)
+    return str(fixtures)
+
+
+@pytest.mark.parametrize("name, manifest, community", [
+    ("datagear_mini", "deps.json", False),
+    ("publiccms_mini", "pom.xml", False),
+    ("datagear_mini", "deps.json", True),
+])
+def test_advisories_prints_the_advisories_a_scan_reports(capsys, tmp_path, name, manifest,
+                                                         community):
+    fixtures = (_with_community_fixture(tmp_path) if community
+                else fixture_path(name, "advisories"))
+    argv = ("--graph", fixture_path(name, "graph.json"),
+            "--manifest", fixture_path(name, manifest), "--fixtures", fixtures)
+    code, out, _ = run_cli(capsys, "advisories", *argv)
+    assert code == EXIT_OK
+    printed = json.loads(out)["advisories"]
+    run_cli(capsys, "scan", *argv, "--llm", "replay:" + fixture_path(name, "replay"),
+            "--out", str(tmp_path / "out"))
+    assert printed == _report(tmp_path)["advisories"]
+    sources = [a["source"] for a in printed]
+    if community:
+        # Both community issues are scored; one passes the gate and is
+        # listed again as an advisory.
+        assert sources.count("community") == 3
+        assert sum(a.get("passed_gate", False) for a in printed) == 1
+    else:
+        assert sources == ["NVD"]
 
 
 def test_advisories_requires_fixtures(capsys):
@@ -206,7 +245,7 @@ def test_malformed_config_exit_2(capsys, tmp_path):
         b"\xff\xfe{}",
         b"[1, 2]",
         b'{"review_mode": "LLMX"}',
-        b'{"auto_confirm_forward_flows": "false"}',
+        b'{"gate_weights": [NaN, 0.5, 0.5], "gate_threshold": NaN}',
         b'{"manifest_paths": [null]}',
         b'{"llm": "live", "review_mode": "llm"}',
     ):
@@ -230,6 +269,28 @@ def test_config_file_keys_reach_the_config(capsys, tmp_path):
     code, _, err = run_cli(capsys, "scan", "--config", str(cpath))
     assert code == EXIT_CONFIG_ERROR
     assert "gate weights" in err
+
+
+def test_config_file_with_removed_keys_still_scans(capsys, tmp_path):
+    # Keys that are not PipelineConfig fields, such as the retired
+    # auto_confirm_forward_flows and scan_unused_dependencies, are ignored.
+    cfg = {
+        "graph_path": fixture_path("datagear_mini", "graph.json"),
+        "manifest_paths": [fixture_path("datagear_mini", "deps.json")],
+        "fixtures_dir": fixture_path("datagear_mini", "advisories"),
+        "llm": "replay:" + fixture_path("datagear_mini", "replay"),
+    }
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps(cfg))
+    code, want, _ = run_cli(capsys, "scan", "--config", str(cpath))
+    assert code == EXIT_CONFIRMED
+    cpath.write_text(json.dumps(
+        {**cfg, "auto_confirm_forward_flows": False, "scan_unused_dependencies": False}
+    ))
+    code, out, _ = run_cli(capsys, "scan", "--config", str(cpath))
+    assert code == EXIT_CONFIRMED
+    assert out == want
+    assert "auto_confirm_forward_flows" not in json.loads(out)["config"]
 
 
 def test_flows_prints_the_stitched_flows_scan_reports(capsys, tmp_path):
@@ -377,6 +438,40 @@ def test_non_utf8_replay_transcript_exit_2(capsys, tmp_path):
     assert "internal error" not in err
 
 
+def _empty_transcript(tmp_path):
+    replay = tmp_path / "replay"
+    replay.mkdir()
+    path = replay / "poc__CVE-2024-37759.jsonl"
+    path.write_text("")
+    return ("--llm", f"replay:{replay}"), path, "empty transcript file"
+
+
+@pytest.mark.parametrize("inputs", [
+    lambda tmp: (("--fixtures", str(tmp / "missing")), tmp / "missing",
+                 "fixture directory not found"),
+    lambda tmp: (("--llm", f"replay:{tmp / 'missing'}"), tmp / "missing",
+                 "replay transcript directory not found"),
+    lambda tmp: (("--backend", f"sarif:{tmp / 'missing.sarif'}"), tmp / "missing.sarif",
+                 "SARIF result file not found"),
+    _empty_transcript,
+], ids=["fixtures", "replay", "sarif", "empty-transcript"])
+def test_missing_input_path_exit_2_names_the_path(capsys, tmp_path, inputs):
+    argv, path, message = inputs(tmp_path)
+    code, _, err = run_cli(
+        capsys, "scan",
+        "--graph", fixture_path("datagear_mini", "graph.json"),
+        "--manifest", fixture_path("datagear_mini", "deps.json"),
+        "--fixtures", fixture_path("datagear_mini", "advisories"),
+        *argv,
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_CONFIG_ERROR
+    assert message in err
+    assert str(path) in err
+    assert "internal error" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ("scan", "--max-depth", "0"),
     ("scan", "--nf", "0"),
@@ -468,9 +563,15 @@ def test_malformed_sink_registry_exit_2(capsys, tmp_path, text, message):
     ("deps", {"manifest_paths": ["no/such/pom.xml"]}, "manifest not found"),
     ("advisories", {"manifest_paths": "tests/fixtures/publiccms_mini/pom.xml"},
      "manifest_paths must be a list of strings"),
-    ("advisories", {"gate_threshold": "high"}, "gate_threshold must be a number"),
+    ("advisories", {"gate_threshold": "high"}, "gate_threshold must be a finite number"),
     ("advisories", {"gate_weights": [1, 0]}, "gate weights must be 3 values"),
     ("advisories", {"fixtures_dir": 5}, "fixtures_dir must be a string or null"),
+    ("advisories", {"gate_threshold": float("nan")}, "gate_threshold must be a finite number"),
+    ("advisories", {"gate_threshold": float("inf")}, "gate_threshold must be a finite number"),
+    ("advisories", {"gate_weights": [float("nan"), 0.5, 0.5]}, "gate weights must be 3 values"),
+    ("advisories", {"gate_weights": [float("inf"), -float("inf"), 1]},
+     "gate weights must be 3 values"),
+    ("advisories", {"gate_weights": [True, False, False]}, "gate weights must be 3 values"),
 ])
 def test_deps_and_advisories_check_the_settings_they_read(capsys, tmp_path, command, config,
                                                           message):

@@ -227,6 +227,47 @@ def test_foreign_edge_rejected():
     assert any("'zz'" in v for v in verdict.violations)
 
 
+def _bridge(src, dst):
+    return AccessPathEdge(f"bridge::{src}->{dst}", src, dst, EdgeKind.CALL_PASS,
+                          visible_to_forward=False, bridged=True)
+
+
+# (name, triples of flow_graph() as (from, edge, to) with an edge id or
+# edge, length bound, allow_bridged, the one violation)
+_VIOLATIONS = [
+    ("empty", [], 64, False, "flow has no triples (length must be >= 1)"),
+    ("bound", [("s", "e3", "t")], 1, False, "flow length 1 violates bound 1 (need n < bound)"),
+    ("bridged", [("s", _bridge("s", "t"), "t")], 64, False,
+     "triple 1: bridged edge 'bridge::s->t' not permitted"),
+    ("foreign edge", [("s", AccessPathEdge("zz", "s", "t", EdgeKind.ASSIGN), "t")], 64, False,
+     "triple 1: edge 'zz' not in graph"),
+    ("endpoints", [("s", AccessPathEdge("e1", "s", "t", EdgeKind.ASSIGN), "t")], 64, False,
+     "triple 1: edge 'e1' endpoints ('s'->'m') do not match triple"),
+    ("edge disagrees", [("s", _bridge("m", "t"), "t")], 64, True,
+     "triple 1: triple endpoints disagree with its edge"),
+    ("unknown from", [("x", _bridge("x", "t"), "t")], 64, True, "triple 1: unknown node 'x'"),
+    ("unknown to", [("s", _bridge("s", "y"), "y")], 64, True, "triple 1: unknown node 'y'"),
+    ("continuity", [("s", "e1", "m"), ("s", "e3", "t")], 64, False,
+     "triple 2: continuity broken ('m' != 's')"),
+    ("not a source", [("m", "e2", "t")], 64, False, "first node 'm' is not a source"),
+    ("not a sink", [("s", "e1", "m")], 64, False, "last node 'm' is not a sink"),
+]
+
+
+@pytest.mark.parametrize("triples, bound, allow_bridged, violation",
+                         [case[1:] for case in _VIOLATIONS], ids=[case[0] for case in _VIOLATIONS])
+def test_validate_flow_names_each_violation(triples, bound, allow_bridged, violation):
+    g = flow_graph()
+    flow = DataFlow(
+        triples=tuple(FlowTriple(a, g.edges[e] if isinstance(e, str) else e, b)
+                      for a, e, b in triples),
+        max_length_bound=bound,
+    )
+    verdict = validate_flow(flow, g, allow_bridged=allow_bridged)
+    assert not verdict.ok
+    assert verdict.violations == [violation]
+
+
 # --- label index and with_sinks overlay ---------------------------------------
 
 # Label segments, so that joined labels include "", "..", a trailing ".",

@@ -2,6 +2,7 @@ import enum
 import gc
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +20,13 @@ from argus.model import (
     TaintRole,
     graph_to_dict,
 )
-from argus.pipeline import PipelineConfig, export_report, run_pipeline, write_report_json
+from argus.pipeline import (
+    PipelineConfig,
+    export_report,
+    find_flows,
+    run_pipeline,
+    write_report_json,
+)
 from argus.review import FinalStatus, ReviewMode
 from argus.synthetic import hidden_chain_graph, random_graph
 from tests.conftest import fixture_path
@@ -286,8 +293,6 @@ def test_validate_rejects_unknown_backends():
     {"gate_weights": (0.5, 0.5)},
     {"gate_weights": 5},
     {"review_mode": "LLMX"},
-    {"auto_confirm_forward_flows": "false"},
-    {"scan_unused_dependencies": "false"},
     {"manifest_paths": None},
     {"manifest_paths": [None]},
     {"llm": None},
@@ -296,6 +301,12 @@ def test_validate_rejects_unknown_backends():
     {"llm": "live", "live_llm_endpoint": "http://localhost:9"},
     {"max_flow_length": True},
     {"gate_threshold": True},
+    {"gate_threshold": float("nan")},
+    {"gate_threshold": float("inf")},
+    {"gate_weights": (float("nan"), 0.5, 0.5)},
+    {"gate_weights": (float("inf"), -float("inf"), 1.0)},
+    {"gate_weights": (10 ** 400, -10 ** 400, 1)},
+    {"gate_weights": (True, False, False)},
 ])
 def test_validate_rejects_bad_numeric_fields(override):
     with pytest.raises(ConfigError):
@@ -368,6 +379,50 @@ def test_sarif_backend_integration(tmp_path):
     assert report.summary()["flows_total"] == 1
     assert report.findings[0].flow.edge_ids == ("e1", "e2")
     assert any("app/other.py" in w for w in report.warnings)
+
+
+def test_registry_match_on_a_source_keeps_its_role_and_is_not_searched(tmp_path, monkeypatch):
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({
+        "sql": ["com.publiccms.common.tools.DocToHtmlUtils.excelToHtml.doc"],
+        "xml-parse": ["javax.xml.parsers.DocumentBuilderFactory.newInstance"],
+    }))
+    searched = []
+
+    def recording_find_flows(graph, sink_id, *args):
+        searched.append(sink_id)
+        return find_flows(graph, sink_id, *args)
+
+    monkeypatch.setattr("argus.pipeline.find_flows", recording_find_flows)
+    report = run_pipeline(publiccms_config(sink_registry_path=str(registry)))
+    assert [s["node_id"] for s in report.sinks] == ["n_doc", "n_newinst"]
+    assert report.sinks[0]["kept_role"] == "source"
+    assert report.sinks[0]["sink_kind"] == "sql"
+    assert "kept_role" not in report.sinks[1]
+    assert "sinks: n_doc keeps role source; not searched" in report.warnings
+    assert searched == ["n_newinst"]
+    assert [f.sink_id for f in report.findings] == ["n_newinst"]
+
+
+def test_diverging_poc_replay_is_a_stage_error_and_the_scan_goes_on(tmp_path):
+    replay = tmp_path / "replay"
+    replay.mkdir()
+    [recorded] = Path(fixture_path("publiccms_mini", "replay")).glob("poc__*.jsonl")
+    lines = recorded.read_text().splitlines(keepends=True)
+    # One more recorded user turn before the answer than the live loop sends.
+    extra = json.dumps({"role": "user", "content": "more", "tool_name": None, "token_count": 1})
+    (replay / recorded.name).write_text("".join(lines[:3]) + extra + "\n" + "".join(lines[3:]))
+    golden = run_pipeline(publiccms_config())
+    report = run_pipeline(publiccms_config(llm=f"replay:{replay}"))
+    assert report.stage_errors == [
+        "poc CVE-2025-31672: replay divergence before assistant turn 0: "
+        "conversation shape differs from recording"
+    ]
+    assert report.poc_artifacts == []
+    # The registry sink is still searched and reviewed, now with no advisory.
+    assert [f.flow for f in report.findings] == [f.flow for f in golden.findings]
+    assert [f.advisory_id for f in report.findings] == [None]
+    assert report.summary() == golden.summary()
 
 
 def test_malformed_sink_registry_fails_before_any_agent_runs(tmp_path, monkeypatch):

@@ -286,6 +286,33 @@ def test_no_bridge_through_a_sanitizer():
     assert "no connectivity between 'site0' and 'sink'" in result.dropped[0]
 
 
+def test_stitch_reuses_a_real_edge_between_call_sites():
+    # src -> site0 (visible) -> sink (hidden), with f0 calling f1 at site0:
+    # the gap from site0 to the sink is a real edge, so no bridge is made.
+    from argus.model import AccessPathEdge, EdgeKind, FunctionDecl
+
+    nodes = [
+        ContentNode("src", NodeKind.PARAMETER, "f0.input", "f0", TaintRole.SOURCE),
+        ContentNode("site0", NodeKind.CALL_ARGUMENT, "f0.call", "f0"),
+        ContentNode("sink", NodeKind.CALL_ARGUMENT, "f1.exec", "f1", TaintRole.SINK,
+                    sink_kind="command-exec"),
+    ]
+    edges = [
+        AccessPathEdge("e1", "src", "site0", EdgeKind.ASSIGN),
+        AccessPathEdge("e2", "site0", "sink", EdgeKind.CALL_PASS, visible_to_forward=False),
+    ]
+    functions = [FunctionDecl("f0", "pkg.f0", is_entry_point=True), FunctionDecl("f1", "pkg.f1")]
+    g = ProgramGraph(nodes, edges, functions, [CallEdge("f0", "f1", "site0")])
+    assert forward_search(g, FlowQuery(sinks=("sink",))) == []
+    result = recover_flows(g, "sink", PipelineConfig(graph_path=""))
+    assert result.dropped == []
+    [flow] = result.flows
+    assert flow.edge_ids == ("e1", "e2")
+    assert flow.origin == FlowOrigin.STITCHED
+    assert not flow.has_bridged_edge
+    assert validate_flow(flow, g).ok
+
+
 def test_expansion_cap_drops_as_undecided(monkeypatch):
     fix = hidden_chain_graph(3, depth=1)
     g = fix.graph

@@ -94,12 +94,6 @@ def test_bridged_flow_never_auto_confirms():
     assert verdict.final_status == FinalStatus.NEEDS_HUMAN
 
 
-def test_auto_confirm_disabled_needs_human():
-    graph, flow = build()
-    verdict = review_flow(flow, graph, auto_confirm_forward_flows=False)
-    assert verdict.final_status == FinalStatus.NEEDS_HUMAN
-
-
 def test_sanitizer_adjacent_node_neutralizes():
     nodes = [
         ContentNode("s", NodeKind.VARIABLE, "s", "f1", TaintRole.SOURCE, "x"),

@@ -128,3 +128,22 @@ def test_non_object_location_skips_with_diagnostic(graph, tmp_path):
     result = import_sarif(str(path), graph)
     assert result.flows == []
     assert any("uri/startLine" in s for s in result.skipped)
+
+
+@pytest.mark.parametrize("lines, max_length, violation", [
+    ((21, 31), 64, "first node 's2' is not a source"),
+    ((11, 21), 64, "last node 's2' is not a sink"),
+    ((11, 21, 31), 2, "flow length 2 violates bound 2 (need n < bound)"),
+])
+def test_thread_flow_failing_validation_skips_with_its_violation(graph, tmp_path, lines,
+                                                                 max_length, violation):
+    doc = _thread_flow_doc(*({"location": {"physicalLocation": {
+        "artifactLocation": {"uri": "app/handler.py"},
+        "region": {"startLine": line}}}} for line in lines))
+    path = tmp_path / "r.sarif"
+    path.write_text(json.dumps(doc))
+    result = import_sarif(str(path), graph, max_length=max_length)
+    assert result.flows == []
+    assert result.skipped == [
+        f"thread flow skipped: imported flow fails validation: {violation}"
+    ]
