@@ -1,8 +1,11 @@
 """Advisory retrieval, normalization, and community-finding scoring.
 
-Authoritative sources (NVD, OSV, GHSA, Snyk) are read per dependency
-from an offline fixture directory, one JSON file per source, so every
-run is deterministic. Results are merged, deduplicated by identifier
+Authoritative sources (NVD, OSV, GHSA, Snyk) and community issues are
+read per dependency from an offline fixture directory, one JSON array
+per source, named ``<source>__<name-with-colons-as-double-underscore>.json``,
+so every run is deterministic. A missing file is an empty result; an
+unreadable one, or an entry of the wrong shape, is skipped with a
+warning. Authoritative results are merged, deduplicated by identifier
 and sorted by severity, then identifier.
 
 Community issues are scored by three deterministic text indicators
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from argus.errors import InvalidWeightsError, TransportError, read_json
+from argus.errors import ConfigError, TransportError, read_json
 from argus.deps import DependencyRecord
 
 AUTHORITATIVE_SOURCES = ("NVD", "OSV", "GHSA", "Snyk")
@@ -122,14 +125,9 @@ class CommunityIssue:
         if self.comment_count < 0:
             raise ValueError("comment_count must be >= 0")
 
-    @property
-    def from_primary_repo(self) -> bool:
-        return self.repo == "primary"
-
 
 @dataclass(frozen=True)
 class ScoredFinding:
-    issue: CommunityIssue
     relevance: float
     credibility: float
     quality: float
@@ -215,7 +213,7 @@ def check_gate_weights(weights: Sequence[float]) -> None:
         or not all(is_finite_number(w) for w in weights)
         or abs(sum(weights) - 1.0) > 1e-9
     ):
-        raise InvalidWeightsError(f"gate weights must be 3 values summing to 1, got {weights}")
+        raise ConfigError(f"gate weights must be 3 values summing to 1, got {weights}")
 
 
 def aggregate_score(relevance: float, credibility: float, quality: float,
@@ -232,7 +230,6 @@ def gate_finding(issue: CommunityIssue,
     q = quality_score(issue)
     agg = aggregate_score(r, c, q, weights)
     return ScoredFinding(
-        issue=issue,
         relevance=r,
         credibility=c,
         quality=q,
@@ -291,43 +288,24 @@ def version_in_range(version: str, range_spec: str) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# Offline fixture transport
-
-
-def _fixture_name(dep_name: str) -> str:
-    return dep_name.replace(":", "__")
-
-
-class OfflineFixtureTransport:
-    """Reads one JSON file per (source, dependency) from a directory.
-
-    File naming: ``<source>__<name-with-colons-as-double-underscore>.json``.
-    A missing file is an empty result, not an error.
-    """
-
-    def __init__(self, fixture_dir: str):
-        if not os.path.isdir(fixture_dir):
-            raise TransportError(f"fixture directory not found: {fixture_dir}")
-        self.fixture_dir = fixture_dir
-
-    def _load(self, filename: str) -> list[dict]:
-        path = os.path.join(self.fixture_dir, filename)
-        if not os.path.exists(path):
-            return []
-        doc = read_json(path, TransportError, f"{path}: malformed fixture")
-        if not isinstance(doc, list):
-            raise TransportError(f"{path}: fixture must be a JSON array")
-        return doc
-
-    def fetch_advisories(self, source: str, dep: DependencyRecord) -> list[dict]:
-        return self._load(f"{source}__{_fixture_name(dep.name)}.json")
-
-    def fetch_community(self, dep: DependencyRecord) -> list[dict]:
-        return self._load(f"community__{_fixture_name(dep.name)}.json")
-
-
-# ---------------------------------------------------------------------------
 # Retrieval
+
+
+def _read_fixture(fixtures_dir: str, filename: str) -> list:
+    """The JSON array in ``fixtures_dir/filename``; empty when the file is
+    missing. An unreadable file, or one that holds no array, raises
+    :class:`TransportError`."""
+    path = os.path.join(fixtures_dir, filename)
+    if not os.path.exists(path):
+        return []
+    doc = read_json(path, TransportError, f"{path}: malformed fixture")
+    if not isinstance(doc, list):
+        raise TransportError(f"{path}: fixture must be a JSON array")
+    return doc
+
+
+def _fixture_name(source: str, dep: DependencyRecord) -> str:
+    return f"{source}__{dep.name.replace(':', '__')}.json"
 
 
 # key -> the JSON types its value may have, where a fixture entry holds it
@@ -383,25 +361,22 @@ def _record_from_raw(raw, source: str, dep: DependencyRecord) -> AdvisoryRecord:
 
 
 def query_authoritative(
-    dep: DependencyRecord,
-    transport: OfflineFixtureTransport,
-    *,
-    warnings: Optional[list[str]] = None,
+    dep: DependencyRecord, fixtures_dir: str, warnings: list[str]
 ) -> list[AdvisoryRecord]:
-    """Query all authoritative sources and merge the results.
+    """Read every authoritative source's fixture in ``fixtures_dir`` and
+    merge the results.
 
-    Per-source transport failures are non-fatal: partial results are
-    returned and a warning is appended, as for an entry of the wrong
-    shape. Records are deduplicated by identifier (first source in
-    canonical order wins), filtered to the dependency's version when the
-    range is resolvable, and sorted by (severity desc, identifier).
+    A source whose file cannot be read is skipped: the other sources'
+    results are returned and a warning is appended to ``warnings``, as for
+    an entry of the wrong shape. Records are deduplicated by identifier
+    (first source in canonical order wins), filtered to the dependency's
+    version when the range is resolvable, and sorted by (severity desc,
+    identifier).
     """
-    if warnings is None:
-        warnings = []
     merged: dict[str, AdvisoryRecord] = {}
     for source in AUTHORITATIVE_SOURCES:
         try:
-            raws = transport.fetch_advisories(source, dep)
+            raws = _read_fixture(fixtures_dir, _fixture_name(source, dep))
         except TransportError as exc:
             warnings.append(f"{source}: {exc}")
             continue
@@ -419,22 +394,18 @@ def query_authoritative(
 
 
 def retrieve_community(
-    dep: DependencyRecord,
-    transport: OfflineFixtureTransport,
-    *,
-    warnings: Optional[list[str]] = None,
+    dep: DependencyRecord, fixtures_dir: str, warnings: list[str]
 ) -> list[CommunityIssue]:
-    """Fetch community issues in hierarchical priority order.
+    """Read the community issues in ``fixtures_dir``, in hierarchical
+    priority order.
 
     Primary-repository issues come before fork issues, and CVE/GHSA-linked
     issues before unlinked ones; ties break on URL for determinism. An
     entry of the wrong shape, or with neither a url nor a title, is skipped
-    with a warning.
+    with a warning, as is the whole file when it cannot be read.
     """
-    if warnings is None:
-        warnings = []
     try:
-        raws = transport.fetch_community(dep)
+        raws = _read_fixture(fixtures_dir, _fixture_name("community", dep))
     except TransportError as exc:
         warnings.append(f"community: {exc}")
         return []
@@ -455,5 +426,5 @@ def retrieve_community(
             ))
         except ValueError as exc:
             warnings.append(f"community: skipped malformed issue: {exc}")
-    issues.sort(key=lambda i: (not i.from_primary_repo, not i.cve_linked, i.url))
+    issues.sort(key=lambda i: (i.repo != "primary", not i.cve_linked, i.url))
     return issues

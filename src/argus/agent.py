@@ -353,39 +353,21 @@ def _transcript_line(path, no: int, line: str) -> dict:
 # Token metering
 
 
-@dataclass
-class TokenUsage:
-    per_stage: dict[str, tuple[int, int]] = field(default_factory=dict)
-
-    @property
-    def total_prompt(self) -> int:
-        return sum(p for p, _ in self.per_stage.values())
-
-    @property
-    def total_completion(self) -> int:
-        return sum(c for _, c in self.per_stage.values())
-
-    @property
-    def grand_total(self) -> int:
-        return self.total_prompt + self.total_completion
-
-    def to_dict(self) -> dict:
-        return {
-            "per_stage": {
-                stage: {"prompt": p, "completion": c}
-                for stage, (p, c) in sorted(self.per_stage.items())
-            },
-            "total_prompt": self.total_prompt,
-            "total_completion": self.total_completion,
-            "grand_total": self.grand_total,
+def meter_tokens(stage_transcripts: Mapping[str, Sequence[Transcript]]) -> dict:
+    """The report's ``token_usage``: prompt and completion counts per stage,
+    sorted by stage, and their totals."""
+    per_stage = {
+        stage: {
+            "prompt": sum(t.total_prompt_tokens for t in transcripts),
+            "completion": sum(t.total_completion_tokens for t in transcripts),
         }
-
-
-def meter_tokens(stage_transcripts: Mapping[str, Sequence[Transcript]]) -> TokenUsage:
-    """Summarize prompt/completion counts per stage; totals are the sums."""
-    usage = TokenUsage()
-    for stage, transcripts in stage_transcripts.items():
-        prompt = sum(t.total_prompt_tokens for t in transcripts)
-        completion = sum(t.total_completion_tokens for t in transcripts)
-        usage.per_stage[stage] = (prompt, completion)
-    return usage
+        for stage, transcripts in sorted(stage_transcripts.items())
+    }
+    prompt = sum(s["prompt"] for s in per_stage.values())
+    completion = sum(s["completion"] for s in per_stage.values())
+    return {
+        "per_stage": per_stage,
+        "total_prompt": prompt,
+        "total_completion": completion,
+        "grand_total": prompt + completion,
+    }

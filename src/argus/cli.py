@@ -54,7 +54,8 @@ _CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     """The config file's PipelineConfig keys, with the given flags laid over
-    them; every default lives in PipelineConfig. Unknown keys are ignored."""
+    them; every default lives in PipelineConfig. Unknown keys are ignored.
+    Only ``scan`` and ``flows`` read the graph, so only they require it."""
     raw = {}
     if args.config:
         raw = read_json(args.config, ConfigError, f"cannot read config {args.config}")
@@ -65,7 +66,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if not values.get("graph_path"):
+    if args.command in ("scan", "flows") and not values.get("graph_path"):
         raise ConfigError("--graph (or graph_path in the config file) is required")
     return PipelineConfig(**values)
 

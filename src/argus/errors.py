@@ -35,11 +35,7 @@ class ManifestError(ArgusError):
 
 
 class TransportError(ArgusError):
-    """A retrieval backend failed for one source (non-fatal per source)."""
-
-
-class InvalidWeightsError(ArgusError):
-    """Gate weights do not sum to 1."""
+    """An advisory fixture file could not be read (non-fatal per source)."""
 
 
 class BackendError(ArgusError):

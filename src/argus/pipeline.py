@@ -26,7 +26,6 @@ from argus.advisories import (
     DEFAULT_GATE_THRESHOLD,
     DEFAULT_GATE_WEIGHTS,
     AdvisoryRecord,
-    OfflineFixtureTransport,
     check_gate_weights,
     gate_finding,
     is_finite_number,
@@ -49,7 +48,7 @@ from argus.engine import (
     forward_search,
     import_sarif,
 )
-from argus.errors import ArgusError, ConfigError, InvalidWeightsError, ManifestError
+from argus.errors import ArgusError, ConfigError, ManifestError
 from argus.model import (
     DEFAULT_MAX_FLOW_LENGTH,
     DataFlow,
@@ -81,7 +80,7 @@ REPORT_VERSION = "1"
 
 @dataclass
 class PipelineConfig:
-    graph_path: str
+    graph_path: Optional[str] = None  # required by scan and flows
     manifest_paths: list[str] = field(default_factory=list)
     fixtures_dir: Optional[str] = None  # offline retrieval; None disables retrieval
     llm: str = "stub"  # "stub" | "replay:<dir>" | "live"
@@ -110,6 +109,7 @@ class PipelineConfig:
             "max_flows_per_sink": self.max_flows_per_sink,
             "max_depth": self.max_depth,
             "review_mode": self.review_mode,
+            "sink_registry_path": self.sink_registry_path,
         }
 
     def digest(self) -> str:
@@ -166,10 +166,7 @@ class PipelineConfig:
         threshold = self.gate_threshold
         if not is_finite_number(threshold):
             raise ConfigError(f"gate_threshold must be a finite number, got {threshold!r}")
-        try:
-            check_gate_weights(self.gate_weights)
-        except InvalidWeightsError as exc:
-            raise ConfigError(str(exc)) from exc
+        check_gate_weights(self.gate_weights)
 
     def validate_search_bounds(self) -> None:
         """Check the bounds of forward search and backward recovery, the
@@ -364,10 +361,9 @@ def retrieve_advisories(
     entries: list[dict] = []
     if config.fixtures_dir is None:
         return advisories, entries
-    transport = OfflineFixtureTransport(config.fixtures_dir)
     for dep in deps:
-        advisories.extend(query_authoritative(dep, transport, warnings=warnings))
-        for issue in retrieve_community(dep, transport, warnings=warnings):
+        advisories.extend(query_authoritative(dep, config.fixtures_dir, warnings))
+        for issue in retrieve_community(dep, config.fixtures_dir, warnings):
             finding = gate_finding(issue, config.gate_weights, config.gate_threshold)
             identifier = issue.url or issue.title
             entries.append({
@@ -553,9 +549,7 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
             ))
 
     report.findings.sort(key=lambda f: (f.sink_id, f.flow.edge_ids))
-    report.token_usage = meter_tokens(
-        {"poc": poc_transcripts, "review": review_transcripts}
-    ).to_dict()
+    report.token_usage = meter_tokens({"poc": poc_transcripts, "review": review_transcripts})
     return report
 
 

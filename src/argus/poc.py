@@ -190,11 +190,9 @@ def load_sink_registry(path: Optional[str] = None) -> dict[str, list[str]]:
 
 
 def registry_sink_candidates(
-    graph: ProgramGraph, registry: Optional[dict[str, list[str]]] = None
+    graph: ProgramGraph, registry: dict[str, list[str]]
 ) -> list[SinkCandidate]:
     """Match registry callables against graph labels (exact or suffix)."""
-    if registry is None:
-        registry = load_sink_registry()
     out: list[SinkCandidate] = []
     for sink_kind in sorted(registry):
         for name in sorted(registry[sink_kind]):

@@ -115,16 +115,9 @@ class ReviewVerdict:
             shared = {}
         hops = []
         for h in self.hops:
-            key = (
-                h.position,
-                h.entry_description,
-                h.content_and_path,
-                h.neutralization,
-                h.justification,
-            )
-            d = shared.get(key)
+            d = shared.get(h)
             if d is None:
-                d = shared[key] = h.to_dict()
+                d = shared[h] = h.to_dict()
             hops.append(d)
         return {
             "reachable": self.reachable,

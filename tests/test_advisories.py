@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from argus.advisories import (
     CommunityIssue,
-    OfflineFixtureTransport,
     Severity,
     aggregate_score,
     credibility_score,
@@ -18,7 +17,7 @@ from argus.advisories import (
     version_in_range,
 )
 from argus.deps import DependencyRecord, Ecosystem
-from argus.errors import InvalidWeightsError
+from argus.errors import ConfigError
 from tests.conftest import fixture_path
 
 
@@ -131,7 +130,7 @@ def test_gate_threshold_zero_passes_everything():
 
 
 def test_gate_invalid_weights():
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(ConfigError):
         aggregate_score(0.5, 0.5, 0.5, weights=(0.5, 0.5, 0.5))
 
 
@@ -167,32 +166,32 @@ def poi_dep():
 
 
 def test_offline_fixture_hit():
-    transport = OfflineFixtureTransport(fixture_path("publiccms_mini", "advisories"))
-    records = query_authoritative(poi_dep(), transport)
+    fixtures = fixture_path("publiccms_mini", "advisories")
+    records = query_authoritative(poi_dep(), fixtures, [])
     assert [r.cve_id for r in records] == ["CVE-2025-31672"]
     assert records[0].severity == Severity.HIGH
 
 
 def test_offline_fixture_miss_is_empty():
-    transport = OfflineFixtureTransport(fixture_path("publiccms_mini", "advisories"))
+    fixtures = fixture_path("publiccms_mini", "advisories")
     dep = DependencyRecord(Ecosystem.MAVEN, "com.absent:lib", "1.0")
-    assert query_authoritative(dep, transport) == []
+    assert query_authoritative(dep, fixtures, []) == []
 
 
 def test_version_filter_excludes_unaffected():
-    transport = OfflineFixtureTransport(fixture_path("publiccms_mini", "advisories"))
+    fixtures = fixture_path("publiccms_mini", "advisories")
     dep = DependencyRecord(Ecosystem.MAVEN, "org.apache.poi:poi-ooxml", "5.2.1")
-    assert query_authoritative(dep, transport) == []
+    assert query_authoritative(dep, fixtures, []) == []
 
 
 def test_duplicate_identifiers_merge(tmp_path):
     record = {"identifier": "GHSA-xxxx", "description": "d", "severity": "high"}
     for source in ("NVD", "GHSA"):
         (tmp_path / f"{source}__a__b.json").write_text(json.dumps([record]))
-    transport = OfflineFixtureTransport(str(tmp_path))
+    fixtures = str(tmp_path)
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
     warnings = []
-    records = query_authoritative(dep, transport, warnings=warnings)
+    records = query_authoritative(dep, fixtures, warnings)
     assert len(records) == 1
     assert warnings == []
 
@@ -206,16 +205,16 @@ def test_merge_order_independent(tmp_path):
     (tmp_path / "OSV__a__b.json").write_text(json.dumps([
         {"identifier": "CVE-3", "severity": "high"},
     ]))
-    transport = OfflineFixtureTransport(str(tmp_path))
+    fixtures = str(tmp_path)
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
-    ids = [r.identifier for r in query_authoritative(dep, transport)]
+    ids = [r.identifier for r in query_authoritative(dep, fixtures, [])]
     assert ids == ["CVE-1", "CVE-3", "CVE-2"]
 
 
 def test_community_hierarchical_order():
-    transport = OfflineFixtureTransport(fixture_path("community"))
+    fixtures = fixture_path("community")
     dep = DependencyRecord(Ecosystem.MAVEN, "org.datagear:datagear-analysis", "4.6.0")
-    issues = retrieve_community(dep, transport)
+    issues = retrieve_community(dep, fixtures, [])
     assert [i.repo for i in issues] == ["primary", "fork/acme"]
 
 
@@ -227,9 +226,9 @@ def test_community_cve_linked_first_within_repo(tmp_path):
          "url": "u2", "comment_count": 0},
     ]
     (tmp_path / "community__a__b.json").write_text(json.dumps(rows))
-    transport = OfflineFixtureTransport(str(tmp_path))
+    fixtures = str(tmp_path)
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
-    issues = retrieve_community(dep, transport)
+    issues = retrieve_community(dep, fixtures, [])
     assert [i.url for i in issues] == ["u2", "u1"]
 
 
@@ -258,7 +257,7 @@ def test_malformed_advisory_entry_is_skipped(tmp_path, entry, message):
     (tmp_path / "NVD__a__b.json").write_text(json.dumps([entry, GOOD_ADVISORY]))
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
     warnings = []
-    records = query_authoritative(dep, OfflineFixtureTransport(str(tmp_path)), warnings=warnings)
+    records = query_authoritative(dep, str(tmp_path), warnings)
     assert [r.identifier for r in records] == ["CVE-GOOD"]
     assert warnings == [f"NVD: skipped malformed advisory: {message}"]
 
@@ -271,7 +270,7 @@ def test_numeric_severity_and_cvss_score_are_kept(tmp_path):
     ]))
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
     warnings = []
-    records = query_authoritative(dep, OfflineFixtureTransport(str(tmp_path)), warnings=warnings)
+    records = query_authoritative(dep, str(tmp_path), warnings)
     assert [(r.identifier, r.severity) for r in records] == [
         ("A", Severity.CRITICAL), ("B", Severity.MEDIUM), ("C", Severity.UNKNOWN),
     ]
@@ -284,7 +283,7 @@ def test_non_utf8_fixture_is_a_source_warning(tmp_path):
     (tmp_path / "OSV__a__b.json").write_text(json.dumps([GOOD_ADVISORY]))
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
     warnings = []
-    records = query_authoritative(dep, OfflineFixtureTransport(str(tmp_path)), warnings=warnings)
+    records = query_authoritative(dep, str(tmp_path), warnings)
     assert [r.identifier for r in records] == ["CVE-GOOD"]
     assert len(warnings) == 1
     assert warnings[0].startswith(f"NVD: {path}: malformed fixture: ")
@@ -310,7 +309,7 @@ def test_malformed_community_entry_is_skipped(tmp_path, entry, message):
     (tmp_path / "community__a__b.json").write_text(json.dumps([entry, GOOD_ISSUE]))
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
     warnings = []
-    issues = retrieve_community(dep, OfflineFixtureTransport(str(tmp_path)), warnings=warnings)
+    issues = retrieve_community(dep, str(tmp_path), warnings)
     assert [i.url for i in issues] == ["u-good"]
     assert warnings == [f"community: skipped malformed issue: {message}"]
 
@@ -321,6 +320,6 @@ def test_community_entry_without_url_or_title_is_skipped(tmp_path):
     (tmp_path / "community__a__b.json").write_text(json.dumps([unnamed, GOOD_ISSUE]))
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
     warnings = []
-    issues = retrieve_community(dep, OfflineFixtureTransport(str(tmp_path)), warnings=warnings)
+    issues = retrieve_community(dep, str(tmp_path), warnings)
     assert [i.url for i in issues] == ["u-good"]
     assert warnings == ["community: skipped malformed issue: issue has neither a url nor a title"]

@@ -224,22 +224,26 @@ def make_transcript(pairs):
 
 
 def test_meter_empty_is_zero():
-    usage = meter_tokens({})
-    assert usage.total_prompt == 0
-    assert usage.total_completion == 0
-    assert usage.grand_total == 0
+    assert meter_tokens({}) == {
+        "per_stage": {}, "total_prompt": 0, "total_completion": 0, "grand_total": 0,
+    }
 
 
 def test_meter_arithmetic():
     poc = make_transcript([(Role.SYSTEM, 10), (Role.USER, 5), (Role.ASSISTANT, 7)])
     review = make_transcript([(Role.USER, 3), (Role.ASSISTANT, 2),
                               (Role.TOOL, 4), (Role.ASSISTANT, 6)])
-    usage = meter_tokens({"poc": [poc], "review": [review]})
-    assert usage.per_stage["poc"] == (15, 7)
-    assert usage.per_stage["review"] == (7, 8)
-    assert usage.total_prompt == 22
-    assert usage.total_completion == 15
-    assert usage.grand_total == 37
+    usage = meter_tokens({"review": [review], "poc": [poc]})
+    assert usage == {
+        "per_stage": {
+            "poc": {"prompt": 15, "completion": 7},
+            "review": {"prompt": 7, "completion": 8},
+        },
+        "total_prompt": 22,
+        "total_completion": 15,
+        "grand_total": 37,
+    }
+    assert list(usage["per_stage"]) == ["poc", "review"]
 
 
 def test_estimate_tokens_whitespace():

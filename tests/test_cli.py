@@ -26,9 +26,9 @@ def run_cli(capsys, *argv):
 
 
 def test_deps_subcommand(capsys):
+    # deps reads no graph, so it needs no --graph
     code, out, _ = run_cli(
         capsys, "deps",
-        "--graph", fixture_path("datagear_mini", "graph.json"),
         "--manifest", fixture_path("publiccms_mini", "pom.xml"),
     )
     assert code == EXIT_OK
@@ -38,9 +38,9 @@ def test_deps_subcommand(capsys):
 
 
 def test_advisories_subcommand(capsys):
+    # advisories reads no graph, so it needs no --graph
     code, out, _ = run_cli(
         capsys, "advisories",
-        "--graph", fixture_path("publiccms_mini", "graph.json"),
         "--manifest", fixture_path("publiccms_mini", "pom.xml"),
         "--fixtures", fixture_path("publiccms_mini", "advisories"),
     )
@@ -219,7 +219,13 @@ def test_scan_missing_graph_exit_2(capsys):
 def test_scan_missing_graph_flag_exit_2(capsys):
     code, _, err = run_cli(capsys, "scan")
     assert code == EXIT_CONFIG_ERROR
-    assert "required" in err
+    assert "--graph (or graph_path in the config file) is required" in err
+
+
+def test_flows_missing_graph_flag_exit_2(capsys):
+    code, _, err = run_cli(capsys, "flows", "--sink", "n_newinst")
+    assert code == EXIT_CONFIG_ERROR
+    assert "--graph (or graph_path in the config file) is required" in err
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

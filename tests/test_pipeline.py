@@ -368,6 +368,8 @@ def test_config_digest_stable_and_sensitive():
     a, b = datagear_config(), datagear_config()
     assert a.digest() == b.digest()
     assert a.digest() != datagear_config(gate_threshold=0.6).digest()
+    # a registry file can change the origin a sink is reported with
+    assert a.digest() != datagear_config(sink_registry_path="registry.json").digest()
 
 
 def test_sarif_backend_integration(tmp_path):

@@ -172,7 +172,7 @@ def test_bundled_registry_loads():
 
 def test_registry_candidates_on_case2_graph():
     graph = load_program_graph(fixture_path("publiccms_mini", "graph.json"))
-    cands = registry_sink_candidates(graph)
+    cands = registry_sink_candidates(graph, load_sink_registry())
     hits = [c for c in cands if c.matched_node_ids]
     assert len(hits) == 1
     assert hits[0].origin == CandidateOrigin.STATIC_REGISTRY
@@ -182,7 +182,7 @@ def test_registry_candidates_on_case2_graph():
 
 def test_registry_candidates_none_on_case1_graph():
     graph = load_program_graph(fixture_path("datagear_mini", "graph.json"))
-    cands = registry_sink_candidates(graph)
+    cands = registry_sink_candidates(graph, load_sink_registry())
     assert all(not c.matched_node_ids for c in cands)
 
 
