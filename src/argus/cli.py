@@ -121,6 +121,7 @@ def _cmd_flows(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if not args.sink:
         raise ConfigError("flows requires at least one --sink node id")
+    config.validate_graph_path()
     config.validate_search_bounds()
     graph = load_program_graph(config.graph_path)
     payload: dict[str, list] = {"forward": [], "stitched": []}

@@ -18,7 +18,17 @@ node and edge with ``object.__new__`` and sets its slots through their
 member descriptors, which skips the per-field ``object.__setattr__`` of a
 frozen ``__init__``; it runs the same checks as ``__post_init__`` (one
 function each), and the elements it builds are equal to, hash like and are
-as immutable as those built through ``__init__``. :class:`gc_paused` turns
+as immutable as those built through ``__init__``.
+
+:func:`load_program_graph` builds each node and edge while the JSON decoder
+decodes it, through the decoder's ``object_hook``, so the raw objects of a
+whole document never exist at once: the peak memory of a load is about the
+file's text plus the graph, where decoding first and building after needed
+the decoded document as well (a whole scan of a 13 MB, 30k-node document
+peaked at 96 MB resident that way and peaks at 63 MB now, with Python 3.11
+on Linux). An object the hook cannot build is left as decoded, and
+:func:`graph_from_dict` builds it in document order, so errors and warnings
+are those of building from a plain dict. :class:`gc_paused` turns
 that collector off and restores the caller's setting after.
 :func:`load_program_graph` runs under it, and so do a whole scan and a whole
 report export (``argus.pipeline``), since neither makes garbage cycles:
@@ -31,13 +41,14 @@ from __future__ import annotations
 
 import copy
 import gc
+import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from argus.errors import GraphIntegrityError, GraphParseError, read_json
+from argus.errors import ArgusError, GraphIntegrityError, GraphParseError, read_json
 
 FORMAT_VERSION = "1"
 
@@ -270,18 +281,20 @@ class ProgramGraph:
     def _check_integrity(self):
         if not self.functions:
             raise GraphIntegrityError("graph declares no functions", "<functions>")
+        functions = self.functions
         for n in self.nodes.values():
-            if n.function_id is not None and n.function_id not in self.functions:
+            if n.function_id is not None and n.function_id not in functions:
                 raise GraphIntegrityError(
                     f"node {n.id!r} references unknown function {n.function_id!r}",
                     n.function_id,
                 )
+        nodes = self.nodes
         for e in self.edges.values():
-            for endpoint in (e.src, e.dst):
-                if endpoint not in self.nodes:
-                    raise GraphIntegrityError(
-                        f"edge {e.id!r} references unknown node {endpoint!r}", endpoint
-                    )
+            if e.src not in nodes or e.dst not in nodes:
+                endpoint = e.src if e.src not in nodes else e.dst
+                raise GraphIntegrityError(
+                    f"edge {e.id!r} references unknown node {endpoint!r}", endpoint
+                )
         for f in self.functions.values():
             seen: set[str] = set()
             for pid in f.parameters:
@@ -516,25 +529,40 @@ _TAINT_ROLES = {r.value: r for r in TaintRole}
 _EDGE_KINDS = {k.value: k for k in EdgeKind}
 
 
-def _unknown_fields(obj: dict, allowed: set[str], what: str, strict: bool, warnings: list[str]):
+def _unknown_fields(obj: dict, allowed: set[str], what: str, strict: bool,
+                   warnings: Optional[list[str]]):
     """Reject or record the fields of ``obj`` outside ``allowed``. Callers
-    test ``obj.keys() <= allowed`` first, so the label ``what`` is only
-    formatted for an object that has an unknown field."""
+    test first that ``allowed`` holds every key of ``obj``, so the label
+    ``what`` is only formatted for an object that has an unknown field."""
     msg = f"{what}: unknown field(s) {sorted(set(obj) - allowed)}"
     if strict:
         raise GraphParseError(msg)
     warnings.append(msg)
 
 
-def _objects(doc: dict, key: str) -> list[dict]:
-    """The entries of the array ``doc[key]``, each checked to be an object."""
+def _objects(doc: dict, key: str, built: type = dict) -> list:
+    """The entries of the array ``doc[key]``, each checked to be an object
+    or an element of type ``built`` that the decoder built from one. A node
+    or edge the decoder built from a well-formed object anywhere else is an
+    input error."""
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise GraphParseError(f"{key} must be a JSON array")
     for pos, raw in enumerate(entries):
-        if not isinstance(raw, dict):
+        if type(raw) is not built and not isinstance(raw, dict):
+            if isinstance(raw, (ContentNode, AccessPathEdge)):
+                what = "node" if isinstance(raw, ContentNode) else "edge"
+                raise GraphParseError(f"{key}[{pos}] is a {what} object, not one of {key}")
             raise GraphParseError(f"{key}[{pos}] must be a JSON object")
     return entries
+
+
+def _elements(doc: dict, key: str, cls: type, build, strict: bool,
+              warnings: list[str]) -> list:
+    """The nodes or edges (``cls``) of ``doc[key]``: the entries the decoder
+    built, and each object it left, built here by ``build`` in order."""
+    entries = _objects(doc, key, cls)
+    return [raw if type(raw) is cls else build(raw, strict, warnings) for raw in entries]
 
 
 def _all_strings(values: list) -> bool:
@@ -575,9 +603,12 @@ def _slot_setters(cls: type) -> tuple:
     return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
 
 
+_new = object.__new__
+
 # The loader builds nodes and edges with ``object.__new__`` and sets their
 # slots through these member descriptors, then runs the ``__post_init__``
-# check itself: a frozen dataclass's ``__init__`` goes through
+# check itself where it can fail (a node with a source or sink kind, a
+# self-loop edge): a frozen dataclass's ``__init__`` goes through
 # ``object.__setattr__`` once per field, which takes about three times as
 # long. Each tuple is unpacked into a fixed count, so a field added to or
 # removed from either class fails here, at import.
@@ -587,94 +618,115 @@ def _slot_setters(cls: type) -> tuple:
  _set_edge_tags, _set_edge_bridged) = _slot_setters(AccessPathEdge)
 
 
-def _nodes(doc: dict, strict: bool, warnings: list[str]) -> list[ContentNode]:
-    """The checked nodes of ``doc``. Each field's common case is tested
-    inline; any other value goes to the helper or enum call that checks it,
-    so each error message is made in one place."""
-    new = object.__new__
-    nodes = []
-    for raw in _objects(doc, "nodes"):
-        if not raw.keys() <= _NODE_FIELDS:
-            _unknown_fields(raw, _NODE_FIELDS, f"node {raw.get('id')!r}", strict, warnings)
-        node_id = raw["id"]
-        if type(node_id) is not str:
-            node_id = _string(raw, "id", "node")
-        kind = raw["kind"]
-        try:
-            kind = _NODE_KINDS[kind]
-        except (KeyError, TypeError):
-            kind = NodeKind(kind)
-        label = raw.get("label", "")
-        if type(label) is not str:
-            label = _string(raw, "label", f"node {node_id!r}")
-        function_id = raw.get("function_id")
-        if function_id is not None and type(function_id) is not str:
-            function_id = _optional_str(raw, "function_id", "node")
-        role = raw.get("taint_role", "none")
-        try:
-            role = _TAINT_ROLES[role]
-        except (KeyError, TypeError):
-            role = TaintRole(role)
-        source_kind = raw.get("source_kind")
-        if source_kind is not None and type(source_kind) is not str:
-            source_kind = _optional_str(raw, "source_kind", "node")
-        sink_kind = raw.get("sink_kind")
-        if sink_kind is not None and type(sink_kind) is not str:
-            sink_kind = _optional_str(raw, "sink_kind", "node")
-        node = new(ContentNode)
-        _set_node_id(node, node_id)
-        _set_node_kind(node, kind)
-        _set_node_label(node, label)
-        _set_node_function(node, function_id)
-        _set_node_role(node, role)
-        _set_node_source(node, source_kind)
-        _set_node_sink(node, sink_kind)
+def _node(raw: dict, strict: bool, warnings: Optional[list[str]]) -> ContentNode:
+    """The checked node of the object ``raw``. Each field's common case is
+    tested inline; any other value goes to the helper or enum call that
+    checks it, so each error message is made in one place."""
+    if not _NODE_FIELDS.issuperset(raw):
+        _unknown_fields(raw, _NODE_FIELDS, f"node {raw.get('id')!r}", strict, warnings)
+    node_id = raw["id"]
+    if type(node_id) is not str:
+        node_id = _string(raw, "id", "node")
+    kind = raw["kind"]
+    try:
+        kind = _NODE_KINDS[kind]
+    except (KeyError, TypeError):
+        kind = NodeKind(kind)
+    label = raw.get("label", "")
+    if type(label) is not str:
+        label = _string(raw, "label", f"node {node_id!r}")
+    function_id = raw.get("function_id")
+    if function_id is not None and type(function_id) is not str:
+        function_id = _optional_str(raw, "function_id", "node")
+    role = raw.get("taint_role", "none")
+    try:
+        role = _TAINT_ROLES[role]
+    except (KeyError, TypeError):
+        role = TaintRole(role)
+    source_kind = raw.get("source_kind")
+    if source_kind is not None and type(source_kind) is not str:
+        source_kind = _optional_str(raw, "source_kind", "node")
+    sink_kind = raw.get("sink_kind")
+    if sink_kind is not None and type(sink_kind) is not str:
+        sink_kind = _optional_str(raw, "sink_kind", "node")
+    node = _new(ContentNode)
+    _set_node_id(node, node_id)
+    _set_node_kind(node, kind)
+    _set_node_label(node, label)
+    _set_node_function(node, function_id)
+    _set_node_role(node, role)
+    _set_node_source(node, source_kind)
+    _set_node_sink(node, sink_kind)
+    if source_kind or sink_kind:
         _check_node(node)
-        nodes.append(node)
-    return nodes
+    return node
 
 
-def _edges(doc: dict, strict: bool, warnings: list[str]) -> list[AccessPathEdge]:
-    """The checked edges of ``doc``, built as :func:`_nodes` builds nodes."""
-    new = object.__new__
-    edges = []
-    for raw in _objects(doc, "edges"):
-        if not raw.keys() <= _EDGE_FIELDS:
-            _unknown_fields(raw, _EDGE_FIELDS, f"edge {raw.get('id')!r}", strict, warnings)
-        guard_tags = raw.get("guard_tags", [])
-        # Most edges carry no tags: skip the element check for those.
-        if not isinstance(guard_tags, list) or (guard_tags and not _all_strings(guard_tags)):
-            raise GraphParseError(
-                f"edge {raw.get('id')!r}: guard_tags must be a JSON array of strings"
-            )
-        edge_id = raw["id"]
-        if type(edge_id) is not str:
-            edge_id = _string(raw, "id", "edge")
-        src = raw["from"]
-        if type(src) is not str:
-            src = _string(raw, "from", f"edge {edge_id!r}")
-        dst = raw["to"]
-        if type(dst) is not str:
-            dst = _string(raw, "to", f"edge {edge_id!r}")
-        kind = raw["kind"]
-        try:
-            kind = _EDGE_KINDS[kind]
-        except (KeyError, TypeError):
-            kind = EdgeKind(kind)
-        visible = raw.get("visible_to_forward", True)
-        if visible is not True and visible is not False:
-            visible = _flag(raw, "visible_to_forward", True, "edge")
-        edge = new(AccessPathEdge)
-        _set_edge_id(edge, edge_id)
-        _set_edge_src(edge, src)
-        _set_edge_dst(edge, dst)
-        _set_edge_kind(edge, kind)
-        _set_edge_visible(edge, visible)
-        _set_edge_tags(edge, frozenset(guard_tags) if guard_tags else _NO_TAGS)
-        _set_edge_bridged(edge, False)
+def _edge(raw: dict, strict: bool, warnings: Optional[list[str]]) -> AccessPathEdge:
+    """The checked edge of the object ``raw``, built as :func:`_node` builds
+    a node."""
+    if not _EDGE_FIELDS.issuperset(raw):
+        _unknown_fields(raw, _EDGE_FIELDS, f"edge {raw.get('id')!r}", strict, warnings)
+    guard_tags = raw.get("guard_tags", [])
+    # Most edges carry no tags: skip the element check for those.
+    if not isinstance(guard_tags, list) or (guard_tags and not _all_strings(guard_tags)):
+        raise GraphParseError(
+            f"edge {raw.get('id')!r}: guard_tags must be a JSON array of strings"
+        )
+    edge_id = raw["id"]
+    if type(edge_id) is not str:
+        edge_id = _string(raw, "id", "edge")
+    src = raw["from"]
+    if type(src) is not str:
+        src = _string(raw, "from", f"edge {edge_id!r}")
+    dst = raw["to"]
+    if type(dst) is not str:
+        dst = _string(raw, "to", f"edge {edge_id!r}")
+    kind = raw["kind"]
+    try:
+        kind = _EDGE_KINDS[kind]
+    except (KeyError, TypeError):
+        kind = EdgeKind(kind)
+    visible = raw.get("visible_to_forward", True)
+    if visible is not True and visible is not False:
+        visible = _flag(raw, "visible_to_forward", True, "edge")
+    edge = _new(AccessPathEdge)
+    _set_edge_id(edge, edge_id)
+    _set_edge_src(edge, src)
+    _set_edge_dst(edge, dst)
+    _set_edge_kind(edge, kind)
+    _set_edge_visible(edge, visible)
+    _set_edge_tags(edge, frozenset(guard_tags) if guard_tags else _NO_TAGS)
+    _set_edge_bridged(edge, False)
+    if src == dst:
         _check_edge(edge)
-        edges.append(edge)
-    return edges
+    return edge
+
+
+def _element(raw: dict):
+    """The decoder's ``object_hook``: the element built from the decoded
+    object ``raw``, or ``raw`` itself. An object with ``"from"`` is built as
+    an edge and one with ``"kind"`` as a node, both strictly; every other
+    object, and one whose build fails for any reason, is returned as
+    decoded, and :func:`graph_from_dict` builds it in document order and
+    reports its error there. So the hook never raises, and the decoder
+    never holds more than one element's raw object at a time."""
+    try:
+        if "from" in raw:
+            return _edge(raw, True, None)
+        if "kind" in raw:
+            return _node(raw, True, None)
+    # What the builders raise on any decoded object: their own errors, a
+    # missing key, a value of a bad type or enum, and a nested value too
+    # deep to format in a message.
+    except (ArgusError, KeyError, ValueError, TypeError, RecursionError):
+        pass
+    return raw
+
+
+# Built once: ``json.loads`` with an ``object_hook`` builds a new decoder on
+# every call.
+_DECODER = json.JSONDecoder(object_hook=_element)
 
 
 class gc_paused:
@@ -701,6 +753,11 @@ class gc_paused:
 def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
     """Load and validate a program-graph JSON document.
 
+    Nodes and edges are built while the document is decoded (see
+    :func:`_element`), so the peak memory of a load is about the file's
+    text plus the graph; the result, errors and warnings are those of
+    :func:`graph_from_dict` on the decoded document.
+
     Raises :class:`GraphParseError` for malformed documents and
     :class:`GraphIntegrityError` (naming the offending id) for dangling or
     duplicate references. In lenient mode unknown fields are appended to
@@ -713,11 +770,14 @@ def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str
     return and on error, and a caller that had collection off keeps it off.
     """
     with gc_paused():
-        doc = read_json(path, GraphParseError, f"{path}: cannot read graph")
+        doc = read_json(path, GraphParseError, f"{path}: cannot read graph", _DECODER)
         return graph_from_dict(doc, strict=strict, warnings=warnings)
 
 
 def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
+    """The graph of the decoded document ``doc``. Entries of ``nodes`` and
+    ``edges`` may already be built (as :data:`_DECODER` leaves them); every
+    entry that is still an object is built and checked here, in order."""
     if warnings is None:
         warnings = []
     if not isinstance(doc, dict):
@@ -729,8 +789,8 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
     if not doc.keys() <= _TOP_FIELDS:
         _unknown_fields(doc, _TOP_FIELDS, "document", strict, warnings)
     try:
-        nodes = _nodes(doc, strict, warnings)
-        edges = _edges(doc, strict, warnings)
+        nodes = _elements(doc, "nodes", ContentNode, _node, strict, warnings)
+        edges = _elements(doc, "edges", AccessPathEdge, _edge, strict, warnings)
         functions = []
         for raw in _objects(doc, "functions"):
             if not raw.keys() <= _FUNCTION_FIELDS:

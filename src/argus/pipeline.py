@@ -117,15 +117,14 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode()).hexdigest()
 
     def validate(self) -> None:
-        for name in ("graph_path", "llm", "analysis_backend"):
+        self.validate_graph_path()
+        for name in ("llm", "analysis_backend"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
         for name in ("out_dir", "sink_registry_path", "live_llm_endpoint", "live_llm_model"):
             if not isinstance(getattr(self, name), (str, type(None))):
                 raise ConfigError(f"{name} must be a string or null, got {getattr(self, name)!r}")
         self.validate_retrieval()
-        if not os.path.exists(self.graph_path):
-            raise ConfigError(f"graph file not found: {self.graph_path}")
         if self.llm.startswith("replay:"):
             replay_dir = self.llm.split(":", 1)[1]
             if not os.path.isdir(replay_dir):
@@ -144,6 +143,15 @@ class PipelineConfig:
         elif self.analysis_backend != "builtin":
             raise ConfigError(f"unknown analysis backend: {self.analysis_backend!r}")
         self.validate_search_bounds()
+
+    def validate_graph_path(self) -> None:
+        """Check the graph path, which `scan` and `argus flows` read: a
+        path of any other type than a string would reach ``open``."""
+        path = self.graph_path
+        if not isinstance(path, str):
+            raise ConfigError(f"graph_path must be a string, got {path!r}")
+        if not os.path.exists(path):
+            raise ConfigError(f"graph file not found: {path}")
 
     def validate_manifests(self) -> None:
         """Check the manifest paths, the only setting `argus deps` reads."""

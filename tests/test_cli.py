@@ -331,6 +331,18 @@ def test_flows_prints_recovery_drop_reasons_on_stderr(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("graph_path", [5, ["a"], {"a": 1}, True, 1.5, -1],
+                         ids=["int", "array", "object", "bool", "float", "negative"])
+def test_flows_non_string_graph_path_exit_2(capsys, tmp_path, graph_path):
+    # A number used to reach open() as a file descriptor, an array a TypeError.
+    cpath = tmp_path / "config.json"
+    cpath.write_text(json.dumps({"graph_path": graph_path}))
+    code, out, err = run_cli(capsys, "flows", "--config", str(cpath), "--sink", "x")
+    assert code == EXIT_CONFIG_ERROR
+    assert out == ""
+    assert err == f"error: graph_path must be a string, got {graph_path!r}\n"
+
+
 def test_non_object_graph_entry_exit_2(capsys, tmp_path):
     gpath = tmp_path / "graph.json"
     gpath.write_text('{"format_version":"1","functions":[{"id":"f"}],"nodes":[1]}')

@@ -1,6 +1,7 @@
 import copy
 import gc
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -735,3 +736,72 @@ def test_malformed_documents_raise_only_graph_errors(doc):
     assert all(type(v) is str for v in strings)
     assert all(v is None or type(v) is str for v in optional)
     assert {*strings, *optional} <= _strings_in(doc) | {"", None}
+
+
+def _outcome(load, strict):
+    """What a load gives: the graph's tables in order and the warnings, or
+    the error's class and message."""
+    warnings: list[str] = []
+    try:
+        graph = load(strict=strict, warnings=warnings)
+    except (GraphParseError, GraphIntegrityError) as exc:
+        return type(exc), str(exc)
+    tables = (list(graph.nodes.items()), list(graph.edges.items()),
+              list(graph.functions.items()), graph.call_edges, graph.source_files,
+              graph.anchors)
+    return tables, warnings
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_mutated_documents())
+def test_file_load_equals_dict_load(tmp_path_factory, doc):
+    # The loader builds nodes and edges while the file is decoded; what it
+    # gives must not depend on that, in either mode.
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    for strict in (True, False):
+        from_file = _outcome(lambda **kw: load_program_graph(path, **kw), strict)
+        from_dict = _outcome(lambda **kw: graph_from_dict(copy.deepcopy(doc), **kw), strict)
+        assert from_file == from_dict
+
+
+_NODE_OBJECT = {"id": "x", "kind": "variable", "function_id": "f1", "label": "x"}
+_EDGE_OBJECT = {"id": "ex", "from": "a", "to": "b", "kind": "assign"}
+
+
+@pytest.mark.parametrize("misplace", [
+    lambda doc: doc["nodes"].append(_EDGE_OBJECT),
+    lambda doc: doc["functions"].append(_NODE_OBJECT),
+    lambda doc: doc["nodes"][0].update(label=_NODE_OBJECT),
+    lambda doc: doc["edges"].append(_NODE_OBJECT),
+], ids=["edge-in-nodes", "node-in-functions", "node-as-label", "node-in-edges"])
+def test_well_formed_element_in_the_wrong_place_is_a_parse_error(tmp_path, misplace):
+    # The decoder builds such an object as a node or an edge before it
+    # knows where it is; the loader must still reject it. Only the class is
+    # pinned: the message may name the built element.
+    doc = json.loads(json.dumps(MINIMAL))
+    misplace(doc)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphParseError):
+        load_program_graph(path)
+
+
+def test_load_peak_memory_is_close_to_what_it_keeps(tmp_path):
+    # Elements are built while the document is decoded, so the raw objects
+    # of the whole document never exist at once: the peak is the file text
+    # plus the graph, not the decoded document plus the graph.
+    path = tmp_path / "g.json"
+    doc = graph_to_dict(random_graph(3, n_nodes=3000, n_edges=6000, n_sources=3,
+                                     n_sinks=3, n_sanitizers=2))
+    path.write_text(json.dumps(doc))
+    del doc
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        graph = load_program_graph(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.nodes) == 3000
+    assert peak - base <= 1.6 * (kept - base)
