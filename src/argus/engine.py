@@ -201,10 +201,15 @@ def _member(obj, key: str):
 
 
 def _resolve_anchor(graph: ProgramGraph, uri: str, line: int) -> Optional[str]:
-    for anchor in graph.anchors:
-        if anchor.file == uri and anchor.start_line <= line <= anchor.end_line:
-            return anchor.node_id
-    return None
+    """The node of the narrowest anchor in ``uri`` whose lines hold ``line``,
+    and of equally narrow ones the smallest node id, so that nested ranges
+    (a call argument inside its statement) resolve the same in any order."""
+    best = min(
+        ((a.end_line - a.start_line, a.node_id) for a in graph.anchors
+         if a.file == uri and a.start_line <= line <= a.end_line),
+        default=None,
+    )
+    return None if best is None else best[1]
 
 
 def _import_thread_flow(

@@ -25,11 +25,22 @@ decodes it, through the decoder's ``object_hook``, so the raw objects of a
 whole document never exist at once: the peak memory of a load is about the
 file's text plus the graph, where decoding first and building after needed
 the decoded document as well (a whole scan of a 13 MB, 30k-node document
-peaked at 96 MB resident that way and peaks at 63 MB now, with Python 3.11
-on Linux). An object the hook cannot build is left as decoded, and
-:func:`graph_from_dict` builds it in document order, so errors and warnings
-are those of building from a plain dict. :class:`gc_paused` turns
-that collector off and restores the caller's setting after.
+peaked at 96 MB resident that way, with Python 3.11 on Linux). An object the
+hook cannot build is left as decoded, and :func:`graph_from_dict` builds it
+in document order, so errors and warnings are those of building from a
+plain dict.
+
+A loaded graph holds one string object per distinct id: every id reference
+(edge endpoints, node function ids, function parameters and return nodes,
+call edges, anchors) is the first object decoded for that id, looked up in
+a table that belongs to the one load and is dropped when it ends. The
+decoder makes a new object for each reference, and each is freed as its
+element is built. That document's graph went from 31.5 to 22.0 MB, its
+load's peak from 40.9 to 33.2 MB (``tracemalloc``), and the scan's peak
+from 63 to 54 MB resident. The table is not ``sys.intern``: interned
+strings are immortal from Python 3.12, so a process that loads many graphs
+would keep every id it ever read. :class:`gc_paused` turns the cyclic
+garbage collector off and restores the caller's setting after.
 :func:`load_program_graph` runs under it, and so do a whole scan and a whole
 report export (``argus.pipeline``), since neither makes garbage cycles:
 every container is kept or freed by reference counting, so a collection
@@ -231,7 +242,10 @@ class ProgramGraph:
     """Immutable program graph with id-indexed lookups.
 
     Its nodes, edges, functions, call edges and anchors are instances of
-    frozen, slotted dataclasses. The outgoing-edge index is built at load:
+    frozen, slotted dataclasses. A graph the loader builds holds one string
+    object per id, which every reference to that id shares (see the module
+    docstring); a graph built here holds the objects it is given. The
+    outgoing-edge index is built at load:
     edges are bucketed by source in document order, and each bucket of
     more than one edge is then sorted by edge id. The incoming-edge index,
     the label index and the per-role node lists are built on first use, so
@@ -558,11 +572,12 @@ def _objects(doc: dict, key: str, built: type = dict) -> list:
 
 
 def _elements(doc: dict, key: str, cls: type, build, strict: bool,
-              warnings: list[str]) -> list:
+              warnings: list[str], share) -> list:
     """The nodes or edges (``cls``) of ``doc[key]``: the entries the decoder
     built, and each object it left, built here by ``build`` in order."""
     entries = _objects(doc, key, cls)
-    return [raw if type(raw) is cls else build(raw, strict, warnings) for raw in entries]
+    return [raw if type(raw) is cls else build(raw, strict, warnings, share)
+            for raw in entries]
 
 
 def _all_strings(values: list) -> bool:
@@ -618,15 +633,18 @@ _new = object.__new__
  _set_edge_tags, _set_edge_bridged) = _slot_setters(AccessPathEdge)
 
 
-def _node(raw: dict, strict: bool, warnings: Optional[list[str]]) -> ContentNode:
+def _node(raw: dict, strict: bool, warnings: Optional[list[str]], share) -> ContentNode:
     """The checked node of the object ``raw``. Each field's common case is
     tested inline; any other value goes to the helper or enum call that
-    checks it, so each error message is made in one place."""
+    checks it, so each error message is made in one place. Its id and
+    function id are passed through ``share``, the ``setdefault`` of the
+    load's id table (see :func:`graph_from_dict`)."""
     if not _NODE_FIELDS.issuperset(raw):
         _unknown_fields(raw, _NODE_FIELDS, f"node {raw.get('id')!r}", strict, warnings)
     node_id = raw["id"]
     if type(node_id) is not str:
         node_id = _string(raw, "id", "node")
+    node_id = share(node_id, node_id)
     kind = raw["kind"]
     try:
         kind = _NODE_KINDS[kind]
@@ -636,8 +654,10 @@ def _node(raw: dict, strict: bool, warnings: Optional[list[str]]) -> ContentNode
     if type(label) is not str:
         label = _string(raw, "label", f"node {node_id!r}")
     function_id = raw.get("function_id")
-    if function_id is not None and type(function_id) is not str:
-        function_id = _optional_str(raw, "function_id", "node")
+    if function_id is not None:
+        if type(function_id) is not str:
+            function_id = _optional_str(raw, "function_id", "node")
+        function_id = share(function_id, function_id)
     role = raw.get("taint_role", "none")
     try:
         role = _TAINT_ROLES[role]
@@ -662,9 +682,9 @@ def _node(raw: dict, strict: bool, warnings: Optional[list[str]]) -> ContentNode
     return node
 
 
-def _edge(raw: dict, strict: bool, warnings: Optional[list[str]]) -> AccessPathEdge:
+def _edge(raw: dict, strict: bool, warnings: Optional[list[str]], share) -> AccessPathEdge:
     """The checked edge of the object ``raw``, built as :func:`_node` builds
-    a node."""
+    a node; its endpoints are passed through ``share``."""
     if not _EDGE_FIELDS.issuperset(raw):
         _unknown_fields(raw, _EDGE_FIELDS, f"edge {raw.get('id')!r}", strict, warnings)
     guard_tags = raw.get("guard_tags", [])
@@ -679,9 +699,11 @@ def _edge(raw: dict, strict: bool, warnings: Optional[list[str]]) -> AccessPathE
     src = raw["from"]
     if type(src) is not str:
         src = _string(raw, "from", f"edge {edge_id!r}")
+    src = share(src, src)
     dst = raw["to"]
     if type(dst) is not str:
         dst = _string(raw, "to", f"edge {edge_id!r}")
+    dst = share(dst, dst)
     kind = raw["kind"]
     try:
         kind = _EDGE_KINDS[kind]
@@ -703,30 +725,37 @@ def _edge(raw: dict, strict: bool, warnings: Optional[list[str]]) -> AccessPathE
     return edge
 
 
-def _element(raw: dict):
-    """The decoder's ``object_hook``: the element built from the decoded
+def _decoder() -> tuple[json.JSONDecoder, list]:
+    """A decoder and the one-item list its ``object_hook`` reads the load's
+    ``share`` from. The hook returns the element built from each decoded
     object ``raw``, or ``raw`` itself. An object with ``"from"`` is built as
     an edge and one with ``"kind"`` as a node, both strictly; every other
     object, and one whose build fails for any reason, is returned as
     decoded, and :func:`graph_from_dict` builds it in document order and
-    reports its error there. So the hook never raises, and the decoder
-    never holds more than one element's raw object at a time."""
-    try:
-        if "from" in raw:
-            return _edge(raw, True, None)
-        if "kind" in raw:
-            return _node(raw, True, None)
-    # What the builders raise on any decoded object: their own errors, a
-    # missing key, a value of a bad type or enum, and a nested value too
-    # deep to format in a message.
-    except (ArgusError, KeyError, ValueError, TypeError, RecursionError):
-        pass
-    return raw
+    reports its error there. So the hook never raises, and the decoder never
+    holds more than one element's raw object at a time."""
+    slot = [None]
+
+    def element(raw: dict):
+        try:
+            if "from" in raw:
+                return _edge(raw, True, None, slot[0])
+            if "kind" in raw:
+                return _node(raw, True, None, slot[0])
+        # What the builders raise on any decoded object: their own errors, a
+        # missing key, a value of a bad type or enum, and a nested value too
+        # deep to format in a message.
+        except (ArgusError, KeyError, ValueError, TypeError, RecursionError):
+            pass
+        return raw
+
+    return json.JSONDecoder(object_hook=element), slot
 
 
-# Built once: ``json.loads`` with an ``object_hook`` builds a new decoder on
-# every call.
-_DECODER = json.JSONDecoder(object_hook=_element)
+# Decoders that no load is using. A load takes one, or makes one when none is
+# idle, so loads in several threads never share a table. Making a decoder
+# for every load added about 6% to the load time of a graph of a few nodes.
+_IDLE = [_decoder()]
 
 
 class gc_paused:
@@ -754,9 +783,10 @@ def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str
     """Load and validate a program-graph JSON document.
 
     Nodes and edges are built while the document is decoded (see
-    :func:`_element`), so the peak memory of a load is about the file's
+    :func:`_decoder`), so the peak memory of a load is about the file's
     text plus the graph; the result, errors and warnings are those of
-    :func:`graph_from_dict` on the decoded document.
+    :func:`graph_from_dict` on the decoded document, and the decoder and
+    the rest of the load share one id table.
 
     Raises :class:`GraphParseError` for malformed documents and
     :class:`GraphIntegrityError` (naming the offending id) for dangling or
@@ -770,14 +800,36 @@ def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str
     return and on error, and a caller that had collection off keeps it off.
     """
     with gc_paused():
-        doc = read_json(path, GraphParseError, f"{path}: cannot read graph", _DECODER)
-        return graph_from_dict(doc, strict=strict, warnings=warnings)
+        try:
+            decoder, slot = _IDLE.pop()
+        except IndexError:
+            decoder, slot = _decoder()
+        slot[0] = share = {}.setdefault
+        try:
+            doc = read_json(path, GraphParseError, f"{path}: cannot read graph", decoder)
+        finally:
+            slot[0] = None
+            _IDLE.append((decoder, slot))
+        return _graph(doc, strict, warnings, share)
 
 
 def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
-    """The graph of the decoded document ``doc``. Entries of ``nodes`` and
-    ``edges`` may already be built (as :data:`_DECODER` leaves them); every
-    entry that is still an object is built and checked here, in order."""
+    """The graph of the decoded document ``doc``.
+
+    Every id reference of the graph is the one string object first read for
+    that id: node ids and function ids, edge endpoints, function parameters
+    and return nodes, call edges and anchors. A table of this one load,
+    dropped when it returns, maps each id to that object, so the graph
+    keeps none of the document's other copies."""
+    return _graph(doc, strict, warnings, {}.setdefault)
+
+
+def _graph(doc: dict, strict: bool, warnings: Optional[list[str]], share) -> ProgramGraph:
+    """:func:`graph_from_dict`, given the load's ``share``, the
+    ``setdefault`` of its id table. Entries of ``nodes`` and ``edges`` may
+    already be built (as :func:`_decoder` leaves them, with the same
+    ``share``); every entry that is still an object is built and checked
+    here, in order."""
     if warnings is None:
         warnings = []
     if not isinstance(doc, dict):
@@ -789,8 +841,8 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
     if not doc.keys() <= _TOP_FIELDS:
         _unknown_fields(doc, _TOP_FIELDS, "document", strict, warnings)
     try:
-        nodes = _elements(doc, "nodes", ContentNode, _node, strict, warnings)
-        edges = _elements(doc, "edges", AccessPathEdge, _edge, strict, warnings)
+        nodes = _elements(doc, "nodes", ContentNode, _node, strict, warnings, share)
+        edges = _elements(doc, "edges", AccessPathEdge, _edge, strict, warnings, share)
         functions = []
         for raw in _objects(doc, "functions"):
             if not raw.keys() <= _FUNCTION_FIELDS:
@@ -802,13 +854,18 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
                     f"function {raw.get('id')!r}: parameters must be a JSON array of strings"
                 )
             function_id = _string(raw, "id", "function")
+            function_id = share(function_id, function_id)
+            name = (_string(raw, "name", f"function {function_id!r}")
+                    if "name" in raw else function_id)
+            return_node = _optional_str(raw, "return_node", "function")
+            if return_node is not None:
+                return_node = share(return_node, return_node)
             functions.append(
                 FunctionDecl(
                     id=function_id,
-                    name=_string(raw, "name", f"function {function_id!r}")
-                    if "name" in raw else function_id,
-                    parameters=tuple(parameters),
-                    return_node=_optional_str(raw, "return_node", "function"),
+                    name=name,
+                    parameters=tuple(map(share, parameters, parameters)),
+                    return_node=return_node,
                     is_entry_point=_flag(raw, "is_entry_point", False, "function"),
                 )
             )
@@ -816,25 +873,21 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
         for raw in _objects(doc, "call_edges"):
             if not raw.keys() <= _CALL_EDGE_FIELDS:
                 _unknown_fields(raw, _CALL_EDGE_FIELDS, "call edge", strict, warnings)
+            caller = _string(raw, "caller", "call edge")
+            callee = _string(raw, "callee", "call edge")
+            site = _string(raw, "call_site_node", "call edge")
             call_edges.append(
-                CallEdge(
-                    caller=_string(raw, "caller", "call edge"),
-                    callee=_string(raw, "callee", "call edge"),
-                    call_site_node=_string(raw, "call_site_node", "call edge"),
-                )
+                CallEdge(share(caller, caller), share(callee, callee), share(site, site))
             )
         anchors = []
         for raw in _objects(doc, "anchors"):
             if not raw.keys() <= _ANCHOR_FIELDS:
                 _unknown_fields(raw, _ANCHOR_FIELDS, "anchor", strict, warnings)
-            anchors.append(
-                Anchor(
-                    file=_string(raw, "file", "anchor"),
-                    start_line=_anchor_line(raw, "start_line"),
-                    end_line=_anchor_line(raw, "end_line"),
-                    node_id=_string(raw, "node_id", "anchor"),
-                )
-            )
+            file = _string(raw, "file", "anchor")
+            start_line = _anchor_line(raw, "start_line")
+            end_line = _anchor_line(raw, "end_line")
+            node_id = _string(raw, "node_id", "anchor")
+            anchors.append(Anchor(file, start_line, end_line, share(node_id, node_id)))
     except KeyError as exc:
         raise GraphParseError(f"missing required field {exc.args[0]!r}") from exc
     except ValueError as exc:

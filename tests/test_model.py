@@ -1,6 +1,8 @@
 import copy
 import gc
 import json
+import sys
+import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -805,3 +807,112 @@ def test_load_peak_memory_is_close_to_what_it_keeps(tmp_path):
         tracemalloc.stop()
     assert len(graph.nodes) == 3000
     assert peak - base <= 1.6 * (kept - base)
+
+
+# Every id is longer than one character: CPython keeps a single object for
+# each one-character string, which would make the identities below hold
+# without any sharing.
+_REFERENCES = {
+    "format_version": "1",
+    "functions": [
+        {"id": "fn_main", "name": "main", "parameters": ["n_param"], "return_node": "n_ret",
+         "is_entry_point": True},
+        {"id": "fn_help", "name": "helper", "parameters": ["n_arg"], "return_node": None},
+    ],
+    "nodes": [
+        {"id": "n_param", "kind": "parameter", "function_id": "fn_main", "label": "main.p",
+         "taint_role": "source", "source_kind": "http-param"},
+        {"id": "n_site", "kind": "call-argument", "function_id": "fn_main", "label": "main.c"},
+        {"id": "n_ret", "kind": "variable", "function_id": "fn_main", "label": "main.r"},
+        {"id": "n_arg", "kind": "parameter", "function_id": "fn_help", "label": "helper.a"},
+        {"id": "n_exec", "kind": "call-argument", "function_id": "fn_help", "label": "os.exec"},
+        {"id": "n_free", "kind": "variable", "label": "free"},
+    ],
+    "edges": [
+        {"id": "e_1", "from": "n_param", "to": "n_site", "kind": "call-pass"},
+        {"id": "e_2", "from": "n_site", "to": "n_arg", "kind": "call-pass",
+         "visible_to_forward": False},
+        {"id": "e_3", "from": "n_arg", "to": "n_exec", "kind": "assign"},
+        {"id": "e_4", "from": "n_param", "to": "n_ret", "kind": "assign"},
+        {"id": "e_5", "from": "n_free", "to": "n_free", "kind": "assign"},
+    ],
+    "call_edges": [{"caller": "fn_main", "callee": "fn_help", "call_site_node": "n_site"}],
+    "anchors": [
+        {"file": "Main.java", "start_line": 3, "end_line": 4, "node_id": "n_exec"},
+        {"file": "Main.java", "start_line": 1, "end_line": 9, "node_id": "n_param"},
+    ],
+}
+
+
+def _assert_ids_shared(graph: ProgramGraph) -> None:
+    """Every id reference of ``graph`` is the object held as that node's or
+    function's id."""
+    nodes, functions = graph.nodes, graph.functions
+    for key, n in nodes.items():
+        assert key is n.id
+        assert n.function_id is None or n.function_id is functions[n.function_id].id
+    for key, f in functions.items():
+        assert key is f.id
+        assert all(p is nodes[p].id for p in f.parameters)
+        assert f.return_node is None or f.return_node is nodes[f.return_node].id
+    for e in graph.edges.values():
+        assert e.src is nodes[e.src].id and e.dst is nodes[e.dst].id
+    for ce in graph.call_edges:
+        assert ce.caller is functions[ce.caller].id
+        assert ce.callee is functions[ce.callee].id
+        assert ce.call_site_node is nodes[ce.call_site_node].id
+    for a in graph.anchors:
+        assert a.node_id is nodes[a.node_id].id
+
+
+@pytest.mark.parametrize("references_first", [False, True])
+@pytest.mark.parametrize("from_file", [False, True])
+def test_each_id_is_one_string_object(tmp_path, from_file, references_first):
+    doc = _REFERENCES
+    if references_first:
+        # Anchors, call edges and edges before the nodes and functions.
+        doc = {key: doc[key] for key in reversed(doc)}
+    text = json.dumps(doc)
+    if from_file:
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        graph = load_program_graph(path)
+    else:
+        # Decoded without the loader, so that every string is its own object.
+        graph = graph_from_dict(json.loads(text))
+    assert len(graph.nodes) == 6 and len(graph.anchors) == 2
+    _assert_ids_shared(graph)
+    overlay = graph.with_sinks(json.loads('{"n_exec": "command-exec", "n_ret": "sql"}'))
+    assert overlay.nodes["n_exec"].taint_role == TaintRole.SINK
+    _assert_ids_shared(overlay)
+
+
+def test_loads_in_threads_each_share_their_own_ids(tmp_path):
+    # Loads that overlap take separate decoders, so no load reads another's
+    # id table: if two shared one, a graph would hold both loads' objects.
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_REFERENCES))
+    want = graph_to_dict(graph_from_dict(copy.deepcopy(_REFERENCES)))
+    failures = []
+
+    def load_many():
+        try:
+            for _ in range(200):
+                graph = load_program_graph(path)
+                _assert_ids_shared(graph)
+                assert graph_to_dict(graph) == want
+        except AssertionError as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load_many) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []

@@ -85,6 +85,24 @@ def test_adjacent_nodes_without_edge_skip(graph, tmp_path):
     assert any("no edge" in s for s in result.skipped)
 
 
+@pytest.mark.parametrize("extra", [
+    # A wider range around s2's: the narrower anchor wins.
+    {"file": "app/handler.py", "start_line": 19, "end_line": 25, "node_id": "s3"},
+    # As narrow as s2's: the smaller node id wins.
+    {"file": "app/handler.py", "start_line": 20, "end_line": 22, "node_id": "s3"},
+])
+@pytest.mark.parametrize("first", [True, False])
+def test_overlapping_anchors_resolve_alike_in_either_order(tmp_path, extra, first):
+    with open(fixture_path("sarif", "graph.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["anchors"] = [extra, *doc["anchors"]] if first else [*doc["anchors"], extra]
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(doc))
+    result = import_sarif(fixture_path("sarif", "results.sarif"), load_program_graph(path))
+    assert [flow.edge_ids for flow in result.flows] == [("e1", "e2")]
+    assert result.skipped == ["thread flow skipped: no anchor for app/other.py:5"]
+
+
 def _thread_flow_doc(*locations):
     return {"version": "2.1.0",
             "runs": [{"results": [{"codeFlows": [{"threadFlows": [{

@@ -5,6 +5,11 @@ Run from the repository root: python tools/make_fixtures.py
 
 import json
 import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from argus.agent import ChatTurn, Role, Transcript, save_transcript  # noqa: E402
 
 ROOT = os.path.join(os.path.dirname(__file__), "..", "tests", "fixtures")
 
@@ -20,12 +25,11 @@ def write(path, content):
             fh.write("\n")
 
 
-def write_jsonl(path, rows):
+def write_replay(path, turns):
+    """A replay transcript of ``turns``, written as argus writes one."""
     path = os.path.join(ROOT, path)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    save_transcript(Transcript(turns, model_tag="replay-fixture"), path)
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +103,12 @@ dg_payload = {
     "explanation": "The converter keeps the pre-fix behaviour reachable through "
                    "alternate parameter entry points.",
 }
-write_jsonl("datagear_mini/replay/poc__CVE-2024-37759.jsonl", [
-    {"format_version": "1", "model_tag": "replay-fixture"},
-    {"role": "system", "content": "security analyst poc workflow", "tool_name": None,
-     "token_count": 40},
-    {"role": "user", "content": "analyze CVE-2024-37759 for org.datagear:datagear-analysis",
-     "tool_name": None, "token_count": 120},
-    {"role": "assistant",
-     "content": "```final\n" + json.dumps(dg_payload) + "\n```",
-     "tool_name": None, "token_count": 260},
+write_replay("datagear_mini/replay/poc__CVE-2024-37759.jsonl", [
+    ChatTurn(Role.SYSTEM, "security analyst poc workflow", token_count=40),
+    ChatTurn(Role.USER, "analyze CVE-2024-37759 for org.datagear:datagear-analysis",
+             token_count=120),
+    ChatTurn(Role.ASSISTANT, "```final\n" + json.dumps(dg_payload) + "\n```",
+             token_count=260),
 ])
 
 write("datagear_mini/expected.json", {
@@ -204,15 +205,12 @@ pc_payload = {
     "explanation": "The factory call is only a proxy for the dangerous behaviour; "
                    "the reachable entry point sits further up the call chain.",
 }
-write_jsonl("publiccms_mini/replay/poc__CVE-2025-31672.jsonl", [
-    {"format_version": "1", "model_tag": "replay-fixture"},
-    {"role": "system", "content": "security analyst poc workflow", "tool_name": None,
-     "token_count": 45},
-    {"role": "user", "content": "analyze CVE-2025-31672 for org.apache.poi:poi-ooxml",
-     "tool_name": None, "token_count": 130},
-    {"role": "assistant",
-     "content": "```final\n" + json.dumps(pc_payload) + "\n```",
-     "tool_name": None, "token_count": 310},
+write_replay("publiccms_mini/replay/poc__CVE-2025-31672.jsonl", [
+    ChatTurn(Role.SYSTEM, "security analyst poc workflow", token_count=45),
+    ChatTurn(Role.USER, "analyze CVE-2025-31672 for org.apache.poi:poi-ooxml",
+             token_count=130),
+    ChatTurn(Role.ASSISTANT, "```final\n" + json.dumps(pc_payload) + "\n```",
+             token_count=310),
 ])
 
 write("publiccms_mini/expected.json", {
