@@ -190,13 +190,13 @@ class LiveHttpBackend(LLMBackend):
         messages = [
             {"role": t.role.value, "content": t.content} for t in turns
         ]
-        request = urllib.request.Request(
-            self.endpoint,
-            data=json.dumps({"model": self.model, "messages": messages}).encode("utf-8"),
-            headers={"Authorization": f"Bearer {key}", "Content-Type": "application/json"},
-            method="POST",
-        )
         try:
+            request = urllib.request.Request(  # a malformed endpoint raises here
+                self.endpoint,
+                data=json.dumps({"model": self.model, "messages": messages}).encode("utf-8"),
+                headers={"Authorization": f"Bearer {key}", "Content-Type": "application/json"},
+                method="POST",
+            )
             with urllib.request.urlopen(request, timeout=LIVE_TIMEOUT_S) as resp:
                 doc = json.load(resp)
             text = doc["choices"][0]["message"]["content"]

@@ -55,7 +55,7 @@ _CONFIG_KEYS = tuple(f.name for f in fields(PipelineConfig))
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     """The config file's PipelineConfig keys, with the given flags laid over
     them; every default lives in PipelineConfig. Unknown keys are ignored.
-    Only ``scan`` and ``flows`` read the graph, so only they require it."""
+    The config checks every value; each command checks its input paths."""
     raw = {}
     if args.config:
         raw = read_json(args.config, ConfigError, f"cannot read config {args.config}")
@@ -66,8 +66,6 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if args.command in ("scan", "flows") and not values.get("graph_path"):
-        raise ConfigError("--graph (or graph_path in the config file) is required")
     return PipelineConfig(**values)
 
 
@@ -90,7 +88,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_deps(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    config.validate_manifests()
+    config.check_paths("manifest_paths")
     records = []
     for manifest in config.manifest_paths:
         for dep in parse_manifest(manifest):
@@ -109,7 +107,7 @@ def _cmd_advisories(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if config.fixtures_dir is None:
         raise ConfigError("advisories requires --fixtures (offline retrieval directory)")
-    config.validate_retrieval()
+    config.check_paths("manifest_paths", "fixtures_dir")
     deps = [dep for manifest in config.manifest_paths for dep in parse_manifest(manifest)]
     warnings: list[str] = []
     _, entries = retrieve_advisories(config, deps, warnings)
@@ -121,8 +119,7 @@ def _cmd_flows(args: argparse.Namespace) -> int:
     config = _build_config(args)
     if not args.sink:
         raise ConfigError("flows requires at least one --sink node id")
-    config.validate_graph_path()
-    config.validate_search_bounds()
+    config.check_paths("graph_path")
     graph = load_program_graph(config.graph_path)
     payload: dict[str, list] = {"forward": [], "stitched": []}
     for sink in sorted(set(args.sink)):

@@ -78,7 +78,7 @@ from argus.review import FinalStatus, ReviewVerdict, review_flow
 REPORT_VERSION = "1"
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
     graph_path: Optional[str] = None  # required by scan and flows
     manifest_paths: list[str] = field(default_factory=list)
@@ -95,6 +95,42 @@ class PipelineConfig:
     sink_registry_path: Optional[str] = None
     live_llm_endpoint: Optional[str] = None
     live_llm_model: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        """Check every field's type and value, so that no invalid config
+        exists; whether its input paths exist is :meth:`check_paths`'s."""
+        if not isinstance(self.graph_path, (str, type(None))):
+            raise ConfigError(f"graph_path must be a string, got {self.graph_path!r}")
+        for name in ("fixtures_dir", "out_dir", "sink_registry_path",
+                     "live_llm_endpoint", "live_llm_model"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a string or null, got {getattr(self, name)!r}")
+        # os.makedirs raises ValueError, not OSError, for such a name.
+        if self.out_dir is not None and not _is_file_name(self.out_dir):
+            raise ConfigError(f"out_dir cannot name a directory: {self.out_dir!r}")
+        paths = self.manifest_paths
+        if not isinstance(paths, list) or not all(isinstance(m, str) for m in paths):
+            raise ConfigError(f"manifest_paths must be a list of strings, got {paths!r}")
+        for name in ("llm", "analysis_backend"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if self.llm == "live":
+            if not (self.live_llm_endpoint and self.live_llm_model):
+                raise ConfigError("llm 'live' requires live_llm_endpoint and live_llm_model")
+        elif self.llm != "stub" and not self.llm.startswith("replay:"):
+            raise ConfigError(f"unknown llm backend spec: {self.llm!r}")
+        if self.analysis_backend != "builtin" and not self.analysis_backend.startswith("sarif:"):
+            raise ConfigError(f"unknown analysis backend: {self.analysis_backend!r}")
+        if self.review_mode not in ("rule", "llm"):
+            raise ConfigError(f"review_mode must be 'rule' or 'llm', got {self.review_mode!r}")
+        threshold = self.gate_threshold
+        if not is_finite_number(threshold):
+            raise ConfigError(f"gate_threshold must be a finite number, got {threshold!r}")
+        check_gate_weights(self.gate_weights)
+        for name in ("max_flow_length", "max_flows_per_sink", "max_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -116,73 +152,36 @@ class PipelineConfig:
         canon = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canon.encode()).hexdigest()
 
-    def validate(self) -> None:
-        self.validate_graph_path()
-        for name in ("llm", "analysis_backend"):
-            if not isinstance(getattr(self, name), str):
-                raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
-        for name in ("out_dir", "sink_registry_path", "live_llm_endpoint", "live_llm_model"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ConfigError(f"{name} must be a string or null, got {getattr(self, name)!r}")
-        self.validate_retrieval()
-        if self.llm.startswith("replay:"):
-            replay_dir = self.llm.split(":", 1)[1]
-            if not os.path.isdir(replay_dir):
-                raise ConfigError(f"replay transcript directory not found: {replay_dir}")
-        elif self.llm == "live":
-            if not (self.live_llm_endpoint and self.live_llm_model):
-                raise ConfigError("llm 'live' requires live_llm_endpoint and live_llm_model")
-        elif self.llm != "stub":
-            raise ConfigError(f"unknown llm backend spec: {self.llm!r}")
-        if self.review_mode not in ("rule", "llm"):
-            raise ConfigError(f"review_mode must be 'rule' or 'llm', got {self.review_mode!r}")
-        if self.analysis_backend.startswith("sarif:"):
-            sarif_path = self.analysis_backend.split(":", 1)[1]
-            if not os.path.exists(sarif_path):
-                raise ConfigError(f"SARIF result file not found: {sarif_path}")
-        elif self.analysis_backend != "builtin":
-            raise ConfigError(f"unknown analysis backend: {self.analysis_backend!r}")
-        self.validate_search_bounds()
-
-    def validate_graph_path(self) -> None:
-        """Check the graph path, which `scan` and `argus flows` read: a
-        path of any other type than a string would reach ``open``."""
-        path = self.graph_path
-        if not isinstance(path, str):
-            raise ConfigError(f"graph_path must be a string, got {path!r}")
-        if not os.path.exists(path):
-            raise ConfigError(f"graph file not found: {path}")
-
-    def validate_manifests(self) -> None:
-        """Check the manifest paths, the only setting `argus deps` reads."""
-        paths = self.manifest_paths
-        if not isinstance(paths, list) or not all(isinstance(m, str) for m in paths):
-            raise ConfigError(f"manifest_paths must be a list of strings, got {paths!r}")
-        for m in paths:
-            if not os.path.exists(m):
-                raise ConfigError(f"manifest not found: {m}")
-
-    def validate_retrieval(self) -> None:
-        """Check the manifest paths, the fixture directory and the gate, the
-        only settings `argus advisories` reads."""
-        self.validate_manifests()
+    def check_paths(self, *names: str) -> None:
+        """Check that the input paths of the fields ``names`` exist: each
+        command names the fields it reads. ``llm`` gives a path only as
+        ``replay:<dir>`` and ``analysis_backend`` only as ``sarif:<path>``."""
+        if "graph_path" in names:
+            if not self.graph_path:
+                raise ConfigError("--graph (or graph_path in the config file) is required")
+            if not os.path.exists(self.graph_path):
+                raise ConfigError(f"graph file not found: {self.graph_path}")
+        if "manifest_paths" in names:
+            for m in self.manifest_paths:
+                if not os.path.exists(m):
+                    raise ConfigError(f"manifest not found: {m}")
         fixtures = self.fixtures_dir
-        if not isinstance(fixtures, (str, type(None))):
-            raise ConfigError(f"fixtures_dir must be a string or null, got {fixtures!r}")
-        if fixtures is not None and not os.path.isdir(fixtures):
+        if "fixtures_dir" in names and fixtures is not None and not os.path.isdir(fixtures):
             raise ConfigError(f"fixture directory not found: {fixtures}")
-        threshold = self.gate_threshold
-        if not is_finite_number(threshold):
-            raise ConfigError(f"gate_threshold must be a finite number, got {threshold!r}")
-        check_gate_weights(self.gate_weights)
+        kind, _, path = self.llm.partition(":")
+        if "llm" in names and kind == "replay" and not os.path.isdir(path):
+            raise ConfigError(f"replay transcript directory not found: {path}")
+        kind, _, path = self.analysis_backend.partition(":")
+        if "analysis_backend" in names and kind == "sarif" and not os.path.exists(path):
+            raise ConfigError(f"SARIF result file not found: {path}")
 
-    def validate_search_bounds(self) -> None:
-        """Check the bounds of forward search and backward recovery, the
-        only settings `argus flows` reads besides the graph path."""
-        for name in ("max_flow_length", "max_flows_per_sink", "max_depth"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+def _is_file_name(path: str) -> bool:
+    """Whether ``path`` holds no NUL and encodes in the file system's encoding."""
+    try:
+        return b"\0" not in os.fsencode(path)
+    except UnicodeEncodeError:
+        return False
 
 
 @dataclass
@@ -283,7 +282,7 @@ _STUB_ANSWERS = {"poc": "{}", "review": "[]"}
 def _make_backend(config: PipelineConfig, stage: str, key: str) -> Optional[LLMBackend]:
     """The backend of one agent run at ``stage`` ("poc" or "review") for
     ``key``. Replay reads ``<stage>__<key>.jsonl`` and gives ``None`` when
-    that file is missing. ``config`` must have passed ``validate``."""
+    that file is missing. ``config`` must have passed ``check_paths("llm")``."""
     if config.llm == "stub":
         return ScriptedStubBackend([f"```final\n{_STUB_ANSWERS[stage]}\n```"])
     if config.llm == "live":
@@ -358,7 +357,8 @@ def retrieve_advisories(
 ) -> tuple[list[AdvisoryRecord], list[dict]]:
     """Stage 2: the advisories of ``deps`` in ``config.fixtures_dir``, and
     the report's ``advisories`` entries; both are empty without a fixture
-    directory. ``config`` must have passed ``validate_retrieval``.
+    directory. ``config`` must have passed
+    ``check_paths("manifest_paths", "fixtures_dir")``.
 
     The advisories are each dependency's authoritative records and the
     community issues that pass the gate, in identifier order. The entries
@@ -405,11 +405,11 @@ def retrieve_advisories(
 
 
 def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
-    """Validate ``config`` and scan: every stage from dependency scan to
-    review, in one report. Raises :class:`ConfigError` for an invalid
-    configuration or sink registry and the graph loader's errors for a bad
-    graph; a failure inside a stage is recorded in ``report.stage_errors``
-    and the scan goes on.
+    """Check that ``config``'s input paths exist and scan: every stage from
+    dependency scan to review, in one report. Raises :class:`ConfigError`
+    for a missing input path or a bad sink registry and the graph loader's
+    errors for a bad graph; a failure inside a stage is recorded in
+    ``report.stage_errors`` and the scan goes on.
 
     Cyclic garbage collection is paused for the whole scan (see
     :class:`argus.model.gc_paused`). It is turned back on only after the
@@ -421,7 +421,7 @@ def run_pipeline(config: PipelineConfig) -> VulnerabilityReport:
 
 
 def _scan(config: PipelineConfig) -> VulnerabilityReport:
-    config.validate()
+    config.check_paths("graph_path", "manifest_paths", "fixtures_dir", "llm", "analysis_backend")
     # Read before any stage runs, so a malformed registry file fails the
     # scan before an agent spends tokens.
     registry = load_sink_registry(config.sink_registry_path)

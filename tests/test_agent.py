@@ -303,6 +303,18 @@ def test_live_backend_http_error_is_a_backend_error(monkeypatch):
     assert responses[0].closed
 
 
+@pytest.mark.parametrize("endpoint", ["not a url", "http://[::1"])
+def test_live_backend_malformed_endpoint_is_a_backend_error(monkeypatch, endpoint):
+    # The request cannot be built, so nothing is sent.
+    def urlopen(request, timeout):
+        raise AssertionError("no request may be sent to a malformed endpoint")
+
+    monkeypatch.setenv("ARGUS_API_KEY", "k123")
+    monkeypatch.setattr("urllib.request.urlopen", urlopen)
+    with pytest.raises(BackendError, match="live backend call failed"):
+        LiveHttpBackend(endpoint, "m1").complete(TURNS)
+
+
 def answering(monkeypatch, answer):
     """Make every live call get ``answer``, as JSON, from the endpoint."""
     def urlopen(request, timeout):

@@ -8,7 +8,7 @@ import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from argus.cli import EXIT_CONFIG_ERROR, EXIT_CONFIRMED, EXIT_OK, main
 from argus.model import graph_to_dict
@@ -17,6 +17,7 @@ from argus.synthetic import hidden_chain_graph
 from tests.conftest import fixture_path
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 
 
 def run_cli(capsys, *argv):
@@ -590,6 +591,13 @@ def test_malformed_sink_registry_exit_2(capsys, tmp_path, text, message):
     ("advisories", {"gate_weights": [float("inf"), -float("inf"), 1]},
      "gate weights must be 3 values"),
     ("advisories", {"gate_weights": [True, False, False]}, "gate weights must be 3 values"),
+    # An invalid config is invalid for every command, also in a key only scan reads.
+    ("deps", {"review_mode": "LLMX"}, "review_mode must be 'rule' or 'llm'"),
+    ("advisories", {"review_mode": "LLMX"}, "review_mode must be 'rule' or 'llm'"),
+    ("deps", {"max_depth": 0}, "max_depth must be an integer >= 1"),
+    ("advisories", {"max_depth": 0}, "max_depth must be an integer >= 1"),
+    ("deps", {"sink_registry_path": 5}, "sink_registry_path must be a string or null"),
+    ("advisories", {"sink_registry_path": 5}, "sink_registry_path must be a string or null"),
 ])
 def test_deps_and_advisories_check_the_settings_they_read(capsys, tmp_path, command, config,
                                                           message):
@@ -607,16 +615,16 @@ def test_deps_and_advisories_check_the_settings_they_read(capsys, tmp_path, comm
 
 @pytest.mark.parametrize("command", ["deps", "advisories"])
 def test_deps_and_advisories_ignore_settings_only_scan_reads(capsys, tmp_path, command):
+    # A missing path that only scan reads is not checked; a bad value is
+    # (test_deps_and_advisories_check_the_settings_they_read).
     argv = (command, "--graph", fixture_path("publiccms_mini", "graph.json"),
             "--manifest", fixture_path("publiccms_mini", "pom.xml"),
             "--fixtures", fixture_path("publiccms_mini", "advisories"))
     code, want, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
-    cpath = tmp_path / "config.json"
-    cpath.write_text(json.dumps({"review_mode": "LLMX", "max_depth": 0,
-                                 "sink_registry_path": 5}))
-    code, out, _ = run_cli(capsys, *argv, "--config", str(cpath),
-                           "--llm", "replay:" + str(tmp_path / "missing"))
+    code, out, _ = run_cli(capsys, *argv,
+                           "--llm", "replay:" + str(tmp_path / "missing"),
+                           "--backend", "sarif:" + str(tmp_path / "missing.sarif"))
     assert code == EXIT_OK
     assert out == want
 
@@ -883,3 +891,64 @@ def test_scan_exit_code_contract_holds_for_mutated_inputs(document, data):
             with open(os.path.join(out, "report.json")) as fh:
                 confirmed = json.load(fh)["summary"]["confirmed"]
             assert (code == EXIT_CONFIRMED) == (confirmed > 0)
+
+
+# Drawn strings hold no "/", so a drawn out_dir names a directory in the
+# working directory or its parent; the samples reach the backend specs and
+# the strings no file name can hold.
+CONFIG_STRINGS = st.text(st.characters(blacklist_characters="/"), max_size=6) | st.sampled_from(
+    ("", ".", "..", "stub", "live", "replay:", "replay:.", "builtin", "sarif:", "sarif:.",
+     "rule", "llm", "a\x00b", "\ud800"))
+
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from((10 ** 400, -10 ** 400))
+    | st.floats() | CONFIG_STRINGS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=4,
+)
+
+_SUBCOMMANDS = (("scan",), ("deps",), ("advisories",), ("flows", "--sink", "n_eval"))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(key=st.sampled_from(_CONFIG_KEYS), value=CONFIG_VALUES)
+@example(key="out_dir", value="a\x00b")
+@example(key="out_dir", value="\ud800")
+def test_any_config_value_keeps_the_exit_code_contract(tmp_path, monkeypatch, key, value):
+    # One key per example: "live" never gets an endpoint, so no request is sent.
+    monkeypatch.delenv("ARGUS_API_KEY", raising=False)
+    config = {
+        "graph_path": fixture_path("datagear_mini", "graph.json"),
+        "manifest_paths": [fixture_path("datagear_mini", "deps.json")],
+        "fixtures_dir": fixture_path("datagear_mini", "advisories"),
+        "llm": "replay:" + fixture_path("datagear_mini", "replay"),
+        key: value,
+    }
+    non_paths = []
+    real_open = open
+
+    def checked_open(file, *args, **kwargs):
+        if not isinstance(file, (str, bytes, os.PathLike)):
+            non_paths.append(file)
+            raise AssertionError(f"open() given {file!r}")
+        return real_open(file, *args, **kwargs)
+
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        cwd = os.path.join(root, "cwd")
+        os.mkdir(cwd)
+        monkeypatch.chdir(cwd)
+        cpath = os.path.join(root, "config.json")
+        with open(cpath, "w") as fh:
+            json.dump(config, fh)
+        for argv in _SUBCOMMANDS:
+            err = io.StringIO()
+            with mock.patch("builtins.open", checked_open), \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--config", cpath])
+            context = f"{argv[0]} with {key}={value!r}: exit {code}\n{err.getvalue()}"
+            assert code in (EXIT_OK, EXIT_CONFIRMED, EXIT_CONFIG_ERROR), context
+            assert "internal error" not in err.getvalue(), context
+            assert "Traceback" not in err.getvalue(), context
+            assert not non_paths, context

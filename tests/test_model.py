@@ -792,21 +792,24 @@ def test_well_formed_element_in_the_wrong_place_is_a_parse_error(tmp_path, mispl
 def test_load_peak_memory_is_close_to_what_it_keeps(tmp_path):
     # Elements are built while the document is decoded, so the raw objects
     # of the whole document never exist at once: the peak is the file text
-    # plus the graph, not the decoded document plus the graph.
+    # plus the graph, not the decoded document plus the graph. What the load
+    # frees again is bounded by the file's size, not by the graph's, so a
+    # smaller graph does not tighten the bound. On Python 3.11 it is 0.84x
+    # the file's size; decoding the whole document first takes 4.4x.
     path = tmp_path / "g.json"
     doc = graph_to_dict(random_graph(3, n_nodes=3000, n_edges=6000, n_sources=3,
                                      n_sinks=3, n_sanitizers=2))
     path.write_text(json.dumps(doc))
     del doc
+    size = path.stat().st_size
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
         graph = load_program_graph(path)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(graph.nodes) == 3000
-    assert peak - base <= 1.6 * (kept - base)
+    assert peak - kept <= 1.5 * size
 
 
 # Every id is longer than one character: CPython keeps a single object for

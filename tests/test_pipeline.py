@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import gc
 import io
@@ -34,27 +35,23 @@ from tests.oracles import sum_transcript_tokens
 
 
 def datagear_config(**overrides):
-    cfg = PipelineConfig(
-        graph_path=fixture_path("datagear_mini", "graph.json"),
-        manifest_paths=[fixture_path("datagear_mini", "deps.json")],
-        fixtures_dir=fixture_path("datagear_mini", "advisories"),
-        llm="replay:" + fixture_path("datagear_mini", "replay"),
-    )
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return PipelineConfig(**{
+        "graph_path": fixture_path("datagear_mini", "graph.json"),
+        "manifest_paths": [fixture_path("datagear_mini", "deps.json")],
+        "fixtures_dir": fixture_path("datagear_mini", "advisories"),
+        "llm": "replay:" + fixture_path("datagear_mini", "replay"),
+        **overrides,
+    })
 
 
 def publiccms_config(**overrides):
-    cfg = PipelineConfig(
-        graph_path=fixture_path("publiccms_mini", "graph.json"),
-        manifest_paths=[fixture_path("publiccms_mini", "pom.xml")],
-        fixtures_dir=fixture_path("publiccms_mini", "advisories"),
-        llm="replay:" + fixture_path("publiccms_mini", "replay"),
-    )
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return PipelineConfig(**{
+        "graph_path": fixture_path("publiccms_mini", "graph.json"),
+        "manifest_paths": [fixture_path("publiccms_mini", "pom.xml")],
+        "fixtures_dir": fixture_path("publiccms_mini", "advisories"),
+        "llm": "replay:" + fixture_path("publiccms_mini", "replay"),
+        **overrides,
+    })
 
 
 def expected(name):
@@ -307,10 +304,20 @@ def test_validate_rejects_unknown_backends():
     {"gate_weights": (float("inf"), -float("inf"), 1.0)},
     {"gate_weights": (10 ** 400, -10 ** 400, 1)},
     {"gate_weights": (True, False, False)},
+    {"graph_path": 5},
+    {"sink_registry_path": 5},
+    {"analysis_backend": None},
 ])
 def test_validate_rejects_bad_numeric_fields(override):
+    # A config is checked when it is built, so an invalid one never exists.
     with pytest.raises(ConfigError):
-        datagear_config(**override).validate()
+        datagear_config(**override)
+
+
+def test_replacing_a_field_checks_the_new_value():
+    cfg = datagear_config()
+    with pytest.raises(ConfigError, match="max_depth must be an integer >= 1"):
+        dataclasses.replace(cfg, max_depth=0)
 
 
 def test_llm_review_runs_on_every_llm_backend(tmp_path, capsys, monkeypatch):
