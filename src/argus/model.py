@@ -22,13 +22,20 @@ as immutable as those built through ``__init__``.
 
 :func:`load_program_graph` builds each node and edge while the JSON decoder
 decodes it, through the decoder's ``object_hook``, so the raw objects of a
-whole document never exist at once: the peak memory of a load is about the
-file's text plus the graph, where decoding first and building after needed
-the decoded document as well (a whole scan of a 13 MB, 30k-node document
-peaked at 96 MB resident that way, with Python 3.11 on Linux). An object the
+whole document never exist at once; where decoding first and building after
+needed the decoded document as well, a whole scan of a 13 MB, 30k-node
+document peaked at 96 MB resident (Python 3.11 on Linux). An object the
 hook cannot build is left as decoded, and :func:`graph_from_dict` builds it
 in document order, so errors and warnings are those of building from a
-plain dict.
+plain dict. A file larger than one slice (64 KiB) is not read whole either:
+the loader walks its top-level object and decodes each array a slice at a
+time, cut between two objects, through the same decoder and hook, and falls
+back to decoding the whole file on anything it does not expect. So a load's
+peak is about the graph plus a few slices of text, where it was the graph
+plus the whole text. With the load's id table emptied, and the decoder's
+node and edge lists taken as they are, before the graph's own tables are
+built, that document's load peaked at 25.7 MB (``tracemalloc``) where it
+kept 22.0 MB, against 33.2 MB when the text was read whole.
 
 A loaded graph holds one string object per distinct id: every id reference
 (edge endpoints, node function ids, function parameters and return nodes,
@@ -50,16 +57,25 @@ every few hundred allocations would walk the live graph.
 
 from __future__ import annotations
 
+import codecs
 import copy
 import gc
 import json
+import os
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from argus.errors import ArgusError, GraphIntegrityError, GraphParseError, read_json
+from argus.errors import (
+    ArgusError,
+    GraphIntegrityError,
+    GraphParseError,
+    parse_json,
+    read_json,
+)
 
 FORMAT_VERSION = "1"
 
@@ -175,8 +191,10 @@ class Anchor:
 
 def _by_id(items: Iterable, what: str) -> dict:
     """``items`` keyed by id, in order. On a repeated id the error names the
-    first one repeated, found by a second, slower pass."""
-    items = list(items)
+    first one repeated, found by a second, slower pass. A list is read as
+    given, not copied."""
+    if not isinstance(items, list):
+        items = list(items)
     table = {x.id: x for x in items}
     if len(table) != len(items):
         seen: set[str] = set()
@@ -249,9 +267,11 @@ class ProgramGraph:
     edges are bucketed by source in document order, and each bucket of
     more than one edge is then sorted by edge id. The incoming-edge index,
     the label index and the per-role node lists are built on first use, so
-    load pays for none of them. The incoming-edge index keeps one list of
-    edges per target, in document order, and :meth:`incoming` returns a
-    tuple copy of the one bucket asked for, so no caller can change it.
+    load pays for none of them. The incoming-edge index keeps one tuple of
+    edges per target, in document order, which :meth:`incoming` returns
+    as stored. Each bucket of either index is gathered in a list and
+    replaced by its tuple in place, one at a time, so the lists of all
+    buckets and their tuples never exist at once.
     :meth:`with_sinks` returns an overlay with its own node table that
     shares every other table with its parent, and the indexes its parent
     built before it.
@@ -274,20 +294,19 @@ class ProgramGraph:
         self.anchors: tuple[Anchor, ...] = tuple(anchors)
         self._check_integrity()
         # Outgoing edges per node, ordered by edge id for determinism.
-        by_src: dict[str, list[AccessPathEdge]] = {}
+        by_src: dict = {}
         for e in self.edges.values():
             by_src.setdefault(e.src, []).append(e)
         # Each bucket is sorted in place: sorting into new lists raised the
         # peak resident size of a scan by up to 0.8 MB.
         by_id = attrgetter("id")
-        for es in by_src.values():
+        for src, es in by_src.items():
             if len(es) > 1:
                 es.sort(key=by_id)
-        self._out: dict[str, tuple[AccessPathEdge, ...]] = {
-            src: tuple(es) for src, es in by_src.items()
-        }
+            by_src[src] = tuple(es)
+        self._out: dict[str, tuple[AccessPathEdge, ...]] = by_src
         # Built from edges and labels alone, so an overlay can share them.
-        self._incoming: Optional[dict[str, list[AccessPathEdge]]] = None
+        self._incoming: Optional[dict[str, tuple[AccessPathEdge, ...]]] = None
         self._labels: Optional[LabelIndex] = None
         # Roles change in an overlay, so these lists are never shared.
         self._by_role: dict[TaintRole, tuple[ContentNode, ...]] = {}
@@ -351,15 +370,17 @@ class ProgramGraph:
         return self._out.get(node_id, ())
 
     def incoming(self, node_id: str) -> tuple[AccessPathEdge, ...]:
-        """Edges into ``node_id``, in document order. The index is built on
-        the first call, so graphs no search walks backwards never pay for
-        it; only the buckets a search reads are copied."""
+        """Edges into ``node_id``, in document order, as the tuple the index
+        holds. The index is built on the first call, so graphs no search
+        walks backwards never pay for it."""
         if self._incoming is None:
-            by_dst: dict[str, list[AccessPathEdge]] = {}
+            by_dst: dict = {}
             for e in self.edges.values():
                 by_dst.setdefault(e.dst, []).append(e)
+            for dst, es in by_dst.items():
+                by_dst[dst] = tuple(es)
             self._incoming = by_dst
-        return tuple(self._incoming.get(node_id, ()))
+        return self._incoming.get(node_id, ())
 
     def label_index(self) -> LabelIndex:
         """The label index, built on the first call."""
@@ -574,8 +595,11 @@ def _objects(doc: dict, key: str, built: type = dict) -> list:
 def _elements(doc: dict, key: str, cls: type, build, strict: bool,
               warnings: list[str], share) -> list:
     """The nodes or edges (``cls``) of ``doc[key]``: the entries the decoder
-    built, and each object it left, built here by ``build`` in order."""
+    built, and each object it left, built here by ``build`` in order. When
+    the decoder built every entry, that is the document's list itself."""
     entries = _objects(doc, key, cls)
+    if all(type(raw) is cls for raw in entries):
+        return entries
     return [raw if type(raw) is cls else build(raw, strict, warnings, share)
             for raw in entries]
 
@@ -779,14 +803,167 @@ class gc_paused:
             gc.enable()
 
 
+# A graph file larger than this many bytes is decoded in slices of about this
+# many characters; a smaller one is decoded whole. A load holds a few slices
+# of text at once, so a larger slice only adds to its peak: a 1.1 MB file
+# (3,000 nodes) peaked at 1.5 times its size above what its load kept with
+# slices of 1 MiB, at 0.84 times decoded whole, and at 0.28 times with
+# 64 KiB slices or smaller ones (``tracemalloc``, Python 3.10-3.13).
+_SLICE = 1 << 16
+
+_WHITESPACE = re.compile(r"[ \t\n\r]*")
+# Where one object of an array ends and the next begins.
+_CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
+
+
+class _Slices:
+    """The graph document of an open binary file, decoded a slice at a time.
+
+    :meth:`document` walks the top-level object itself and decodes each
+    array in slices of about ``_SLICE`` characters, each cut where one
+    object ends and the next begins (``}``, ``,``, ``{`` with optional
+    whitespace). A slice is decoded as ``"[" + slice + "]"`` by the load's
+    decoder, so its objects go through the same hook, in the same order,
+    as in a whole decode; if the decode stops before the end of the slice,
+    the array ended there. Every other value is decoded whole. Anything
+    else it meets raises ``ValueError`` (or the ``OSError`` of a read, or
+    the ``RecursionError`` of a decode): a decode error, a cut inside a
+    string, a byte-order mark, bad UTF-8, or a top level that is not an
+    object. The caller then decodes the whole file. The text read and not
+    yet decoded is ``text[pos:]``; a read drops what is before it.
+    """
+
+    def __init__(self, fh, decoder: json.JSONDecoder):
+        self._fh = fh
+        self._decoder = decoder
+        self._utf8 = codecs.getincrementaldecoder("utf-8")()
+        self.text = ""
+        self.pos = 0
+        self._eof = False
+
+    def _more(self) -> bool:
+        """Append more of the file to the text; false when the whole file is
+        read already. It reads ``_SLICE`` bytes, or as many as are read and
+        not yet decoded if that is more: a value that needs many reads
+        doubles the text each time, so decoding it again after each read
+        costs time linear in its size."""
+        if self._eof:
+            return False
+        size = max(_SLICE, len(self.text) - self.pos)
+        data = self._fh.read(size)
+        self._eof = len(data) < size
+        self.text = self.text[self.pos:] + self._utf8.decode(data, self._eof)
+        self.pos = 0
+        return True
+
+    def _next(self) -> str:
+        """Skip whitespace: the next character, or "" at the end of the file."""
+        while True:
+            self.pos = _WHITESPACE.match(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self._more():
+                return self.text[self.pos:self.pos + 1]
+
+    def _expect(self, char: str) -> None:
+        if self._next() != char:
+            raise ValueError(f"expected {char!r}")
+        self.pos += 1
+
+    def _value(self):
+        """The value at ``pos``, decoded whole. A value that fails to decode,
+        or ends the text read so far, may be cut short: it is decoded again
+        with more of the file."""
+        while True:
+            try:
+                value, end = self._decoder.raw_decode(self.text, self.pos)
+            except ValueError:
+                if self._more():
+                    continue
+                raise
+            if end < len(self.text) or not self._more():
+                self.pos = end
+                return value
+
+    def _array(self) -> list:
+        """The array at ``pos``, decoded in slices."""
+        self.pos += 1
+        items = []
+        while True:
+            found = _CUT.search(self.text, self.pos + _SLICE)
+            if found is None and self._more():
+                continue
+            cut = len(self.text) if found is None else found.start() + 1
+            text = f"[{self.text[self.pos:cut]}]"
+            part, end = self._decoder.raw_decode(text)
+            items += part
+            if end < len(text):
+                self.pos += end - 1
+                return items
+            if found is None:
+                raise ValueError("array not closed")
+            self.pos = found.end() - 1
+
+    def document(self):
+        """The decoded document, passed through the decoder's hook as a
+        whole decode passes it."""
+        self._expect("{")
+        doc = {}
+        if self._next() == "}":
+            self.pos += 1
+        else:
+            while True:
+                if self._next() != '"':
+                    raise ValueError("expected a key")
+                key = self._value()
+                self._expect(":")
+                doc[key] = self._array() if self._next() == "[" else self._value()
+                if self._next() == "}":
+                    self.pos += 1
+                    break
+                self._expect(",")
+        if self._next():
+            raise ValueError("extra data")
+        return self._decoder.object_hook(doc)
+
+
+def _read_graph(path, decoder: json.JSONDecoder, slot: list, prefix: str):
+    """The graph document of ``path`` and the id table the decoder's hook
+    filled while it decoded it (``slot`` is the hook's, see :func:`_decoder`).
+
+    A file of at most ``_SLICE`` bytes is read and decoded whole, as
+    :func:`read_json` decodes it; a longer one is decoded by
+    :class:`_Slices`. A file that cannot be read, is not UTF-8, or that
+    :class:`_Slices` leaves to a whole decode is decoded by
+    :func:`read_json`, so its error is ``read_json``'s, with a new table, so
+    nothing the failed decode read is shared. That runs after the failed
+    decode's exception, and with it every element it built, is freed."""
+    ids: dict = {}
+    slot[0] = ids.setdefault
+    try:
+        with open(path, "rb") as fh:
+            if os.fstat(fh.fileno()).st_size > _SLICE:
+                return _Slices(fh, decoder).document(), ids
+            text = fh.read().decode("utf-8")
+    except (OSError, ValueError, RecursionError):
+        pass
+    else:
+        return parse_json(text, GraphParseError, prefix, decoder), ids
+    ids = {}
+    slot[0] = ids.setdefault
+    return read_json(path, GraphParseError, prefix, decoder), ids
+
+
 def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
     """Load and validate a program-graph JSON document.
 
     Nodes and edges are built while the document is decoded (see
-    :func:`_decoder`), so the peak memory of a load is about the file's
-    text plus the graph; the result, errors and warnings are those of
-    :func:`graph_from_dict` on the decoded document, and the decoder and
-    the rest of the load share one id table.
+    :func:`_decoder`). A file of at most ``_SLICE`` bytes is read and
+    decoded whole; a larger one is decoded in slices (see
+    :class:`_Slices`), so the peak memory of a load is about the graph plus
+    a few slices of text, not plus the whole text. Whenever the sliced
+    decode meets anything but a well-formed document, the whole file is
+    decoded instead, with an id table of its own. So the result, errors and
+    warnings are those of :func:`graph_from_dict` on the decoded document,
+    and the decoder and the rest of the load share one id table.
 
     Raises :class:`GraphParseError` for malformed documents and
     :class:`GraphIntegrityError` (naming the offending id) for dangling or
@@ -804,13 +981,12 @@ def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str
             decoder, slot = _IDLE.pop()
         except IndexError:
             decoder, slot = _decoder()
-        slot[0] = share = {}.setdefault
         try:
-            doc = read_json(path, GraphParseError, f"{path}: cannot read graph", decoder)
+            doc, ids = _read_graph(path, decoder, slot, f"{path}: cannot read graph")
         finally:
             slot[0] = None
             _IDLE.append((decoder, slot))
-        return _graph(doc, strict, warnings, share)
+        return _graph(doc, strict, warnings, ids)
 
 
 def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
@@ -821,15 +997,16 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
     and return nodes, call edges and anchors. A table of this one load,
     dropped when it returns, maps each id to that object, so the graph
     keeps none of the document's other copies."""
-    return _graph(doc, strict, warnings, {}.setdefault)
+    return _graph(doc, strict, warnings, {})
 
 
-def _graph(doc: dict, strict: bool, warnings: Optional[list[str]], share) -> ProgramGraph:
-    """:func:`graph_from_dict`, given the load's ``share``, the
-    ``setdefault`` of its id table. Entries of ``nodes`` and ``edges`` may
-    already be built (as :func:`_decoder` leaves them, with the same
-    ``share``); every entry that is still an object is built and checked
-    here, in order."""
+def _graph(doc: dict, strict: bool, warnings: Optional[list[str]], ids: dict) -> ProgramGraph:
+    """:func:`graph_from_dict`, given the load's id table ``ids``. Entries
+    of ``nodes`` and ``edges`` may already be built (as :func:`_decoder`
+    leaves them, with the same table); every entry that is still an object
+    is built and checked here, in order. The table is emptied once every
+    element is built, before the graph's own tables are."""
+    share = ids.setdefault
     if warnings is None:
         warnings = []
     if not isinstance(doc, dict):
@@ -897,6 +1074,7 @@ def _graph(doc: dict, strict: bool, warnings: Optional[list[str]], share) -> Pro
     source_files = doc.get("source_files", [])
     if not isinstance(source_files, list) or not _all_strings(source_files):
         raise GraphParseError("source_files must be a JSON array of strings")
+    ids.clear()
     return ProgramGraph(
         nodes,
         edges,

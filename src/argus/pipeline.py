@@ -12,7 +12,6 @@ byte-identical report.json.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import os
@@ -75,17 +74,27 @@ from argus.recursion import (
 )
 from argus.review import FinalStatus, ReviewVerdict, review_flow
 
+# CPython's built-in SHA-256, so a scan does not import ``hashlib``, which
+# maps OpenSSL into the process (3.6 MB resident) to hash one config.
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # before 3.12
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
+
 REPORT_VERSION = "1"
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     graph_path: Optional[str] = None  # required by scan and flows
-    manifest_paths: list[str] = field(default_factory=list)
+    manifest_paths: tuple[str, ...] = ()  # a list is accepted and stored as a tuple
     fixtures_dir: Optional[str] = None  # offline retrieval; None disables retrieval
     llm: str = "stub"  # "stub" | "replay:<dir>" | "live"
     analysis_backend: str = "builtin"  # "builtin" | "sarif:<path>"
-    gate_weights: tuple[float, float, float] = DEFAULT_GATE_WEIGHTS
+    gate_weights: tuple[float, float, float] = DEFAULT_GATE_WEIGHTS  # a list too
     gate_threshold: float = DEFAULT_GATE_THRESHOLD
     max_flow_length: int = DEFAULT_MAX_FLOW_LENGTH
     max_flows_per_sink: int = DEFAULT_MAX_FLOWS_PER_SINK
@@ -98,7 +107,10 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         """Check every field's type and value, so that no invalid config
-        exists; whether its input paths exist is :meth:`check_paths`'s."""
+        exists; whether its input paths exist is :meth:`check_paths`'s.
+        ``manifest_paths`` and ``gate_weights`` are stored as tuples, so
+        that nothing can change a checked config and a config can be
+        hashed."""
         if not isinstance(self.graph_path, (str, type(None))):
             raise ConfigError(f"graph_path must be a string, got {self.graph_path!r}")
         for name in ("fixtures_dir", "out_dir", "sink_registry_path",
@@ -109,8 +121,9 @@ class PipelineConfig:
         if self.out_dir is not None and not _is_file_name(self.out_dir):
             raise ConfigError(f"out_dir cannot name a directory: {self.out_dir!r}")
         paths = self.manifest_paths
-        if not isinstance(paths, list) or not all(isinstance(m, str) for m in paths):
+        if not isinstance(paths, (list, tuple)) or not all(isinstance(m, str) for m in paths):
             raise ConfigError(f"manifest_paths must be a list of strings, got {paths!r}")
+        object.__setattr__(self, "manifest_paths", tuple(paths))
         for name in ("llm", "analysis_backend"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string, got {getattr(self, name)!r}")
@@ -127,6 +140,7 @@ class PipelineConfig:
         if not is_finite_number(threshold):
             raise ConfigError(f"gate_threshold must be a finite number, got {threshold!r}")
         check_gate_weights(self.gate_weights)
+        object.__setattr__(self, "gate_weights", tuple(self.gate_weights))
         for name in ("max_flow_length", "max_flows_per_sink", "max_depth"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -150,7 +164,7 @@ class PipelineConfig:
 
     def digest(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canon.encode()).hexdigest()
+        return sha256(canon.encode()).hexdigest()
 
     def check_paths(self, *names: str) -> None:
         """Check that the input paths of the fields ``names`` exist: each

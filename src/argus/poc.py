@@ -16,10 +16,10 @@ schema-complete.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from typing import Optional
 
 from argus.advisories import AdvisoryRecord
@@ -165,18 +165,19 @@ def derive_sink_candidates(poc: PoCArtifact, graph: ProgramGraph) -> list[SinkCa
     ]
 
 
+_BUNDLED_REGISTRY = os.path.join(os.path.dirname(__file__), "data", "sink_registry.json")
+
+
 def load_sink_registry(path: Optional[str] = None) -> dict[str, list[str]]:
     """Load the bundled (or a user-supplied) registry of dangerous callables:
     a JSON object mapping each sink kind to a list of callable names.
 
-    Raises :class:`ConfigError` naming ``path`` when that file cannot be read
-    as JSON or does not have that shape.
+    Raises :class:`ConfigError` naming the file when it cannot be read as
+    JSON or does not have that shape; the bundled file is checked as a
+    user's is.
     """
     if path is None:
-        with resources.files("argus").joinpath("data/sink_registry.json").open(
-            "r", encoding="utf-8"
-        ) as fh:
-            return json.load(fh)
+        path = _BUNDLED_REGISTRY
     registry = read_json(path, ConfigError, f"cannot read sink registry {path}")
     if not isinstance(registry, dict) or not all(
         isinstance(names, list) and all(isinstance(n, str) for n in names)

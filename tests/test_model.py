@@ -5,10 +5,12 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from argus import model
 from argus.deps import DependencyRecord, Ecosystem, find_usages
 from argus.errors import GraphIntegrityError, GraphParseError
 from argus.model import (
@@ -370,6 +372,8 @@ def test_incoming_matches_a_scan_of_the_edges():
                 assert g.incoming(node_id) == tuple(
                     e for e in g.edges.values() if e.dst == node_id
                 )
+                # The index holds tuples, so no caller can change it.
+                assert g.incoming(node_id) is g.incoming(node_id)
         assert graph.incoming("no-such-node") == ()
 
 
@@ -810,6 +814,124 @@ def test_load_peak_memory_is_close_to_what_it_keeps(tmp_path):
         tracemalloc.stop()
     assert len(graph.nodes) == 3000
     assert peak - kept <= 1.5 * size
+
+
+def _sliced_outcome(path, strict, size):
+    """What a load of ``path`` gives with slices of ``size`` bytes."""
+    with mock.patch.object(model, "_SLICE", size):
+        return _outcome(lambda **kw: load_program_graph(path, **kw), strict)
+
+
+# Slice sizes of a few hundred bytes or less, so that the small documents
+# below are decoded in slices, and most arrays in more than one.
+_SIZES = (64, 100, 173, 257, 300)
+
+
+# Compact, default and indented text: objects meet at "},{", at "}, {" and
+# at "}," and "{" on two lines.
+_LAYOUTS = ({"separators": (",", ":")}, {}, {"indent": 4})
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_mutated_documents(), layout=st.sampled_from(_LAYOUTS))
+def test_sliced_load_equals_whole_load(tmp_path_factory, doc, layout):
+    # Whatever the layout, the tables, warnings or error message are those
+    # of a whole decode (the file is smaller than a default slice).
+    path = tmp_path_factory.getbasetemp() / "sliced.json"
+    path.write_text(json.dumps(doc, **layout))
+    for strict in (True, False):
+        whole = _outcome(lambda **kw: load_program_graph(path, **kw), strict)
+        for size in _SIZES[::2]:
+            assert _sliced_outcome(path, strict, size) == whole
+
+
+def _labelled(labels: list[str]) -> dict:
+    doc = copy.deepcopy(_FULL)
+    for node, label in zip(doc["nodes"], labels):
+        node["label"] = label
+    return doc
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("size", _SIZES)
+def test_sliced_load_reads_multibyte_text_across_slices(tmp_path, layout, size):
+    # 1,800 bytes of two-, three- and four-byte characters in one label, so
+    # reads of a few hundred bytes end inside a character. The sliced
+    # decode needs no whole decode to read them.
+    doc = _labelled(["p", "é€😀" * 200, "exec"])
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False, **layout), encoding="utf-8")
+    with mock.patch.object(model, "read_json", side_effect=AssertionError("decoded whole")):
+        graph = _sliced_outcome(path, True, size)
+    assert graph == _outcome(lambda **kw: graph_from_dict(copy.deepcopy(doc), **kw), True)
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS)
+@pytest.mark.parametrize("size", _SIZES)
+def test_sliced_load_of_labels_that_look_like_cuts(tmp_path, layout, size):
+    # A cut inside a string fails to decode, and the file is decoded whole.
+    doc = _labelled(["a}, {b", "},{", "}\n  ,\t{"])
+    doc["functions"][1]["name"] = "}, {"
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc, **layout))
+    for strict in (True, False):
+        want = _outcome(lambda **kw: graph_from_dict(copy.deepcopy(doc), **kw), strict)
+        assert _sliced_outcome(path, strict, size) == want
+    assert graph_to_dict(load_program_graph(path)) == graph_to_dict(graph_from_dict(doc))
+
+
+def _malformed_texts():
+    text = json.dumps(_FULL, indent=4).encode()
+    yield "bom", b"\xef\xbb\xbf" + text
+    yield "bad-utf8", text[:700] + b"\xff" + text[700:]
+    yield "cut-character", text + "€".encode()[:2]
+    yield "extra-data", text + b" {}"
+    yield "top-level-array", b"[" + text + b"]"
+    yield "repeated-key", b'{"nodes": [],' + text[1:]
+    yield "missing-comma", text.replace(b"},", b"}", 1)
+    yield "trailing-comma", text.replace(b"}\n    ]", b"},\n    ]", 1)
+    # The decoder builds this document as an edge, so it is not an object.
+    yield "edge-document", json.dumps({
+        "id": "e", "from": "a", "to": "b", "kind": "assign",
+        "guard_tags": [f"tag{i}" for i in range(40)],
+    }).encode()
+    for end in range(0, len(text), 29):
+        yield f"truncated-{end}", text[:end]
+
+
+_MALFORMED = dict(_malformed_texts())
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_sliced_load_of_malformed_text_is_a_whole_load(tmp_path, name):
+    path = tmp_path / "g.json"
+    path.write_bytes(_MALFORMED[name])
+    for strict in (True, False):
+        whole = _outcome(lambda **kw: load_program_graph(path, **kw), strict)
+        for size in (64, 300):
+            assert _sliced_outcome(path, strict, size) == whole
+
+
+def test_sliced_load_peak_is_a_small_part_of_the_file(tmp_path, monkeypatch):
+    # Decoded in slices, the load never holds the file's text: what it
+    # frees again is a few slices of text, the decoder's lists and the id
+    # table. On Python 3.10-3.13 it is 0.28x the file's size with slices
+    # of 300 bytes to 64 KiB; with slices of 1 MiB this file took 1.5x.
+    monkeypatch.setattr(model, "_SLICE", 4096)
+    path = tmp_path / "g.json"
+    doc = graph_to_dict(random_graph(3, n_nodes=3000, n_edges=6000, n_sources=3,
+                                     n_sinks=3, n_sanitizers=2))
+    path.write_text(json.dumps(doc))
+    del doc
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        graph = load_program_graph(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph.nodes) == 3000
+    assert peak - kept <= 0.3 * size
 
 
 # Every id is longer than one character: CPython keeps a single object for

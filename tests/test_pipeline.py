@@ -1,8 +1,13 @@
 import dataclasses
 import enum
 import gc
+import hashlib
+import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -318,6 +323,61 @@ def test_replacing_a_field_checks_the_new_value():
     cfg = datagear_config()
     with pytest.raises(ConfigError, match="max_depth must be an integer >= 1"):
         dataclasses.replace(cfg, max_depth=0)
+
+
+def test_config_sequences_are_stored_as_tuples():
+    # A frozen config holds no list, so no caller can change it once it is
+    # checked, and it can be hashed; its report form still has lists.
+    manifest = fixture_path("datagear_mini", "deps.json")
+    cfg = datagear_config(gate_weights=[0.5, 0.3, 0.2])
+    assert cfg.manifest_paths == (manifest,)
+    assert cfg.gate_weights == (0.5, 0.3, 0.2)
+    with pytest.raises(AttributeError):
+        cfg.manifest_paths.append(5)
+    assert hash(cfg) == hash(datagear_config(manifest_paths=(manifest,),
+                                             gate_weights=(0.5, 0.3, 0.2)))
+    replaced = dataclasses.replace(cfg, manifest_paths=[manifest, manifest])
+    assert replaced.manifest_paths == (manifest, manifest)
+    assert cfg.to_dict()["manifest_paths"] == [manifest]
+    assert cfg.to_dict()["gate_weights"] == [0.5, 0.3, 0.2]
+
+
+def test_digest_is_the_sha256_of_the_canonical_config():
+    for cfg in (PipelineConfig(), datagear_config(), publiccms_config(review_mode="llm"),
+                datagear_config(gate_weights=[0.2, 0.3, 0.5], max_depth=3,
+                                graph_path="gräph/ünïcode.json")):
+        canon = json.dumps(cfg.to_dict(), sort_keys=True)
+        assert cfg.digest() == hashlib.sha256(canon.encode()).hexdigest()
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.mark.skipif(
+    importlib.util.find_spec("_sha2") is None and importlib.util.find_spec("_sha256") is None,
+    reason="this interpreter has no built-in SHA-256 module",
+)
+@pytest.mark.parametrize("name, manifest", [("datagear_mini", "deps.json"),
+                                            ("publiccms_mini", "pom.xml")])
+def test_scan_process_does_not_load_openssl(tmp_path, name, manifest):
+    # hashlib maps OpenSSL into the process (3.6 MB resident) through
+    # _hashlib; a scan hashes one config and needs none of it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "argus.cli", "scan",
+         "--graph", fixture_path(name, "graph.json"),
+         "--manifest", fixture_path(name, manifest),
+         "--fixtures", fixture_path(name, "advisories"),
+         "--llm", "replay:" + fixture_path(name, "replay"),
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "argus.pipeline" in imported
+    assert "_hashlib" not in imported
 
 
 def test_llm_review_runs_on_every_llm_backend(tmp_path, capsys, monkeypatch):

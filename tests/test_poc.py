@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from argus import poc
 from argus.advisories import AdvisoryRecord, Severity
 from argus.agent import ScriptedStubBackend
+from argus.errors import ConfigError
 from argus.model import load_program_graph
 from argus.poc import (
     CandidateOrigin,
@@ -164,10 +166,21 @@ def test_suffix_does_not_match_mid_label():
 
 
 def test_bundled_registry_loads():
+    # The bundled file is read and checked as a user's registry is.
     registry = load_sink_registry()
     assert "xml-parse" in registry
     assert any(name.endswith("DocumentBuilderFactory.newInstance")
                for name in registry["xml-parse"])
+    with open(poc._BUNDLED_REGISTRY, encoding="utf-8") as fh:
+        assert registry == json.load(fh)
+
+
+def test_bundled_registry_is_checked(tmp_path, monkeypatch):
+    bundled = tmp_path / "sink_registry.json"
+    bundled.write_text(json.dumps({"xml-parse": "not a list"}))
+    monkeypatch.setattr(poc, "_BUNDLED_REGISTRY", str(bundled))
+    with pytest.raises(ConfigError, match="must be a JSON object mapping"):
+        load_sink_registry()
 
 
 def test_registry_candidates_on_case2_graph():
