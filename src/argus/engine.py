@@ -15,7 +15,8 @@ locations are resolved to content nodes via the graph's anchor table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional
 
 from argus.errors import SarifError, UnknownSinkError, read_json
 from argus.model import (
@@ -72,7 +73,8 @@ def forward_search(graph: ProgramGraph, query: FlowQuery) -> list[DataFlow]:
         )
         paths: list[tuple[FlowTriple, ...]] = []
         for edge in starts:
-            if _extend_paths(graph, (edge,), sink, limit, cap, dist, [], {edge.src}, paths):
+            paths += islice(_extend_paths(graph, edge, sink, limit, dist), cap - len(paths))
+            if len(paths) >= cap:
                 break
         for p in paths:
             out.append(DataFlow(triples=p, origin=FlowOrigin.FORWARD,
@@ -108,44 +110,45 @@ def _distances_to(graph: ProgramGraph, sink: str, limit: int) -> dict[str, int]:
 
 def _extend_paths(
     graph: ProgramGraph,
-    edges: Sequence[AccessPathEdge],
+    start: AccessPathEdge,
     sink: str,
     limit: int,
-    cap: int,
     dist: dict[str, int],
-    prefix: list[FlowTriple],
-    visited: set[str],
-    paths: list[tuple[FlowTriple, ...]],
-) -> bool:
-    """Depth-first extension of ``prefix`` over ``edges`` to flows of at
-    most ``limit`` edges; True once ``paths`` holds ``cap`` flows."""
-    if len(prefix) >= limit:
-        return False
-    for edge in edges:
-        if not edge.visible_to_forward:
-            continue
-        nxt = edge.dst
-        if nxt in visited:
-            continue
-        triple = FlowTriple(edge.src, edge, nxt)
-        if nxt == sink:
-            paths.append(tuple(prefix + [triple]))
-            if len(paths) >= cap:
-                return True
-            continue
-        # Enter only a node that can still reach the sink within the bound;
-        # sanitizers and nodes too far away have no distance.
-        if nxt not in dist or len(prefix) + 1 + dist[nxt] > limit:
-            continue
-        visited.add(nxt)
-        prefix.append(triple)
-        done = _extend_paths(graph, graph.outgoing(nxt), sink, limit, cap, dist,
-                             prefix, visited, paths)
-        prefix.pop()
-        visited.remove(nxt)
-        if done:
-            return True
-    return False
+) -> Iterator[tuple[FlowTriple, ...]]:
+    """The flows of at most ``limit`` edges that begin with ``start``, in
+    depth-first order over id-ordered edges.
+
+    The search keeps its own stack of out-edge iterators, one per node on
+    the prefix, so a long flow needs no Python recursion. A node is entered
+    only if it can still reach the sink within the bound: sanitizers and
+    nodes too far away have no distance, and since every node but the sink
+    is at least one edge from it, no prefix grows to ``limit`` edges."""
+    if limit < 1:
+        return
+    prefix: list[FlowTriple] = []
+    visited = {start.src}
+    stack = [iter((start,))]
+    while stack:
+        for edge in stack[-1]:
+            if not edge.visible_to_forward:
+                continue
+            nxt = edge.dst
+            if nxt in visited:
+                continue
+            triple = FlowTriple(edge.src, edge, nxt)
+            if nxt == sink:
+                yield (*prefix, triple)
+                continue
+            if nxt not in dist or len(prefix) + 1 + dist[nxt] > limit:
+                continue
+            visited.add(nxt)
+            prefix.append(triple)
+            stack.append(iter(graph.outgoing(nxt)))
+            break
+        else:
+            stack.pop()
+            if prefix:
+                visited.remove(prefix.pop().to_node)
 
 
 # ---------------------------------------------------------------------------

@@ -66,29 +66,18 @@ class ConfigError(ArgusError):
     """Pipeline configuration is invalid (maps to CLI exit code 2)."""
 
 
-# The decoder ``json.loads`` uses when given no options.
-_PLAIN = json.JSONDecoder()
-
-
-def parse_json(text: str, error: type[ArgusError], prefix: str,
-               decoder: json.JSONDecoder = _PLAIN) -> Any:
-    """``decoder.decode(text)``, which by default decodes as ``json.loads``
-    does; text that is not JSON, or is nested too deep to decode, raises
-    ``error(f"{prefix}: {exc}")``. A decoder is passed in, not made here,
-    because making one per call costs more than decoding a small document."""
+def parse_json(text: str, error: type[ArgusError], prefix: str) -> Any:
+    """``json.loads(text)``; text that is not JSON, or is nested too deep to
+    decode, raises ``error(f"{prefix}: {exc}")``."""
     try:
-        if text.startswith("\ufeff"):  # as json.loads rejects a byte-order mark
-            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return decoder.decode(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError
         raise error(f"{prefix}: {exc}") from exc
 
 
-def read_json(path, error: type[ArgusError], prefix: str,
-              decoder: json.JSONDecoder = _PLAIN) -> Any:
-    """The JSON document in the UTF-8 file ``path``, decoded by
-    ``decoder``; a file that cannot be read or decoded raises
-    ``error(f"{prefix}: {exc}")``."""
+def read_json(path, error: type[ArgusError], prefix: str) -> Any:
+    """The JSON document in the UTF-8 file ``path``; a file that cannot be
+    read or decoded raises ``error(f"{prefix}: {exc}")``."""
     try:
         # One read and one decode: a text-mode file costs more to open than
         # a small document costs to decode.
@@ -96,4 +85,4 @@ def read_json(path, error: type[ArgusError], prefix: str,
             text = fh.read().decode("utf-8")
     except (OSError, ValueError) as exc:  # ValueError: UnicodeDecodeError
         raise error(f"{prefix}: {exc}") from exc
-    return parse_json(text, error, prefix, decoder)
+    return parse_json(text, error, prefix)

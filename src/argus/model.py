@@ -20,33 +20,32 @@ frozen ``__init__``; it runs the same checks as ``__post_init__`` (one
 function each), and the elements it builds are equal to, hash like and are
 as immutable as those built through ``__init__``.
 
-:func:`load_program_graph` builds each node and edge while the JSON decoder
-decodes it, through the decoder's ``object_hook``, so the raw objects of a
-whole document never exist at once; where decoding first and building after
+:func:`load_program_graph` reads a file of at most one slice (64 KiB) whole
+and builds it as :func:`graph_from_dict` builds a decoded document. A larger
+file is not read whole: the loader walks its top-level object, decodes each
+array a slice at a time, cut between two objects, and builds each entry of
+``nodes`` and ``edges`` as soon as its slice is decoded, so the raw objects
+of at most one slice exist at a time. On anything it does not expect, an
+entry it cannot build strictly among them, it decodes and builds the whole
+file instead, so every graph, error and warning is the one
+:func:`graph_from_dict` gives. Where decoding first and building after
 needed the decoded document as well, a whole scan of a 13 MB, 30k-node
-document peaked at 96 MB resident (Python 3.11 on Linux). An object the
-hook cannot build is left as decoded, and :func:`graph_from_dict` builds it
-in document order, so errors and warnings are those of building from a
-plain dict. A file larger than one slice (64 KiB) is not read whole either:
-the loader walks its top-level object and decodes each array a slice at a
-time, cut between two objects, through the same decoder and hook, and falls
-back to decoding the whole file on anything it does not expect. So a load's
-peak is about the graph plus a few slices of text, where it was the graph
-plus the whole text. With the load's id table emptied, and the decoder's
-node and edge lists taken as they are, before the graph's own tables are
-built, that document's load peaked at 25.7 MB (``tracemalloc``) where it
-kept 22.0 MB, against 33.2 MB when the text was read whole.
+document peaked at 96 MB resident (Python 3.11 on Linux). With the load's
+id table emptied, and the lists of built nodes and edges taken as they are,
+before the graph's own tables are built, that document's first load in a
+process peaks at 25.7 MB (``tracemalloc``, over the interpreter's base)
+where it keeps 22.0 MB, against 33.2 MB when the text was read whole.
 
 A loaded graph holds one string object per distinct id: every id reference
 (edge endpoints, node function ids, function parameters and return nodes,
 call edges, anchors) is the first object decoded for that id, looked up in
 a table that belongs to the one load and is dropped when it ends. The
-decoder makes a new object for each reference, and each is freed as its
-element is built. That document's graph went from 31.5 to 22.0 MB, its
-load's peak from 40.9 to 33.2 MB (``tracemalloc``), and the scan's peak
-from 63 to 54 MB resident. The table is not ``sys.intern``: interned
-strings are immortal from Python 3.12, so a process that loads many graphs
-would keep every id it ever read. :class:`gc_paused` turns the cyclic
+decoder makes a new object for each reference, and each is freed with
+the raw object that held it. That document's graph went from 31.5 to
+22.0 MB, its load's peak from 40.9 to 33.2 MB (``tracemalloc``), and the
+scan's peak from 63 to 54 MB resident. The table is not ``sys.intern``:
+interned strings are immortal from Python 3.12, so a process that loads many
+graphs would keep every id it ever read. :class:`gc_paused` turns the cyclic
 garbage collector off and restores the caller's setting after.
 :func:`load_program_graph` runs under it, and so do a whole scan and a whole
 report export (``argus.pipeline``), since neither makes garbage cycles:
@@ -70,7 +69,6 @@ from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from argus.errors import (
-    ArgusError,
     GraphIntegrityError,
     GraphParseError,
     parse_json,
@@ -577,26 +575,22 @@ def _unknown_fields(obj: dict, allowed: set[str], what: str, strict: bool,
 
 def _objects(doc: dict, key: str, built: type = dict) -> list:
     """The entries of the array ``doc[key]``, each checked to be an object
-    or an element of type ``built`` that the decoder built from one. A node
-    or edge the decoder built from a well-formed object anywhere else is an
-    input error."""
+    or an element of type ``built``."""
     entries = doc.get(key, [])
     if not isinstance(entries, list):
         raise GraphParseError(f"{key} must be a JSON array")
     for pos, raw in enumerate(entries):
         if type(raw) is not built and not isinstance(raw, dict):
-            if isinstance(raw, (ContentNode, AccessPathEdge)):
-                what = "node" if isinstance(raw, ContentNode) else "edge"
-                raise GraphParseError(f"{key}[{pos}] is a {what} object, not one of {key}")
             raise GraphParseError(f"{key}[{pos}] must be a JSON object")
     return entries
 
 
 def _elements(doc: dict, key: str, cls: type, build, strict: bool,
               warnings: list[str], share) -> list:
-    """The nodes or edges (``cls``) of ``doc[key]``: the entries the decoder
-    built, and each object it left, built here by ``build`` in order. When
-    the decoder built every entry, that is the document's list itself."""
+    """The nodes or edges (``cls``) of ``doc[key]``: the entries already
+    built, and each object, built here by ``build`` in order. When every
+    entry is built (as :class:`_Slices` leaves them), that is the
+    document's list itself."""
     entries = _objects(doc, key, cls)
     if all(type(raw) is cls for raw in entries):
         return entries
@@ -749,39 +743,6 @@ def _edge(raw: dict, strict: bool, warnings: Optional[list[str]], share) -> Acce
     return edge
 
 
-def _decoder() -> tuple[json.JSONDecoder, list]:
-    """A decoder and the one-item list its ``object_hook`` reads the load's
-    ``share`` from. The hook returns the element built from each decoded
-    object ``raw``, or ``raw`` itself. An object with ``"from"`` is built as
-    an edge and one with ``"kind"`` as a node, both strictly; every other
-    object, and one whose build fails for any reason, is returned as
-    decoded, and :func:`graph_from_dict` builds it in document order and
-    reports its error there. So the hook never raises, and the decoder never
-    holds more than one element's raw object at a time."""
-    slot = [None]
-
-    def element(raw: dict):
-        try:
-            if "from" in raw:
-                return _edge(raw, True, None, slot[0])
-            if "kind" in raw:
-                return _node(raw, True, None, slot[0])
-        # What the builders raise on any decoded object: their own errors, a
-        # missing key, a value of a bad type or enum, and a nested value too
-        # deep to format in a message.
-        except (ArgusError, KeyError, ValueError, TypeError, RecursionError):
-            pass
-        return raw
-
-    return json.JSONDecoder(object_hook=element), slot
-
-
-# Decoders that no load is using. A load takes one, or makes one when none is
-# idle, so loads in several threads never share a table. Making a decoder
-# for every load added about 6% to the load time of a graph of a few nodes.
-_IDLE = [_decoder()]
-
-
 class gc_paused:
     """A context in which cyclic garbage collection is off.
 
@@ -805,15 +766,20 @@ class gc_paused:
 
 # A graph file larger than this many bytes is decoded in slices of about this
 # many characters; a smaller one is decoded whole. A load holds a few slices
-# of text at once, so a larger slice only adds to its peak: a 1.1 MB file
-# (3,000 nodes) peaked at 1.5 times its size above what its load kept with
-# slices of 1 MiB, at 0.84 times decoded whole, and at 0.28 times with
-# 64 KiB slices or smaller ones (``tracemalloc``, Python 3.10-3.13).
+# of text and one slice's raw objects at once, so a larger slice only adds to
+# its peak: a 1.1 MB file (3,000 nodes) peaked at 4.0 to 4.9 times its size
+# above what its load kept with slices of 1 MiB or decoded whole, and at 0.28
+# times with 64 KiB slices or smaller ones (``tracemalloc``, Python
+# 3.10-3.13).
 _SLICE = 1 << 16
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
 # Where one object of an array ends and the next begins.
 _CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
+
+
+# What the sliced decode builds each entry of these arrays with.
+_BUILDERS = {"nodes": _node, "edges": _edge}
 
 
 class _Slices:
@@ -822,20 +788,23 @@ class _Slices:
     :meth:`document` walks the top-level object itself and decodes each
     array in slices of about ``_SLICE`` characters, each cut where one
     object ends and the next begins (``}``, ``,``, ``{`` with optional
-    whitespace). A slice is decoded as ``"[" + slice + "]"`` by the load's
-    decoder, so its objects go through the same hook, in the same order,
-    as in a whole decode; if the decode stops before the end of the slice,
-    the array ended there. Every other value is decoded whole. Anything
-    else it meets raises ``ValueError`` (or the ``OSError`` of a read, or
-    the ``RecursionError`` of a decode): a decode error, a cut inside a
-    string, a byte-order mark, bad UTF-8, or a top level that is not an
-    object. The caller then decodes the whole file. The text read and not
-    yet decoded is ``text[pos:]``; a read drops what is before it.
+    whitespace). A slice is decoded as ``"[" + slice + "]"``; if the decode
+    stops before the end of the slice, the array ended there. Each entry of
+    ``nodes`` and ``edges`` is built strictly, with the load's id table, as
+    soon as its slice is decoded, so the raw objects of at most one slice
+    exist at a time. Every other value is decoded whole. Anything else it
+    meets raises: a decode error, a cut inside a string, a byte-order mark,
+    bad UTF-8 or a top level that is not an object (``ValueError``), an
+    entry that does not build strictly (its builder's error), a failed read
+    (``OSError``) or a value nested too deep (``RecursionError``). The
+    caller then decodes the whole file. The text read and not yet decoded
+    is ``text[pos:]``; a read drops what is before it.
     """
 
-    def __init__(self, fh, decoder: json.JSONDecoder):
+    def __init__(self, fh, share):
         self._fh = fh
-        self._decoder = decoder
+        self._share = share
+        self._raw_decode = json.JSONDecoder().raw_decode
         self._utf8 = codecs.getincrementaldecoder("utf-8")()
         self.text = ""
         self.pos = 0
@@ -874,7 +843,7 @@ class _Slices:
         with more of the file."""
         while True:
             try:
-                value, end = self._decoder.raw_decode(self.text, self.pos)
+                value, end = self._raw_decode(self.text, self.pos)
             except ValueError:
                 if self._more():
                     continue
@@ -883,8 +852,10 @@ class _Slices:
                 self.pos = end
                 return value
 
-    def _array(self) -> list:
-        """The array at ``pos``, decoded in slices."""
+    def _array(self, key: str) -> list:
+        """The array at ``pos``, the value of ``key``, decoded in slices; an
+        entry of ``nodes`` or ``edges`` is built as its slice is decoded."""
+        build = _BUILDERS.get(key)
         self.pos += 1
         items = []
         while True:
@@ -893,7 +864,9 @@ class _Slices:
                 continue
             cut = len(self.text) if found is None else found.start() + 1
             text = f"[{self.text[self.pos:cut]}]"
-            part, end = self._decoder.raw_decode(text)
+            part, end = self._raw_decode(text)
+            if build is not None:
+                part = [build(raw, True, None, self._share) for raw in part]
             items += part
             if end < len(text):
                 self.pos += end - 1
@@ -902,9 +875,8 @@ class _Slices:
                 raise ValueError("array not closed")
             self.pos = found.end() - 1
 
-    def document(self):
-        """The decoded document, passed through the decoder's hook as a
-        whole decode passes it."""
+    def document(self) -> dict:
+        """The decoded document, with its nodes and edges built."""
         self._expect("{")
         doc = {}
         if self._next() == "}":
@@ -915,55 +887,56 @@ class _Slices:
                     raise ValueError("expected a key")
                 key = self._value()
                 self._expect(":")
-                doc[key] = self._array() if self._next() == "[" else self._value()
+                doc[key] = self._array(key) if self._next() == "[" else self._value()
                 if self._next() == "}":
                     self.pos += 1
                     break
                 self._expect(",")
         if self._next():
             raise ValueError("extra data")
-        return self._decoder.object_hook(doc)
+        return doc
 
 
-def _read_graph(path, decoder: json.JSONDecoder, slot: list, prefix: str):
-    """The graph document of ``path`` and the id table the decoder's hook
-    filled while it decoded it (``slot`` is the hook's, see :func:`_decoder`).
+def _read_graph(path, ids: dict, prefix: str):
+    """The graph document of ``path``, its nodes and edges built if
+    :class:`_Slices` decoded it, with ``ids`` the load's id table.
 
     A file of at most ``_SLICE`` bytes is read and decoded whole, as
     :func:`read_json` decodes it; a longer one is decoded by
     :class:`_Slices`. A file that cannot be read, is not UTF-8, or that
     :class:`_Slices` leaves to a whole decode is decoded by
-    :func:`read_json`, so its error is ``read_json``'s, with a new table, so
-    nothing the failed decode read is shared. That runs after the failed
-    decode's exception, and with it every element it built, is freed."""
-    ids: dict = {}
-    slot[0] = ids.setdefault
+    :func:`read_json`, so its error is ``read_json``'s, with the table
+    emptied, as :func:`graph_from_dict` starts with an empty one. That runs
+    after the failed decode's exception, and with it every element it built,
+    is freed."""
     try:
         with open(path, "rb") as fh:
             if os.fstat(fh.fileno()).st_size > _SLICE:
-                return _Slices(fh, decoder).document(), ids
+                return _Slices(fh, ids.setdefault).document()
             text = fh.read().decode("utf-8")
-    except (OSError, ValueError, RecursionError):
+    # Whatever went wrong, a builder's error on a value of any JSON type
+    # among them, the whole decode and build below report it as they would.
+    except Exception:
         pass
     else:
-        return parse_json(text, GraphParseError, prefix, decoder), ids
-    ids = {}
-    slot[0] = ids.setdefault
-    return read_json(path, GraphParseError, prefix, decoder), ids
+        return parse_json(text, GraphParseError, prefix)
+    ids.clear()
+    return read_json(path, GraphParseError, prefix)
 
 
 def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
     """Load and validate a program-graph JSON document.
 
-    Nodes and edges are built while the document is decoded (see
-    :func:`_decoder`). A file of at most ``_SLICE`` bytes is read and
-    decoded whole; a larger one is decoded in slices (see
+    A file of at most ``_SLICE`` bytes is read and decoded whole and built
+    as :func:`graph_from_dict` builds it. A larger one is decoded in slices,
+    and its nodes and edges are built as their slices are decoded (see
     :class:`_Slices`), so the peak memory of a load is about the graph plus
-    a few slices of text, not plus the whole text. Whenever the sliced
-    decode meets anything but a well-formed document, the whole file is
-    decoded instead, with an id table of its own. So the result, errors and
-    warnings are those of :func:`graph_from_dict` on the decoded document,
-    and the decoder and the rest of the load share one id table.
+    a few slices of text, not plus the whole text or the whole decoded
+    document. Whenever the sliced decode meets anything it does not expect,
+    an entry it cannot build strictly among them, the whole file is decoded
+    and built instead. So the result, errors and warnings are those of
+    :func:`graph_from_dict` on the decoded document, and the sliced build
+    and the rest of the load share one id table.
 
     Raises :class:`GraphParseError` for malformed documents and
     :class:`GraphIntegrityError` (naming the offending id) for dangling or
@@ -977,15 +950,8 @@ def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str
     return and on error, and a caller that had collection off keeps it off.
     """
     with gc_paused():
-        try:
-            decoder, slot = _IDLE.pop()
-        except IndexError:
-            decoder, slot = _decoder()
-        try:
-            doc, ids = _read_graph(path, decoder, slot, f"{path}: cannot read graph")
-        finally:
-            slot[0] = None
-            _IDLE.append((decoder, slot))
+        ids: dict = {}
+        doc = _read_graph(path, ids, f"{path}: cannot read graph")
         return _graph(doc, strict, warnings, ids)
 
 
@@ -1001,11 +967,12 @@ def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[s
 
 
 def _graph(doc: dict, strict: bool, warnings: Optional[list[str]], ids: dict) -> ProgramGraph:
-    """:func:`graph_from_dict`, given the load's id table ``ids``. Entries
-    of ``nodes`` and ``edges`` may already be built (as :func:`_decoder`
-    leaves them, with the same table); every entry that is still an object
-    is built and checked here, in order. The table is emptied once every
-    element is built, before the graph's own tables are."""
+    """:func:`graph_from_dict`, given the load's id table ``ids``. The
+    entries of ``nodes`` and ``edges`` may already be built (as
+    :class:`_Slices` leaves them, with the same table); every entry that is
+    still an object is built and checked here, in order. The table is
+    emptied once every element is built, before the graph's own tables
+    are."""
     share = ids.setdefault
     if warnings is None:
         warnings = []

@@ -440,7 +440,7 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
     # scan before an agent spends tokens.
     registry = load_sink_registry(config.sink_registry_path)
     report = VulnerabilityReport(config=config)
-    graph = load_program_graph(config.graph_path, strict=True)
+    graph = load_program_graph(config.graph_path)
 
     # Stage 1: dependency scan.
     deps = []

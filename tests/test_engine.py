@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from argus.engine import (
@@ -42,6 +44,39 @@ def test_linear_topology_single_flow():
     assert flows[0].edge_ids == ("e1", "e2")
     assert flows[0].source == "src"
     assert flows[0].sink == "snk"
+
+
+def test_chain_longer_than_the_recursion_limit():
+    # 1,499 edges in a row: the search keeps its own stack, so a flow far
+    # longer than Python's recursion limit is found whole.
+    n = 1500
+    nodes = [ContentNode(f"n{i}", NodeKind.VARIABLE, f"v{i}", "f1") for i in range(n)]
+    nodes[0] = replace(nodes[0], taint_role=TaintRole.SOURCE, source_kind="http-param")
+    nodes[-1] = replace(nodes[-1], taint_role=TaintRole.SINK, sink_kind="command-exec")
+    edges = [AccessPathEdge(f"e{i:04d}", f"n{i}", f"n{i + 1}", EdgeKind.ASSIGN)
+             for i in range(n - 1)]
+    g = ProgramGraph(nodes, edges, [FunctionDecl("f1", "main")])
+    flows = forward_search(g, FlowQuery(sinks=(f"n{n - 1}",), max_length=3000))
+    assert len(flows) == 1
+    assert flows[0].edge_ids == tuple(e.id for e in edges)
+    assert len(flows[0].triples) == 1499
+    assert validate_flow(flows[0], g).ok
+    assert forward_search(g, FlowQuery(sinks=(f"n{n - 1}",), max_length=1499)) == []
+
+
+def test_bound_of_one_admits_no_flow():
+    # A flow has fewer triples than its bound, so even a source wired
+    # straight to the sink has no flow at max_length=1.
+    g = ProgramGraph(
+        [ContentNode("src", NodeKind.PARAMETER, "p", "f1", TaintRole.SOURCE, "http-param"),
+         ContentNode("snk", NodeKind.CALL_ARGUMENT, "exec", "f1", TaintRole.SINK,
+                     sink_kind="command-exec")],
+        [AccessPathEdge("e1", "src", "snk", EdgeKind.CALL_PASS)],
+        [FunctionDecl("f1", "main")],
+    )
+    assert forward_search(g, FlowQuery(sinks=("snk",), max_length=1)) == []
+    assert [f.edge_ids for f in forward_search(g, FlowQuery(sinks=("snk",), max_length=2))] == [
+        ("e1",)]
 
 
 def test_sanitizer_interposed_blocks_flow():

@@ -778,28 +778,34 @@ _EDGE_OBJECT = {"id": "ex", "from": "a", "to": "b", "kind": "assign"}
 @pytest.mark.parametrize("misplace", [
     lambda doc: doc["nodes"].append(_EDGE_OBJECT),
     lambda doc: doc["functions"].append(_NODE_OBJECT),
+    lambda doc: doc.update(functions=[{"id": "f1", "kind": "variable"}]),
     lambda doc: doc["nodes"][0].update(label=_NODE_OBJECT),
     lambda doc: doc["edges"].append(_NODE_OBJECT),
-], ids=["edge-in-nodes", "node-in-functions", "node-as-label", "node-in-edges"])
-def test_well_formed_element_in_the_wrong_place_is_a_parse_error(tmp_path, misplace):
-    # The decoder builds such an object as a node or an edge before it
-    # knows where it is; the loader must still reject it. Only the class is
-    # pinned: the message may name the built element.
+], ids=["edge-in-nodes", "node-in-functions", "function-with-a-kind", "node-as-label",
+        "node-in-edges"])
+def test_well_formed_element_in_the_wrong_place_loads_as_from_a_dict(tmp_path, misplace):
+    # An object is built by the rules of the place it is in, whatever keys
+    # it has: a file load, whole or sliced, gives what graph_from_dict
+    # gives, in both modes. In strict mode each is a parse error.
     doc = json.loads(json.dumps(MINIMAL))
     misplace(doc)
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(GraphParseError):
-        load_program_graph(path)
+    for strict in (True, False):
+        want = _outcome(lambda **kw: graph_from_dict(copy.deepcopy(doc), **kw), strict)
+        assert _outcome(lambda **kw: load_program_graph(path, **kw), strict) == want
+        assert _sliced_outcome(path, strict, 64) == want
+        if strict:
+            assert want[0] is GraphParseError
 
 
 def test_load_peak_memory_is_close_to_what_it_keeps(tmp_path):
-    # Elements are built while the document is decoded, so the raw objects
-    # of the whole document never exist at once: the peak is the file text
-    # plus the graph, not the decoded document plus the graph. What the load
-    # frees again is bounded by the file's size, not by the graph's, so a
-    # smaller graph does not tighten the bound. On Python 3.11 it is 0.84x
-    # the file's size; decoding the whole document first takes 4.4x.
+    # Nodes and edges are built a slice at a time, so the raw objects of the
+    # whole document never exist at once: the peak is a few slices plus the
+    # graph, not the decoded document plus the graph. What the load frees
+    # again is bounded by the file's size, not by the graph's, so a smaller
+    # graph does not tighten the bound. On Python 3.11 it is 0.28x the
+    # file's size; decoding the whole document first takes 4.2x.
     path = tmp_path / "g.json"
     doc = graph_to_dict(random_graph(3, n_nodes=3000, n_edges=6000, n_sources=3,
                                      n_sinks=3, n_sanitizers=2))
@@ -890,7 +896,7 @@ def _malformed_texts():
     yield "repeated-key", b'{"nodes": [],' + text[1:]
     yield "missing-comma", text.replace(b"},", b"}", 1)
     yield "trailing-comma", text.replace(b"}\n    ]", b"},\n    ]", 1)
-    # The decoder builds this document as an edge, so it is not an object.
+    # An edge object, not a graph document.
     yield "edge-document", json.dumps({
         "id": "e", "from": "a", "to": "b", "kind": "assign",
         "guard_tags": [f"tag{i}" for i in range(40)],
@@ -914,9 +920,10 @@ def test_sliced_load_of_malformed_text_is_a_whole_load(tmp_path, name):
 
 def test_sliced_load_peak_is_a_small_part_of_the_file(tmp_path, monkeypatch):
     # Decoded in slices, the load never holds the file's text: what it
-    # frees again is a few slices of text, the decoder's lists and the id
-    # table. On Python 3.10-3.13 it is 0.28x the file's size with slices
-    # of 300 bytes to 64 KiB; with slices of 1 MiB this file took 1.5x.
+    # frees again is a few slices of text, one slice's raw objects, the
+    # lists of built nodes and edges and the id table. On Python 3.10-3.13
+    # it is 0.28x the file's size with slices of 300 bytes to 64 KiB; with
+    # slices of 1 MiB this file took 4.0x to 4.6x.
     monkeypatch.setattr(model, "_SLICE", 4096)
     path = tmp_path / "g.json"
     doc = graph_to_dict(random_graph(3, n_nodes=3000, n_edges=6000, n_sources=3,
@@ -1013,8 +1020,8 @@ def test_each_id_is_one_string_object(tmp_path, from_file, references_first):
 
 
 def test_loads_in_threads_each_share_their_own_ids(tmp_path):
-    # Loads that overlap take separate decoders, so no load reads another's
-    # id table: if two shared one, a graph would hold both loads' objects.
+    # Each load has an id table of its own, so no load reads another's: if
+    # two shared one, a graph would hold both loads' objects.
     path = tmp_path / "g.json"
     path.write_text(json.dumps(_REFERENCES))
     want = graph_to_dict(graph_from_dict(copy.deepcopy(_REFERENCES)))
