@@ -9,49 +9,26 @@ together; the flow length is strictly bounded by the configured maximum.
 
 Graphs are immutable after load. The incoming-edge and label indexes are
 built on first use; an overlay from :meth:`ProgramGraph.with_sinks` shares
-the ones its parent built before it.
+the ones its parent built before it. The element classes are frozen,
+slotted dataclasses; the loader builds nodes and edges without their
+``__init__`` but runs the same checks, so they are equal to, hash like and
+are as immutable as those built through it.
 
-The graph's element classes are frozen, slotted dataclasses, and every edge
-without guard tags shares one empty frozenset, so a loaded graph leaves few
-objects for the cyclic garbage collector to walk. The loader builds each
-node and edge with ``object.__new__`` and sets its slots through their
-member descriptors, which skips the per-field ``object.__setattr__`` of a
-frozen ``__init__``; it runs the same checks as ``__post_init__`` (one
-function each), and the elements it builds are equal to, hash like and are
-as immutable as those built through ``__init__``.
-
-:func:`load_program_graph` reads a file of at most one slice (64 KiB) whole
-and builds it as :func:`graph_from_dict` builds a decoded document. A larger
-file is not read whole: the loader walks its top-level object, decodes each
-array a slice at a time, cut between two objects, and builds each entry of
-``nodes`` and ``edges`` as soon as its slice is decoded, so the raw objects
-of at most one slice exist at a time. On anything it does not expect, an
-entry it cannot build strictly among them, it decodes and builds the whole
-file instead, so every graph, error and warning is the one
-:func:`graph_from_dict` gives. Where decoding first and building after
-needed the decoded document as well, a whole scan of a 13 MB, 30k-node
-document peaked at 96 MB resident (Python 3.11 on Linux). With the load's
-id table emptied, and the lists of built nodes and edges taken as they are,
-before the graph's own tables are built, that document's first load in a
-process peaks at 25.7 MB (``tracemalloc``, over the interpreter's base)
-where it keeps 22.0 MB, against 33.2 MB when the text was read whole.
-
-A loaded graph holds one string object per distinct id: every id reference
-(edge endpoints, node function ids, function parameters and return nodes,
-call edges, anchors) is the first object decoded for that id, looked up in
-a table that belongs to the one load and is dropped when it ends. The
-decoder makes a new object for each reference, and each is freed with
-the raw object that held it. That document's graph went from 31.5 to
-22.0 MB, its load's peak from 40.9 to 33.2 MB (``tracemalloc``), and the
-scan's peak from 63 to 54 MB resident. The table is not ``sys.intern``:
-interned strings are immortal from Python 3.12, so a process that loads many
-graphs would keep every id it ever read. :class:`gc_paused` turns the cyclic
-garbage collector off and restores the caller's setting after.
-:func:`load_program_graph` runs under it, and so do a whole scan and a whole
-report export (``argus.pipeline``), since neither makes garbage cycles:
-every container is kept or freed by reference counting, so a collection
-after the pause finds nothing to free. Without the pause, a collection
-every few hundred allocations would walk the live graph.
+:func:`load_program_graph` returns the graph :func:`graph_from_dict` gives
+for the file's decoded document, and raises what it raises:
+:class:`GraphParseError` for a file that cannot be read or decoded and for
+a malformed document, an unknown field among them, and
+:class:`GraphIntegrityError`, naming the offending id, for a dangling or
+duplicate reference. A file larger than one slice (64 KiB) is decoded a
+slice at a time and its nodes and edges are built as their slices are
+decoded, so a load's peak memory is the graph plus a few slices of text.
+Only a malformed file, or one with an entry that does not build, is
+decoded whole, so that its error is :func:`graph_from_dict`'s. A loaded
+graph holds one string object per distinct id, which every reference to it
+shares. Cyclic garbage collection is paused (:class:`gc_paused`) for a
+load, and for a whole scan and export in ``argus.pipeline``: none of them
+makes garbage cycles. CHANGES.md holds the measurements behind these
+choices.
 """
 
 from __future__ import annotations
@@ -562,15 +539,11 @@ _TAINT_ROLES = {r.value: r for r in TaintRole}
 _EDGE_KINDS = {k.value: k for k in EdgeKind}
 
 
-def _unknown_fields(obj: dict, allowed: set[str], what: str, strict: bool,
-                   warnings: Optional[list[str]]):
-    """Reject or record the fields of ``obj`` outside ``allowed``. Callers
-    test first that ``allowed`` holds every key of ``obj``, so the label
-    ``what`` is only formatted for an object that has an unknown field."""
-    msg = f"{what}: unknown field(s) {sorted(set(obj) - allowed)}"
-    if strict:
-        raise GraphParseError(msg)
-    warnings.append(msg)
+def _unknown_fields(obj: dict, allowed: set[str], what: str):
+    """Reject the fields of ``obj`` outside ``allowed``. Callers test first
+    that ``allowed`` holds every key of ``obj``, so the label ``what`` is
+    only formatted for an object that has an unknown field."""
+    raise GraphParseError(f"{what}: unknown field(s) {sorted(set(obj) - allowed)}")
 
 
 def _objects(doc: dict, key: str, built: type = dict) -> list:
@@ -585,8 +558,7 @@ def _objects(doc: dict, key: str, built: type = dict) -> list:
     return entries
 
 
-def _elements(doc: dict, key: str, cls: type, build, strict: bool,
-              warnings: list[str], share) -> list:
+def _elements(doc: dict, key: str, cls: type, build, share) -> list:
     """The nodes or edges (``cls``) of ``doc[key]``: the entries already
     built, and each object, built here by ``build`` in order. When every
     entry is built (as :class:`_Slices` leaves them), that is the
@@ -594,7 +566,7 @@ def _elements(doc: dict, key: str, cls: type, build, strict: bool,
     entries = _objects(doc, key, cls)
     if all(type(raw) is cls for raw in entries):
         return entries
-    return [raw if type(raw) is cls else build(raw, strict, warnings, share)
+    return [raw if type(raw) is cls else build(raw, share)
             for raw in entries]
 
 
@@ -651,14 +623,14 @@ _new = object.__new__
  _set_edge_tags, _set_edge_bridged) = _slot_setters(AccessPathEdge)
 
 
-def _node(raw: dict, strict: bool, warnings: Optional[list[str]], share) -> ContentNode:
+def _node(raw: dict, share) -> ContentNode:
     """The checked node of the object ``raw``. Each field's common case is
     tested inline; any other value goes to the helper or enum call that
     checks it, so each error message is made in one place. Its id and
     function id are passed through ``share``, the ``setdefault`` of the
     load's id table (see :func:`graph_from_dict`)."""
     if not _NODE_FIELDS.issuperset(raw):
-        _unknown_fields(raw, _NODE_FIELDS, f"node {raw.get('id')!r}", strict, warnings)
+        _unknown_fields(raw, _NODE_FIELDS, f"node {raw.get('id')!r}")
     node_id = raw["id"]
     if type(node_id) is not str:
         node_id = _string(raw, "id", "node")
@@ -700,11 +672,11 @@ def _node(raw: dict, strict: bool, warnings: Optional[list[str]], share) -> Cont
     return node
 
 
-def _edge(raw: dict, strict: bool, warnings: Optional[list[str]], share) -> AccessPathEdge:
+def _edge(raw: dict, share) -> AccessPathEdge:
     """The checked edge of the object ``raw``, built as :func:`_node` builds
     a node; its endpoints are passed through ``share``."""
     if not _EDGE_FIELDS.issuperset(raw):
-        _unknown_fields(raw, _EDGE_FIELDS, f"edge {raw.get('id')!r}", strict, warnings)
+        _unknown_fields(raw, _EDGE_FIELDS, f"edge {raw.get('id')!r}")
     guard_tags = raw.get("guard_tags", [])
     # Most edges carry no tags: skip the element check for those.
     if not isinstance(guard_tags, list) or (guard_tags and not _all_strings(guard_tags)):
@@ -767,14 +739,12 @@ class gc_paused:
 # A graph file larger than this many bytes is decoded in slices of about this
 # many characters; a smaller one is decoded whole. A load holds a few slices
 # of text and one slice's raw objects at once, so a larger slice only adds to
-# its peak: a 1.1 MB file (3,000 nodes) peaked at 4.0 to 4.9 times its size
-# above what its load kept with slices of 1 MiB or decoded whole, and at 0.28
-# times with 64 KiB slices or smaller ones (``tracemalloc``, Python
-# 3.10-3.13).
+# its peak.
 _SLICE = 1 << 16
 
 _WHITESPACE = re.compile(r"[ \t\n\r]*")
-# Where one object of an array ends and the next begins.
+# Where one object of an array may end and the next begin; a match can also
+# lie inside a string.
 _CUT = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
 
@@ -785,20 +755,20 @@ _BUILDERS = {"nodes": _node, "edges": _edge}
 class _Slices:
     """The graph document of an open binary file, decoded a slice at a time.
 
-    :meth:`document` walks the top-level object itself and decodes each
-    array in slices of about ``_SLICE`` characters, each cut where one
-    object ends and the next begins (``}``, ``,``, ``{`` with optional
-    whitespace). A slice is decoded as ``"[" + slice + "]"``; if the decode
-    stops before the end of the slice, the array ended there. Each entry of
-    ``nodes`` and ``edges`` is built strictly, with the load's id table, as
-    soon as its slice is decoded, so the raw objects of at most one slice
-    exist at a time. Every other value is decoded whole. Anything else it
-    meets raises: a decode error, a cut inside a string, a byte-order mark,
-    bad UTF-8 or a top level that is not an object (``ValueError``), an
-    entry that does not build strictly (its builder's error), a failed read
-    (``OSError``) or a value nested too deep (``RecursionError``). The
-    caller then decodes the whole file. The text read and not yet decoded
-    is ``text[pos:]``; a read drops what is before it.
+    :meth:`document` walks the top-level object and decodes each array in
+    slices of about ``_SLICE`` characters, cut where one object seems to end
+    and the next to begin (``}``, ``,``, ``{`` with optional whitespace),
+    each as ``"[" + slice + "]"``; a decode that stops before the end of its
+    slice found the end of the array. A slice cut inside a string is
+    decoded one entry at a time instead (:meth:`_entries`). Each entry of
+    ``nodes`` and ``edges`` is built, with the load's id table, as its slice
+    is decoded, so the raw objects of at most one slice exist at a time;
+    every other value is decoded whole. Anything else raises (malformed
+    text, a byte-order mark or bad UTF-8, a top level that is not an
+    object, a builder's error, a failed read, a value nested too deep), and
+    the caller decodes the whole file. The text read and not yet decoded is
+    ``text[pos:]``; a read drops what is before it and adds its length to
+    ``offset``, so ``offset + pos`` is the position in the whole text.
     """
 
     def __init__(self, fh, share):
@@ -808,6 +778,7 @@ class _Slices:
         self._utf8 = codecs.getincrementaldecoder("utf-8")()
         self.text = ""
         self.pos = 0
+        self.offset = 0
         self._eof = False
 
     def _more(self) -> bool:
@@ -822,6 +793,7 @@ class _Slices:
         data = self._fh.read(size)
         self._eof = len(data) < size
         self.text = self.text[self.pos:] + self._utf8.decode(data, self._eof)
+        self.offset += self.pos
         self.pos = 0
         return True
 
@@ -856,6 +828,7 @@ class _Slices:
         """The array at ``pos``, the value of ``key``, decoded in slices; an
         entry of ``nodes`` or ``edges`` is built as its slice is decoded."""
         build = _BUILDERS.get(key)
+        share = self._share
         self.pos += 1
         items = []
         while True:
@@ -864,16 +837,43 @@ class _Slices:
                 continue
             cut = len(self.text) if found is None else found.start() + 1
             text = f"[{self.text[self.pos:cut]}]"
-            part, end = self._raw_decode(text)
+            try:
+                part, end = self._raw_decode(text)
+            except ValueError:
+                if found is None:
+                    raise
+                part, closed = self._entries(cut)
+            else:
+                closed = end < len(text)
+                if closed:
+                    self.pos += end - 1
+                elif found is None:
+                    raise ValueError("array not closed")
+                else:
+                    self.pos = found.end() - 1
             if build is not None:
-                part = [build(raw, True, None, self._share) for raw in part]
+                part = [build(raw, share) for raw in part]
             items += part
-            if end < len(text):
-                self.pos += end - 1
+            if closed:
                 return items
-            if found is None:
-                raise ValueError("array not closed")
-            self.pos = found.end() - 1
+
+    def _entries(self, cut: int) -> tuple[list, bool]:
+        """The entries of the array from ``pos``, each decoded whole, up to
+        the first that ends past ``text[cut]``, and whether the array ended
+        first. A slice cut inside a string is decoded this way, so the text
+        decoded stays linear in the file's size and no slice grows:
+        extending the slice to a later cut instead could take it to the end
+        of the array, where every cut lies inside a string."""
+        stop = self.offset + cut
+        entries = []
+        while self.offset + self.pos < stop:
+            self._next()
+            entries.append(self._value())
+            if self._next() == "]":
+                self.pos += 1
+                return entries, True
+            self._expect(",")
+        return entries, False
 
     def document(self) -> dict:
         """The decoded document, with its nodes and edges built."""
@@ -903,12 +903,12 @@ def _read_graph(path, ids: dict, prefix: str):
 
     A file of at most ``_SLICE`` bytes is read and decoded whole, as
     :func:`read_json` decodes it; a longer one is decoded by
-    :class:`_Slices`. A file that cannot be read, is not UTF-8, or that
-    :class:`_Slices` leaves to a whole decode is decoded by
-    :func:`read_json`, so its error is ``read_json``'s, with the table
-    emptied, as :func:`graph_from_dict` starts with an empty one. That runs
-    after the failed decode's exception, and with it every element it built,
-    is freed."""
+    :class:`_Slices`. A file that cannot be read, is not UTF-8, is
+    malformed, or holds an entry that :class:`_Slices` cannot build is
+    decoded by :func:`read_json`, so its error is ``read_json``'s, with the
+    table emptied, as :func:`graph_from_dict` starts with an empty one.
+    That runs after the failed decode's exception, and with it every
+    element it built, is freed."""
     try:
         with open(path, "rb") as fh:
             if os.fstat(fh.fileno()).st_size > _SLICE:
@@ -924,24 +924,18 @@ def _read_graph(path, ids: dict, prefix: str):
     return read_json(path, GraphParseError, prefix)
 
 
-def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
-    """Load and validate a program-graph JSON document.
+def load_program_graph(path, *, strict: bool = True) -> ProgramGraph:
+    """Load and validate a program-graph JSON document: the graph, or the
+    error, that :func:`graph_from_dict` gives for its decoded document.
 
-    A file of at most ``_SLICE`` bytes is read and decoded whole and built
-    as :func:`graph_from_dict` builds it. A larger one is decoded in slices,
-    and its nodes and edges are built as their slices are decoded (see
-    :class:`_Slices`), so the peak memory of a load is about the graph plus
-    a few slices of text, not plus the whole text or the whole decoded
-    document. Whenever the sliced decode meets anything it does not expect,
-    an entry it cannot build strictly among them, the whole file is decoded
-    and built instead. So the result, errors and warnings are those of
-    :func:`graph_from_dict` on the decoded document, and the sliced build
-    and the rest of the load share one id table.
-
-    Raises :class:`GraphParseError` for malformed documents and
-    :class:`GraphIntegrityError` (naming the offending id) for dangling or
-    duplicate references. In lenient mode unknown fields are appended to
-    ``warnings`` instead of rejected.
+    A file larger than ``_SLICE`` bytes is decoded in slices by
+    :class:`_Slices`, so a load's peak memory is about the graph plus a few
+    slices of text; only a malformed file, or one with an entry that does
+    not build, is decoded whole, to report its error. Raises
+    :class:`GraphParseError` for a malformed document, an unknown field
+    among them, and :class:`GraphIntegrityError` (naming the offending id)
+    for a dangling or duplicate reference. Every load is strict: ``strict``
+    is accepted only as ``True``, and any other value is a ``TypeError``.
 
     Cyclic garbage collection is paused while the document is parsed and
     the graph is built: every container the load allocates is either kept
@@ -949,24 +943,28 @@ def load_program_graph(path, *, strict: bool = True, warnings: Optional[list[str
     would only walk live objects. The caller's setting is restored on
     return and on error, and a caller that had collection off keeps it off.
     """
+    if strict is not True:
+        raise TypeError(f"load_program_graph: strict must be True, got {strict!r}")
     with gc_paused():
         ids: dict = {}
         doc = _read_graph(path, ids, f"{path}: cannot read graph")
-        return _graph(doc, strict, warnings, ids)
+        return _graph(doc, ids)
 
 
-def graph_from_dict(doc: dict, *, strict: bool = True, warnings: Optional[list[str]] = None) -> ProgramGraph:
+def graph_from_dict(doc: dict) -> ProgramGraph:
     """The graph of the decoded document ``doc``.
 
     Every id reference of the graph is the one string object first read for
     that id: node ids and function ids, edge endpoints, function parameters
     and return nodes, call edges and anchors. A table of this one load,
     dropped when it returns, maps each id to that object, so the graph
-    keeps none of the document's other copies."""
-    return _graph(doc, strict, warnings, {})
+    keeps none of the document's other copies. The table is not
+    ``sys.intern``: interned strings are immortal from Python 3.12, so a
+    process that loads many graphs would keep every id it ever read."""
+    return _graph(doc, {})
 
 
-def _graph(doc: dict, strict: bool, warnings: Optional[list[str]], ids: dict) -> ProgramGraph:
+def _graph(doc: dict, ids: dict) -> ProgramGraph:
     """:func:`graph_from_dict`, given the load's id table ``ids``. The
     entries of ``nodes`` and ``edges`` may already be built (as
     :class:`_Slices` leaves them, with the same table); every entry that is
@@ -974,8 +972,6 @@ def _graph(doc: dict, strict: bool, warnings: Optional[list[str]], ids: dict) ->
     emptied once every element is built, before the graph's own tables
     are."""
     share = ids.setdefault
-    if warnings is None:
-        warnings = []
     if not isinstance(doc, dict):
         raise GraphParseError("graph document must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -983,15 +979,14 @@ def _graph(doc: dict, strict: bool, warnings: Optional[list[str]], ids: dict) ->
             f"unsupported or missing format_version (expected {FORMAT_VERSION!r})"
         )
     if not doc.keys() <= _TOP_FIELDS:
-        _unknown_fields(doc, _TOP_FIELDS, "document", strict, warnings)
+        _unknown_fields(doc, _TOP_FIELDS, "document")
     try:
-        nodes = _elements(doc, "nodes", ContentNode, _node, strict, warnings, share)
-        edges = _elements(doc, "edges", AccessPathEdge, _edge, strict, warnings, share)
+        nodes = _elements(doc, "nodes", ContentNode, _node, share)
+        edges = _elements(doc, "edges", AccessPathEdge, _edge, share)
         functions = []
         for raw in _objects(doc, "functions"):
             if not raw.keys() <= _FUNCTION_FIELDS:
-                _unknown_fields(raw, _FUNCTION_FIELDS, f"function {raw.get('id')!r}", strict,
-                                warnings)
+                _unknown_fields(raw, _FUNCTION_FIELDS, f"function {raw.get('id')!r}")
             parameters = raw.get("parameters", [])
             if not isinstance(parameters, list) or not _all_strings(parameters):
                 raise GraphParseError(
@@ -1016,7 +1011,7 @@ def _graph(doc: dict, strict: bool, warnings: Optional[list[str]], ids: dict) ->
         call_edges = []
         for raw in _objects(doc, "call_edges"):
             if not raw.keys() <= _CALL_EDGE_FIELDS:
-                _unknown_fields(raw, _CALL_EDGE_FIELDS, "call edge", strict, warnings)
+                _unknown_fields(raw, _CALL_EDGE_FIELDS, "call edge")
             caller = _string(raw, "caller", "call edge")
             callee = _string(raw, "callee", "call edge")
             site = _string(raw, "call_site_node", "call edge")
@@ -1026,7 +1021,7 @@ def _graph(doc: dict, strict: bool, warnings: Optional[list[str]], ids: dict) ->
         anchors = []
         for raw in _objects(doc, "anchors"):
             if not raw.keys() <= _ANCHOR_FIELDS:
-                _unknown_fields(raw, _ANCHOR_FIELDS, "anchor", strict, warnings)
+                _unknown_fields(raw, _ANCHOR_FIELDS, "anchor")
             file = _string(raw, "file", "anchor")
             start_line = _anchor_line(raw, "start_line")
             end_line = _anchor_line(raw, "end_line")

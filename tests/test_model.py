@@ -86,14 +86,32 @@ def test_missing_format_version_rejected():
         graph_from_dict(doc)
 
 
-def test_unknown_field_strict_vs_lenient():
-    doc = json.loads(json.dumps(MINIMAL))
-    doc["nodes"][0]["mystery"] = 1
-    with pytest.raises(GraphParseError):
-        graph_from_dict(doc, strict=True)
-    warnings = []
-    graph_from_dict(doc, strict=False, warnings=warnings)
-    assert any("mystery" in w for w in warnings)
+@pytest.mark.parametrize("section", [
+    None, "nodes", "edges", "functions", "call_edges", "anchors",
+], ids=["document", "node", "edge", "function", "call-edge", "anchor"])
+def test_unknown_field_is_rejected(tmp_path, section):
+    # The same parse error, naming the field, from a dict, a whole file load
+    # and a sliced one.
+    doc = copy.deepcopy(_FULL)
+    (doc[section][0] if section else doc)["mystery"] = 1
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    want = _outcome(lambda: graph_from_dict(copy.deepcopy(doc)))
+    assert want[0] is GraphParseError
+    assert "unknown field(s) ['mystery']" in want[1]
+    assert _outcome(lambda: load_program_graph(path)) == want
+    assert _sliced_outcome(path, 64) == want
+
+
+def test_there_is_no_lenient_mode(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(MINIMAL))
+    assert len(load_program_graph(path, strict=True).nodes) == 2
+    for kwargs in ({"strict": False}, {"strict": 0}, {"warnings": []}):
+        with pytest.raises(TypeError):
+            load_program_graph(path, **kwargs)
+        with pytest.raises(TypeError):
+            graph_from_dict(json.loads(json.dumps(MINIMAL)), **kwargs)
 
 
 def test_no_functions_rejected():
@@ -744,31 +762,27 @@ def test_malformed_documents_raise_only_graph_errors(doc):
     assert {*strings, *optional} <= _strings_in(doc) | {"", None}
 
 
-def _outcome(load, strict):
-    """What a load gives: the graph's tables in order and the warnings, or
-    the error's class and message."""
-    warnings: list[str] = []
+def _outcome(load):
+    """What a load gives: the graph's tables in order, or the error's class
+    and message."""
     try:
-        graph = load(strict=strict, warnings=warnings)
+        graph = load()
     except (GraphParseError, GraphIntegrityError) as exc:
         return type(exc), str(exc)
-    tables = (list(graph.nodes.items()), list(graph.edges.items()),
-              list(graph.functions.items()), graph.call_edges, graph.source_files,
-              graph.anchors)
-    return tables, warnings
+    return (list(graph.nodes.items()), list(graph.edges.items()),
+            list(graph.functions.items()), graph.call_edges, graph.source_files,
+            graph.anchors)
 
 
 @settings(max_examples=300, deadline=None)
 @given(doc=_mutated_documents())
 def test_file_load_equals_dict_load(tmp_path_factory, doc):
     # The loader builds nodes and edges while the file is decoded; what it
-    # gives must not depend on that, in either mode.
+    # gives must not depend on that.
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(doc))
-    for strict in (True, False):
-        from_file = _outcome(lambda **kw: load_program_graph(path, **kw), strict)
-        from_dict = _outcome(lambda **kw: graph_from_dict(copy.deepcopy(doc), **kw), strict)
-        assert from_file == from_dict
+    from_file = _outcome(lambda: load_program_graph(path))
+    assert from_file == _outcome(lambda: graph_from_dict(copy.deepcopy(doc)))
 
 
 _NODE_OBJECT = {"id": "x", "kind": "variable", "function_id": "f1", "label": "x"}
@@ -786,17 +800,15 @@ _EDGE_OBJECT = {"id": "ex", "from": "a", "to": "b", "kind": "assign"}
 def test_well_formed_element_in_the_wrong_place_loads_as_from_a_dict(tmp_path, misplace):
     # An object is built by the rules of the place it is in, whatever keys
     # it has: a file load, whole or sliced, gives what graph_from_dict
-    # gives, in both modes. In strict mode each is a parse error.
+    # gives, and each is a parse error.
     doc = json.loads(json.dumps(MINIMAL))
     misplace(doc)
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
-    for strict in (True, False):
-        want = _outcome(lambda **kw: graph_from_dict(copy.deepcopy(doc), **kw), strict)
-        assert _outcome(lambda **kw: load_program_graph(path, **kw), strict) == want
-        assert _sliced_outcome(path, strict, 64) == want
-        if strict:
-            assert want[0] is GraphParseError
+    want = _outcome(lambda: graph_from_dict(copy.deepcopy(doc)))
+    assert want[0] is GraphParseError
+    assert _outcome(lambda: load_program_graph(path)) == want
+    assert _sliced_outcome(path, 64) == want
 
 
 def test_load_peak_memory_is_close_to_what_it_keeps(tmp_path):
@@ -822,10 +834,15 @@ def test_load_peak_memory_is_close_to_what_it_keeps(tmp_path):
     assert peak - kept <= 1.5 * size
 
 
-def _sliced_outcome(path, strict, size):
+def _sliced_outcome(path, size):
     """What a load of ``path`` gives with slices of ``size`` bytes."""
     with mock.patch.object(model, "_SLICE", size):
-        return _outcome(lambda **kw: load_program_graph(path, **kw), strict)
+        return _outcome(lambda: load_program_graph(path))
+
+
+def _no_whole_decode():
+    """A context in which a load that decodes its file whole fails."""
+    return mock.patch.object(model, "read_json", side_effect=AssertionError("decoded whole"))
 
 
 # Slice sizes of a few hundred bytes or less, so that the small documents
@@ -841,14 +858,13 @@ _LAYOUTS = ({"separators": (",", ":")}, {}, {"indent": 4})
 @settings(max_examples=150, deadline=None)
 @given(doc=_mutated_documents(), layout=st.sampled_from(_LAYOUTS))
 def test_sliced_load_equals_whole_load(tmp_path_factory, doc, layout):
-    # Whatever the layout, the tables, warnings or error message are those
-    # of a whole decode (the file is smaller than a default slice).
+    # Whatever the layout, the tables or error message are those of a
+    # whole decode (the file is smaller than a default slice).
     path = tmp_path_factory.getbasetemp() / "sliced.json"
     path.write_text(json.dumps(doc, **layout))
-    for strict in (True, False):
-        whole = _outcome(lambda **kw: load_program_graph(path, **kw), strict)
-        for size in _SIZES[::2]:
-            assert _sliced_outcome(path, strict, size) == whole
+    whole = _outcome(lambda: load_program_graph(path))
+    for size in _SIZES[::2]:
+        assert _sliced_outcome(path, size) == whole
 
 
 def _labelled(labels: list[str]) -> dict:
@@ -867,22 +883,23 @@ def test_sliced_load_reads_multibyte_text_across_slices(tmp_path, layout, size):
     doc = _labelled(["p", "é€😀" * 200, "exec"])
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc, ensure_ascii=False, **layout), encoding="utf-8")
-    with mock.patch.object(model, "read_json", side_effect=AssertionError("decoded whole")):
-        graph = _sliced_outcome(path, True, size)
-    assert graph == _outcome(lambda **kw: graph_from_dict(copy.deepcopy(doc), **kw), True)
+    with _no_whole_decode():
+        graph = _sliced_outcome(path, size)
+    assert graph == _outcome(lambda: graph_from_dict(copy.deepcopy(doc)))
 
 
 @pytest.mark.parametrize("layout", _LAYOUTS)
 @pytest.mark.parametrize("size", _SIZES)
 def test_sliced_load_of_labels_that_look_like_cuts(tmp_path, layout, size):
-    # A cut inside a string fails to decode, and the file is decoded whole.
+    # A slice cut inside a string fails to decode, and its entries are
+    # decoded one at a time: the file is not decoded whole.
     doc = _labelled(["a}, {b", "},{", "}\n  ,\t{"])
     doc["functions"][1]["name"] = "}, {"
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc, **layout))
-    for strict in (True, False):
-        want = _outcome(lambda **kw: graph_from_dict(copy.deepcopy(doc), **kw), strict)
-        assert _sliced_outcome(path, strict, size) == want
+    with _no_whole_decode():
+        got = _sliced_outcome(path, size)
+    assert got == _outcome(lambda: graph_from_dict(copy.deepcopy(doc)))
     assert graph_to_dict(load_program_graph(path)) == graph_to_dict(graph_from_dict(doc))
 
 
@@ -912,10 +929,9 @@ _MALFORMED = dict(_malformed_texts())
 def test_sliced_load_of_malformed_text_is_a_whole_load(tmp_path, name):
     path = tmp_path / "g.json"
     path.write_bytes(_MALFORMED[name])
-    for strict in (True, False):
-        whole = _outcome(lambda **kw: load_program_graph(path, **kw), strict)
-        for size in (64, 300):
-            assert _sliced_outcome(path, strict, size) == whole
+    whole = _outcome(lambda: load_program_graph(path))
+    for size in (64, 300):
+        assert _sliced_outcome(path, size) == whole
 
 
 def test_sliced_load_peak_is_a_small_part_of_the_file(tmp_path, monkeypatch):
@@ -939,6 +955,69 @@ def test_sliced_load_peak_is_a_small_part_of_the_file(tmp_path, monkeypatch):
         tracemalloc.stop()
     assert len(graph.nodes) == 3000
     assert peak - kept <= 0.3 * size
+
+
+@pytest.mark.parametrize("label_last", [False, True])
+def test_sliced_load_of_cut_like_labels_at_the_default_slice(tmp_path, label_last):
+    # Many default-sized slices end inside a label. With the label as each
+    # node's last field nearly every cut in the nodes array lies inside one,
+    # so a slice extended to later cuts would reach the end of the array.
+    # Such a slice is decoded one entry at a time: the load decodes nothing
+    # whole, and its peak stays within the bound of the test above.
+    path = tmp_path / "g.json"
+    doc = graph_to_dict(random_graph(3, n_nodes=3000, n_edges=6000, n_sources=3,
+                                     n_sinks=3, n_sanitizers=2))
+    for node in doc["nodes"]:
+        label = node.pop("label") if label_last else node["label"]
+        node["label"] = label + "}, {"
+    path.write_text(json.dumps(doc))
+    want = _outcome(lambda: graph_from_dict(doc))
+    del doc
+    size = path.stat().st_size
+    assert size > model._SLICE
+    with _no_whole_decode():
+        tracemalloc.start()
+        try:
+            graph = load_program_graph(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak - kept <= 0.3 * size
+    assert _outcome(lambda: graph) == want
+
+
+def test_sliced_decode_work_is_linear_in_the_file(tmp_path):
+    # One label of 100,000 cuts: a slice that fails to decode is decoded
+    # again one entry at a time, so the text decoded stays a small multiple
+    # of the file. Extending a slice one cut at a time would decode tens of
+    # gigabytes; the count stops such a load at the bound.
+    path = tmp_path / "g.json"
+    doc = graph_to_dict(random_graph(3, n_nodes=800, n_edges=1600, n_sources=3,
+                                     n_sinks=3, n_sanitizers=2))
+    doc["nodes"][400]["label"] = "}, {" * 100_000
+    path.write_text(json.dumps(doc))
+    size = path.stat().st_size
+    decoded = [0]
+    raw_decode = json.JSONDecoder.raw_decode
+
+    def counted(self, s, idx=0):
+        # What a decode reads: up to the end of its value, or at most the
+        # rest of the text when it fails.
+        end = len(s)
+        try:
+            value, end = raw_decode(self, s, idx)
+            return value, end
+        finally:
+            decoded[0] += end - idx
+            assert decoded[0] <= 4 * size, "stopped"
+
+    with _no_whole_decode(), mock.patch.object(json.JSONDecoder, "raw_decode", counted):
+        try:
+            graph = load_program_graph(path)
+        finally:
+            assert decoded[0] <= 4 * size, f"decoded {decoded[0] / size:.1f}x the file"
+    assert graph.nodes[doc["nodes"][400]["id"]].label == "}, {" * 100_000
+    assert _outcome(lambda: graph) == _outcome(lambda: graph_from_dict(doc))
 
 
 # Every id is longer than one character: CPython keeps a single object for
