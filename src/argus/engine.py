@@ -5,8 +5,12 @@ source nodes to target sinks over visible edges, pruning at sanitizer
 nodes. Output order is deterministic: flows sort lexicographically by
 their edge-id tuple, capped per sink. The search is goal-directed: it
 stops at the per-sink cap, and a breadth-first search back from the sink
-first finds how far each node is from it, so the depth-first search
-never enters a node that cannot reach the sink within the bound.
+first finds how far each node is from it and its next hop on a shortest
+path there. The depth-first search then enters a node only if the sink
+can still be reached from it within the bound without reusing a node of
+the prefix (Read and Tarjan's backtracking, as refined by Birmelé et
+al.), so every node it enters leads to a flow: it enters at most bound
+nodes per flow it yields, and the flows come with polynomial delay.
 
 External analyzers integrate through SARIF 2.1.0 code flows; thread-flow
 locations are resolved to content nodes via the graph's anchor table.
@@ -62,7 +66,7 @@ def forward_search(graph: ProgramGraph, query: FlowQuery) -> list[DataFlow]:
     cap = query.max_flows_per_sink
     out: list[DataFlow] = []
     for sink in sorted(set(query.sinks)):
-        dist = _distances_to(graph, sink, limit)
+        dist, hop = _distances_to(graph, sink, limit)
         # Out-edges are sorted by id and a sink always ends its path, so no
         # flow's edge-id tuple is a prefix of another's: depth-first order
         # over id-ordered edges is the sorted order, and the first flows
@@ -73,7 +77,7 @@ def forward_search(graph: ProgramGraph, query: FlowQuery) -> list[DataFlow]:
         )
         paths: list[tuple[FlowTriple, ...]] = []
         for edge in starts:
-            paths += islice(_extend_paths(graph, edge, sink, limit, dist), cap - len(paths))
+            paths += islice(_extend_paths(graph, edge, sink, limit, dist, hop), cap - len(paths))
             if len(paths) >= cap:
                 break
         for p in paths:
@@ -82,14 +86,18 @@ def forward_search(graph: ProgramGraph, query: FlowQuery) -> list[DataFlow]:
     return out
 
 
-def _distances_to(graph: ProgramGraph, sink: str, limit: int) -> dict[str, int]:
+def _distances_to(
+    graph: ProgramGraph, sink: str, limit: int
+) -> tuple[dict[str, int], dict[str, str]]:
     """Fewest edges from each node to ``sink`` over the edges forward search
-    may take, for nodes within ``limit`` edges of it.
+    may take, for nodes within ``limit`` edges of it, and each such node's
+    next hop on a shortest path there.
 
     A breadth-first search over visible incoming edges. Sanitizers get no
     distance: forward search never enters one, so no flow passes through it.
     """
     dist = {sink: 0}
+    hop: dict[str, str] = {}
     frontier = [sink]
     for depth in range(1, limit + 1):
         reached = []
@@ -101,11 +109,68 @@ def _distances_to(graph: ProgramGraph, sink: str, limit: int) -> dict[str, int]:
                 if prev in dist or graph.nodes[prev].taint_role == TaintRole.SANITIZER:
                     continue
                 dist[prev] = depth
+                hop[prev] = node
                 reached.append(prev)
         if not reached:
             break
         frontier = reached
-    return dist
+    return dist, hop
+
+
+def _reaches(
+    graph: ProgramGraph,
+    node: str,
+    sink: str,
+    budget: int,
+    dist: dict[str, int],
+    hop: dict[str, str],
+    visited: set[str],
+) -> bool:
+    """Whether a path of at most ``budget`` edges leads from ``node``, which
+    is outside ``visited`` and within ``budget`` of the sink, to ``sink``
+    through no node of ``visited`` and no sanitizer.
+
+    A breadth-first search from ``node`` that stays among the nodes with a
+    distance, avoids ``visited`` and drops a node from which the sink is
+    out of reach within the budget. It stops at the first node whose walk
+    along next hops meets no node of ``visited``: that walk ends a path to
+    the sink that fits the budget (a path with a repeated node has a
+    shorter one through a subset of its nodes), and it is usually the
+    node itself."""
+    if _clear(node, sink, hop, visited):
+        return True
+    seen = {node}
+    frontier = [node]
+    for depth in range(1, budget + 1):
+        reached = []
+        for cur in frontier:
+            for edge in graph.outgoing(cur):
+                if not edge.visible_to_forward:
+                    continue
+                nxt = edge.dst
+                if nxt in seen or nxt in visited:
+                    continue
+                d = dist.get(nxt)
+                if d is None or depth + d > budget:
+                    continue
+                if _clear(nxt, sink, hop, visited):
+                    return True
+                seen.add(nxt)
+                reached.append(nxt)
+        if not reached:
+            return False
+        frontier = reached
+    return False
+
+
+def _clear(node: str, sink: str, hop: dict[str, str], visited: set[str]) -> bool:
+    """Whether the walk along next hops from ``node`` to ``sink``, a shortest
+    path, meets no node of ``visited``."""
+    while node != sink:
+        node = hop[node]
+        if node in visited:
+            return False
+    return True
 
 
 def _extend_paths(
@@ -114,15 +179,19 @@ def _extend_paths(
     sink: str,
     limit: int,
     dist: dict[str, int],
+    hop: dict[str, str],
 ) -> Iterator[tuple[FlowTriple, ...]]:
     """The flows of at most ``limit`` edges that begin with ``start``, in
     depth-first order over id-ordered edges.
 
     The search keeps its own stack of out-edge iterators, one per node on
     the prefix, so a long flow needs no Python recursion. A node is entered
-    only if it can still reach the sink within the bound: sanitizers and
-    nodes too far away have no distance, and since every node but the sink
-    is at least one edge from it, no prefix grows to ``limit`` edges."""
+    only if :func:`_reaches` finds a way from it to the sink that fits the
+    bound and avoids the prefix, so every node entered yields a flow: the
+    search enters at most ``limit`` nodes per flow and the delay between
+    two flows is polynomial in the graph's size. The check is exact, so
+    the flows and their order are those of a search that enters every node
+    it may."""
     if limit < 1:
         return
     prefix: list[FlowTriple] = []
@@ -139,7 +208,9 @@ def _extend_paths(
             if nxt == sink:
                 yield (*prefix, triple)
                 continue
-            if nxt not in dist or len(prefix) + 1 + dist[nxt] > limit:
+            budget = limit - len(prefix) - 1
+            if (nxt not in dist or dist[nxt] > budget
+                    or not _reaches(graph, nxt, sink, budget, dist, hop, visited)):
                 continue
             visited.add(nxt)
             prefix.append(triple)

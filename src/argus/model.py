@@ -8,8 +8,9 @@ declarations, and call edges. A data flow is an ordered list of
 together; the flow length is strictly bounded by the configured maximum.
 
 Graphs are immutable after load. The incoming-edge and label indexes are
-built on first use; an overlay from :meth:`ProgramGraph.with_sinks` shares
-the ones its parent built before it. The element classes are frozen,
+built on first use; an overlay from :meth:`ProgramGraph.with_sinks` starts
+with neither and builds its own, so a parent's indexes die with it. The
+element classes are frozen,
 slotted dataclasses; the loader builds nodes and edges without their
 ``__init__`` but runs the same checks, so they are equal to, hash like and
 are as immutable as those built through it.
@@ -248,8 +249,8 @@ class ProgramGraph:
     replaced by its tuple in place, one at a time, so the lists of all
     buckets and their tuples never exist at once.
     :meth:`with_sinks` returns an overlay with its own node table that
-    shares every other table with its parent, and the indexes its parent
-    built before it.
+    shares every other table with its parent, and none of the indexes
+    built on first use.
     """
 
     def __init__(
@@ -280,7 +281,7 @@ class ProgramGraph:
                 es.sort(key=by_id)
             by_src[src] = tuple(es)
         self._out: dict[str, tuple[AccessPathEdge, ...]] = by_src
-        # Built from edges and labels alone, so an overlay can share them.
+        # Built on first use; an overlay starts without them.
         self._incoming: Optional[dict[str, tuple[AccessPathEdge, ...]]] = None
         self._labels: Optional[LabelIndex] = None
         # Roles change in an overlay, so these lists are never shared.
@@ -381,9 +382,12 @@ class ProgramGraph:
         role ``NONE`` are marked: nodes already marked, sources and
         sanitizers keep their role. Unknown ids are ignored. The overlay
         gets its own node table, in the same order, and shares every other
-        table with this graph, which is left unchanged, as well as the
-        indexes this graph has built so far; marking a sink changes no label
-        and no edge, so nothing is checked again.
+        table with this graph, which is left unchanged; marking a sink
+        changes no label and no edge, so nothing is checked again. The
+        overlay inherits none of the indexes built on first use: a scan
+        drops the graph for its overlay, and the label index of the stages
+        before sink assembly then dies with the graph instead of living
+        through search and review.
         """
         overlay = copy.copy(self)
         overlay.nodes = nodes = dict(self.nodes)
@@ -391,6 +395,8 @@ class ProgramGraph:
             n = nodes.get(node_id)
             if n is not None and n.taint_role == TaintRole.NONE:
                 nodes[node_id] = replace(n, taint_role=TaintRole.SINK, sink_kind=kind)
+        overlay._incoming = None
+        overlay._labels = None
         overlay._by_role = {}
         return overlay
 

@@ -546,10 +546,13 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
                     f"flow to {sink_id} failed validation: " + "; ".join(check.violations)
                 )
                 continue
-            review_backend = (
-                _make_backend(config, "review", f"{sink_id}__{i}")
-                if config.review_mode == "llm" else None
-            )
+            review_backend = None
+            if config.review_mode == "llm":
+                review_backend = _make_backend(config, "review", f"{sink_id}__{i}")
+                if review_backend is None:
+                    report.warnings.append(
+                        f"review: no replay transcript for {sink_id}__{i}; reviewed by rules"
+                    )
             try:
                 verdict = review_flow(flow, graph, backend=review_backend, shared=review_steps)
             except ArgusError as exc:

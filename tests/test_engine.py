@@ -9,6 +9,7 @@ from argus.engine import (
 )
 from argus.errors import UnknownSinkError
 from argus.model import (
+    DEFAULT_MAX_FLOW_LENGTH,
     AccessPathEdge,
     ContentNode,
     EdgeKind,
@@ -257,3 +258,53 @@ def test_duplicate_sinks_report_each_flow_once():
     )
     flows = forward_search(g, FlowQuery(sinks=("t", "t")))
     assert [f.edge_ids for f in flows] == [("a",), ("b", "c")]
+
+
+def dense_graph():
+    from argus.synthetic import random_graph
+
+    return random_graph(2, n_nodes=160, n_edges=480, n_sources=4, n_sinks=4,
+                        n_sanitizers=2, hidden_edge_fraction=0.2)
+
+
+def test_dense_graph_at_the_default_bound_enters_only_nodes_that_lead_to_a_flow(
+        monkeypatch):
+    """A node is entered only when the sink can still be reached from it, so
+    the search enters at most ``bound`` nodes per flow it yields. A search
+    that enters nodes with no way left to the sink is not done here in 25 s."""
+    import argus.engine
+
+    graph = dense_graph()
+    most = 96 * DEFAULT_MAX_FLOW_LENGTH
+    entered = 0
+    reaches = argus.engine._reaches
+
+    def counting(*args):
+        nonlocal entered
+        found = reaches(*args)
+        entered += found
+        # Fail at once past the bound, rather than search on.
+        assert entered <= most
+        return found
+
+    monkeypatch.setattr(argus.engine, "_reaches", counting)
+    flows = forward_search(graph, FlowQuery(sinks=tuple(sink_ids(graph))))
+    assert len(flows) == 96
+    assert 0 < entered <= len(flows) * DEFAULT_MAX_FLOW_LENGTH
+    assert all(validate_flow(f, graph).ok for f in flows)
+
+
+@pytest.mark.parametrize("bound, digest", [
+    (16, "2d31725f2e6529e81f0d9d797a615234abb47742cae7b93f54aa73de38d01cc2"),
+    (40, "18b727d2c6e1768221d5a19b7804e7fbb431459c924ba391f5a3994f2b6c72fa"),
+])
+def test_dense_graph_flows_are_those_of_the_unchecked_search(bound, digest):
+    """The flows, in order, that the search gave before it checked that an
+    entered node still reaches the sink: the check only skips dead ends."""
+    import hashlib
+
+    graph = dense_graph()
+    flows = forward_search(graph, FlowQuery(sinks=tuple(sink_ids(graph)), max_length=bound))
+    assert len(flows) == 96
+    edge_ids = repr([f.edge_ids for f in flows]).encode()
+    assert hashlib.sha256(edge_ids).hexdigest() == digest

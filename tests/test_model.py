@@ -418,12 +418,14 @@ def test_with_sinks_overlay_marks_only_unmarked_nodes():
     roles_before = {n.id: (n.taint_role, n.sink_kind) for n in graph.nodes.values()}
     # Fill the parent's role lists first: the overlay must not inherit them.
     assert [n.id for n in graph.nodes_by_role(TaintRole.SINK)] == ["old"]
-    # Build the parent's label index first, as a scan does: the overlay
-    # shares the indexes its parent built before it.
+    # Build the parent's indexes first, as a scan does: the overlay must
+    # not inherit them, so they die with the parent.
     labels = graph.label_index()
+    graph.incoming("m")
     overlay = graph.with_sinks(
         {"a": "command-exec", "src": "x", "san": "x", "old": "x", "ghost": "x"}
     )
+    assert overlay._incoming is None and overlay._labels is None
 
     assert {n.id: (n.taint_role, n.sink_kind) for n in graph.nodes.values()} == roles_before
     assert list(overlay.nodes) == list(graph.nodes)
@@ -437,7 +439,12 @@ def test_with_sinks_overlay_marks_only_unmarked_nodes():
         assert overlay.outgoing(node_id) == graph.outgoing(node_id)
         assert overlay.incoming(node_id) == graph.incoming(node_id)
     assert overlay.edges is graph.edges
-    assert overlay.label_index() is labels
+    own = overlay.label_index()
+    assert own is not labels
+    for name in ("p", "m", "clean", "Runtime.exec", "exec", "Runtime", "old", "x"):
+        assert own.exact(name) == labels.exact(name)
+        assert own.under(name) == labels.under(name)
+        assert own.ending(name) == labels.ending(name)
 
     assert [n.id for n in overlay.nodes_by_role(TaintRole.SINK)] == ["a", "old"]
     assert [n.id for n in graph.nodes_by_role(TaintRole.SINK)] == ["old"]

@@ -8,12 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from argus.cli import EXIT_CONFIG_ERROR, main
+from argus.engine import forward_search
 from argus.errors import ConfigError
 from argus.model import (
     AccessPathEdge,
@@ -25,6 +27,7 @@ from argus.model import (
     ProgramGraph,
     TaintRole,
     graph_to_dict,
+    validate_flow,
 )
 from argus.pipeline import (
     PipelineConfig,
@@ -263,6 +266,18 @@ def test_missing_replay_transcript_warns_and_skips(tmp_path):
     report = run_pipeline(cfg)
     assert any("no replay transcript" in w for w in report.warnings)
     assert report.summary()["sinks_by_origin"].get("advisory_poc", 0) == 0
+
+
+def test_missing_review_transcript_warns_and_reviews_by_rules():
+    # The fixture's replay directory holds only its PoC transcript.
+    report = run_pipeline(publiccms_config(review_mode="llm"))
+    assert report.findings
+    assert all(f.verdict.mode == ReviewMode.RULE for f in report.findings)
+    sinks = [f.sink_id for f in report.findings]
+    want = [f"review: no replay transcript for {sink}__{i}; reviewed by rules"
+            for sink in sorted(set(sinks)) for i in range(sinks.count(sink))]
+    assert sorted(w for w in report.warnings if w.startswith("review:")) == sorted(want)
+    assert report.token_usage["per_stage"]["review"] == {"prompt": 0, "completion": 0}
 
 
 def test_stub_backend_runs_without_fixtures():
@@ -624,3 +639,64 @@ def test_cyclic_garbage_of_a_scan_does_not_grow_with_the_graph(tmp_path):
     # Every container of a scan and its export is freed by reference
     # counting, so the collector finds nothing, whatever the graph's size.
     assert small_garbage == large_garbage == 0
+
+
+def test_the_graphs_label_index_is_gone_before_the_first_search(monkeypatch):
+    # Stages 1-4 look labels up on the loaded graph. The scan then swaps in
+    # the sink overlay, which inherits no index, so the label index dies
+    # with the loaded graph instead of living through search and review.
+    labels = []
+    gone_at_search = []
+    with_sinks = ProgramGraph.with_sinks
+
+    def recording_with_sinks(graph, sink_kinds):
+        assert graph._labels is not None
+        labels.append(weakref.ref(graph._labels))
+        return with_sinks(graph, sink_kinds)
+
+    def checking_forward_search(graph, query):
+        gone_at_search.append(labels[0]() is None)
+        return forward_search(graph, query)
+
+    monkeypatch.setattr(ProgramGraph, "with_sinks", recording_with_sinks)
+    monkeypatch.setattr("argus.pipeline.forward_search", checking_forward_search)
+    report = run_pipeline(publiccms_config())
+    assert report.findings
+    assert len(labels) == 1
+    assert gone_at_search and gone_at_search[0]
+
+
+def _flow_graphs():
+    random_graphs = st.builds(
+        lambda seed, hidden: random_graph(seed, n_nodes=14, n_edges=34, n_sinks=3,
+                                          hidden_edge_fraction=hidden),
+        st.integers(0, 10_000), st.sampled_from([0.0, 0.3]),
+    )
+    chains = st.builds(
+        lambda seed, depth, hops, planted: hidden_chain_graph(
+            seed, depth=depth, intra_hops=hops, plant_ground_truth=planted).graph,
+        st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3), st.booleans(),
+    )
+    return st.one_of(random_graphs, chains)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=_flow_graphs(),
+    marked=st.sets(st.integers(0, 40), max_size=4),
+    bound=st.sampled_from([2, 4, 8, 16, 64]),
+    cap=st.sampled_from([1, 3, 32]),
+)
+def test_every_flow_find_flows_returns_passes_validation(graph, marked, bound, cap):
+    """Forward and stitched flows alike pass the check a scan runs on each
+    flow before review, on the sink overlay the scan searches."""
+    node_ids = sorted(graph.nodes)
+    overlay = graph.with_sinks({node_ids[i % len(node_ids)]: "k" for i in marked})
+    config = PipelineConfig(max_flow_length=bound, max_flows_per_sink=cap)
+    for sink in overlay.nodes_by_role(TaintRole.SINK):
+        flows, _ = find_flows(overlay, sink.id, config)
+        assert len(flows) <= cap
+        for flow in flows:
+            assert flow.sink == sink.id
+            check = validate_flow(flow, overlay, allow_bridged=True)
+            assert check.ok, check.violations
