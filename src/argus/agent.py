@@ -202,7 +202,9 @@ class LiveHttpBackend(LLMBackend):
             text = doc["choices"][0]["message"]["content"]
             usage = doc.get("usage")
             count = None if usage is None else usage.get("completion_tokens")
-        except Exception as exc:  # noqa: BLE001 - surfaced with partial transcript
+        except Exception as exc:  # noqa: BLE001 - every failure is one BackendError
+            # It leaves run_react_loop without the transcript so far: a scan
+            # then records a PoC stage error, or reviews the flow by rules.
             if isinstance(exc, urllib.error.HTTPError):
                 exc.close()  # an HTTP error holds the open response
             raise BackendError(f"live backend call failed: {exc}") from exc

@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import weakref
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from argus.cli import EXIT_CONFIG_ERROR, main
-from argus.engine import forward_search
+from argus.deps import find_usages
+from argus.engine import FlowQuery, forward_search, import_sarif
 from argus.errors import ConfigError
 from argus.model import (
     AccessPathEdge,
@@ -26,6 +28,7 @@ from argus.model import (
     NodeKind,
     ProgramGraph,
     TaintRole,
+    graph_from_dict,
     graph_to_dict,
     validate_flow,
 )
@@ -36,6 +39,7 @@ from argus.pipeline import (
     run_pipeline,
     write_report_json,
 )
+from argus.poc import generate_poc
 from argus.review import FinalStatus, ReviewMode
 from argus.synthetic import hidden_chain_graph, random_graph
 from tests.conftest import fixture_path
@@ -688,8 +692,8 @@ def _flow_graphs():
     cap=st.sampled_from([1, 3, 32]),
 )
 def test_every_flow_find_flows_returns_passes_validation(graph, marked, bound, cap):
-    """Forward and stitched flows alike pass the check a scan runs on each
-    flow before review, on the sink overlay the scan searches."""
+    """Forward and stitched flows alike pass ``validate_flow`` on the sink
+    overlay the scan searches, so a scan need not check them again."""
     node_ids = sorted(graph.nodes)
     overlay = graph.with_sinks({node_ids[i % len(node_ids)]: "k" for i in marked})
     config = PipelineConfig(max_flow_length=bound, max_flows_per_sink=cap)
@@ -700,3 +704,144 @@ def test_every_flow_find_flows_returns_passes_validation(graph, marked, bound, c
             assert flow.sink == sink.id
             check = validate_flow(flow, overlay, allow_bridged=True)
             assert check.ok, check.violations
+
+
+def _anchored(graph):
+    """``graph`` with one anchor per node: the ``i``-th node in id order is
+    line ``i + 1`` of ``app/main.py``."""
+    doc = graph_to_dict(graph)
+    doc["anchors"] = [{"file": "app/main.py", "start_line": i + 1, "end_line": i + 1,
+                       "node_id": node_id} for i, node_id in enumerate(sorted(graph.nodes))]
+    return graph_from_dict(doc)
+
+
+def _walk(graph, start, choices):
+    """The path from ``start`` that takes, at each step, the out-edge the
+    next choice picks, up to the first node with none."""
+    path = [start]
+    for k in choices:
+        out = graph.outgoing(path[-1])
+        if not out:
+            break
+        path.append(out[k % len(out)].dst)
+    return path
+
+
+def _sarif(paths, line):
+    """A SARIF document with one thread flow per path; a node id is located
+    at its line, and ``None`` at a line no anchor holds."""
+    def location(node_id):
+        return {"location": {"physicalLocation": {
+            "artifactLocation": {"uri": "app/main.py"},
+            "region": {"startLine": line.get(node_id, len(line) + 1)},
+        }}}
+
+    return {"version": "2.1.0", "runs": [{"results": [{"codeFlows": [{"threadFlows": [
+        {"locations": [location(n) for n in path]} for path in paths
+    ]}]}]}]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graph=_flow_graphs(),
+    marked=st.sets(st.integers(0, 40), max_size=3),
+    bound=st.sampled_from([2, 4, 8, 16]),
+    data=st.data(),
+)
+def test_every_flow_a_sarif_scan_finds_passes_validation(tmp_path_factory, graph, marked,
+                                                         bound, data):
+    """SARIF-imported flows need no check in a scan either. On the sink
+    overlay the scan imports them against, a thread flow is imported
+    exactly when it is a real source-to-sink path under the bound, and
+    every flow ``find_flows`` returns from the import, or stitches where
+    none ends at the sink, passes ``validate_flow``."""
+    graph = _anchored(graph)
+    node_ids = sorted(graph.nodes)
+    overlay = graph.with_sinks({node_ids[i % len(node_ids)]: "k" for i in marked})
+    sinks = tuple(n.id for n in overlay.nodes_by_role(TaintRole.SINK))
+    # Real source-to-sink paths; those of length bound and bound + 1 are over it.
+    real = [[f.source, *(t.to_node for t in f.triples)]
+            for f in forward_search(overlay, FlowQuery(sinks=sinks, max_length=bound + 2))]
+    walks = st.builds(lambda start, choices: _walk(overlay, start, choices),
+                      st.sampled_from(node_ids), st.lists(st.integers(0, 99), max_size=bound + 2))
+    broken = st.lists(st.sampled_from(node_ids), min_size=1, max_size=5)
+    paths = st.one_of(*([st.sampled_from(real)] if real else []), walks, broken)
+    # An unanchored line replaces the node at one position, if the path has it.
+    holed = st.builds(lambda path, hole: [None if i == hole else n for i, n in enumerate(path)],
+                      paths, st.integers(0, 12))
+    thread_flows = [*real[:3], *data.draw(st.lists(holed, max_size=5))]
+
+    sarif = tmp_path_factory.mktemp("sarif") / "results.sarif"
+    sarif.write_text(json.dumps(_sarif(thread_flows, {n: i + 1 for i, n in enumerate(node_ids)})))
+    result = import_sarif(str(sarif), overlay, max_length=bound)
+
+    edges = {(e.src, e.dst) for e in overlay.edges.values()}
+
+    def real_under_bound(p):
+        return (None not in p and 2 <= len(p) <= bound
+                and all(step in edges for step in zip(p, p[1:]))
+                and overlay.nodes[p[0]].taint_role == TaintRole.SOURCE
+                and overlay.nodes[p[-1]].taint_role == TaintRole.SINK)
+
+    imported = [[f.source, *(t.to_node for t in f.triples)] for f in result.flows]
+    assert imported == [p for p in thread_flows if real_under_bound(p)]
+    assert len(result.skipped) == len(thread_flows) - len(imported)
+    config = PipelineConfig(max_flow_length=bound)
+    for sink in sinks:
+        flows, _ = find_flows(overlay, sink, config, result.flows)
+        for flow in flows:
+            assert flow.sink == sink
+            check = validate_flow(flow, overlay, allow_bridged=True)
+            assert check.ok, check.violations
+
+
+@pytest.mark.parametrize("config", [datagear_config, publiccms_config])
+def test_poc_context_gives_the_usages_of_the_advisorys_own_dependency(tmp_path, monkeypatch,
+                                                                      config):
+    """A scan looks up usage once per PoC that runs, for the advisory's own
+    dependency, and the prompt lists what it finds; a dependency with no
+    advisory is never looked up."""
+    base = config()
+    advisories = tmp_path / "advisories"
+    shutil.copytree(base.fixtures_dir, advisories)
+    (advisories / "NVD__org.ghost__ghost-core.json").write_text(json.dumps([{
+        "identifier": "CVE-0000-0001",
+        "description": "A dependency no graph node uses.",
+        "severity": "low",
+        "affected_versions": "*",
+    }]))
+    replay = tmp_path / "replay"
+    shutil.copytree(base.llm.split(":", 1)[1], replay)
+    [recorded] = replay.glob("poc__*.jsonl")
+    shutil.copy(recorded, replay / "poc__CVE-0000-0001.jsonl")
+    manifest = tmp_path / "deps.json"
+    manifest.write_text(json.dumps({"format_version": "1", "dependencies": [
+        {"ecosystem": "maven", "name": "com.example:no-advisory", "version": "1.0"},
+        {"ecosystem": "maven", "name": "org.ghost:ghost-core", "version": "1.0"},
+    ]}))
+    prompts, lookups = [], []
+
+    def recording_generate_poc(advisory, context, backend):
+        prompts.append((advisory.dependency, context))
+        return generate_poc(advisory, context, backend)
+
+    def recording_find_usages(graph, dep):
+        usage = find_usages(graph, dep)
+        lookups.append((dep.name, usage.node_ids))
+        return usage
+
+    monkeypatch.setattr("argus.pipeline.generate_poc", recording_generate_poc)
+    monkeypatch.setattr("argus.pipeline.find_usages", recording_find_usages)
+    report = run_pipeline(config(
+        manifest_paths=[*base.manifest_paths, str(manifest)],
+        fixtures_dir=str(advisories),
+        llm=f"replay:{replay}",
+    ))
+    assert not report.stage_errors
+    assert len(lookups) == len(prompts) == 2
+    for (dependency, context), (name, node_ids) in zip(prompts, lookups):
+        assert name == dependency
+        assert context == (f"dependency {name} used at nodes: "
+                           + (", ".join(node_ids) or "(no usages found)"))
+    assert [bool(node_ids) for _, node_ids in lookups] == [
+        name != "org.ghost:ghost-core" for name, _ in lookups]
