@@ -69,6 +69,8 @@ SOLUTION_PHRASES = frozenset({"fix", "patch", "upgrade", "workaround", "mitigati
 
 
 class Severity(str, Enum):
+    """Declared from most to least severe, the order advisories sort in."""
+
     CRITICAL = "critical"
     HIGH = "high"
     MEDIUM = "medium"
@@ -76,13 +78,7 @@ class Severity(str, Enum):
     UNKNOWN = "unknown"
 
 
-_SEVERITY_RANK = {
-    Severity.CRITICAL: 0,
-    Severity.HIGH: 1,
-    Severity.MEDIUM: 2,
-    Severity.LOW: 3,
-    Severity.UNKNOWN: 4,
-}
+_SEVERITY_RANK = {severity: rank for rank, severity in enumerate(Severity)}
 
 
 def severity_from_cvss(score: Optional[float]) -> Severity:
@@ -114,8 +110,8 @@ class AdvisoryRecord:
 
 @dataclass(frozen=True)
 class CommunityIssue:
-    title: str
-    body: str
+    title: str = ""
+    body: str = ""
     comment_count: int = 0
     cve_linked: bool = False
     repo: str = "primary"  # "primary" or a fork slug
@@ -416,14 +412,7 @@ def retrieve_community(
             if not (raw.get("url") or raw.get("title")):
                 # the url, else the title, names a gated issue as an advisory
                 raise ValueError("issue has neither a url nor a title")
-            issues.append(CommunityIssue(
-                title=raw.get("title", ""),
-                body=raw.get("body", ""),
-                comment_count=raw.get("comment_count", 0),
-                cve_linked=raw.get("cve_linked", False),
-                repo=raw.get("repo", "primary"),
-                url=raw.get("url", ""),
-            ))
+            issues.append(CommunityIssue(**{k: raw[k] for k in _COMMUNITY_TYPES if k in raw}))
         except ValueError as exc:
             warnings.append(f"community: skipped malformed issue: {exc}")
     issues.sort(key=lambda i: (i.repo != "primary", not i.cve_linked, i.url))

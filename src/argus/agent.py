@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Mapping, Optional, Sequence
 
-from argus.errors import BackendError, ReplayDivergenceError, parse_json
+from argus.errors import ArgusError, BackendError, ReplayDivergenceError, parse_json
 
 TRANSCRIPT_FORMAT_VERSION = "1"
 
@@ -203,8 +203,9 @@ class LiveHttpBackend(LLMBackend):
             usage = doc.get("usage")
             count = None if usage is None else usage.get("completion_tokens")
         except Exception as exc:  # noqa: BLE001 - every failure is one BackendError
-            # It leaves run_react_loop without the transcript so far: a scan
-            # then records a PoC stage error, or reviews the flow by rules.
+            # It leaves run_react_loop with the exchanges so far: a scan
+            # meters them and records a PoC stage error, or reviews the flow
+            # by rules.
             if isinstance(exc, urllib.error.HTTPError):
                 exc.close()  # an HTTP error holds the open response
             raise BackendError(f"live backend call failed: {exc}") from exc
@@ -233,7 +234,9 @@ def run_react_loop(
     result appended as a tool turn) or a final block (ends the loop). The
     loop also ends on step or token exhaustion; the outcome records which,
     and any token overshoot from the last turn is recorded rather than
-    silently truncated.
+    silently truncated. An :class:`ArgusError` from the backend leaves
+    with ``transcript`` set to the turns up to the last answer, the
+    exchanges that completed (no turns when none did).
     """
     transcript = Transcript(model_tag=backend.model_tag)
     turns = transcript.turns
@@ -252,9 +255,15 @@ def run_react_loop(
     def total_tokens() -> int:
         return transcript.total_prompt_tokens + transcript.total_completion_tokens
 
+    answered = 0  # the turns up to the last answer: the exchanges completed
     for _ in range(budget.max_steps):
-        assistant = backend.complete(turns)
+        try:
+            assistant = backend.complete(turns)
+        except ArgusError as exc:
+            exc.transcript = Transcript(turns[:answered], backend.model_tag)
+            raise
         turns.append(assistant)
+        answered = len(turns)
 
         if total_tokens() > budget.max_tokens:
             return AgentOutcome(
@@ -301,12 +310,7 @@ def save_transcript(transcript: Transcript, path) -> None:
             "model_tag": transcript.model_tag,
         }) + "\n")
         for t in transcript.turns:
-            fh.write(json.dumps({
-                "role": t.role.value,
-                "content": t.content,
-                "tool_name": t.tool_name,
-                "token_count": t.token_count,
-            }) + "\n")
+            fh.write(json.dumps(asdict(t)) + "\n")
 
 
 def load_transcript(path) -> Transcript:

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import traceback
-from dataclasses import fields
+from dataclasses import asdict, fields
 from typing import Optional
 
 from argus.deps import parse_manifest
@@ -89,16 +89,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 def _cmd_deps(args: argparse.Namespace) -> int:
     config = _build_config(args)
     config.check_paths("manifest_paths")
-    records = []
-    for manifest in config.manifest_paths:
-        for dep in parse_manifest(manifest):
-            records.append({
-                "ecosystem": dep.ecosystem.value,
-                "name": dep.name,
-                "version": dep.version,
-                "scope": dep.scope.value,
-                "manifest_path": dep.manifest_path,
-            })
+    records = [
+        asdict(dep) for manifest in config.manifest_paths for dep in parse_manifest(manifest)
+    ]
     print(json.dumps(records, indent=2))
     return EXIT_OK
 

@@ -11,7 +11,13 @@ from typing import Any
 
 
 class ArgusError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error that ends an agent conversation carries in ``transcript`` the
+    turns exchanged before it (see :func:`argus.agent.run_react_loop`).
+    """
+
+    transcript = None
 
 
 class GraphParseError(ArgusError):

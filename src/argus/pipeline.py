@@ -17,7 +17,7 @@ import io
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterator, Optional, TextIO
 
@@ -148,19 +148,14 @@ class PipelineConfig:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
     def to_dict(self) -> dict:
+        """The report's ``config`` block, which :meth:`digest` hashes: every
+        field but ``out_dir``, ``live_llm_endpoint`` and ``live_llm_model``,
+        so a new field is in the digest unless it is named here. The tuple
+        fields are given as lists."""
         return {
-            "graph_path": self.graph_path,
-            "manifest_paths": list(self.manifest_paths),
-            "fixtures_dir": self.fixtures_dir,
-            "llm": self.llm,
-            "analysis_backend": self.analysis_backend,
-            "gate_weights": list(self.gate_weights),
-            "gate_threshold": self.gate_threshold,
-            "max_flow_length": self.max_flow_length,
-            "max_flows_per_sink": self.max_flows_per_sink,
-            "max_depth": self.max_depth,
-            "review_mode": self.review_mode,
-            "sink_registry_path": self.sink_registry_path,
+            f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+            for f in fields(self)
+            if f.name not in ("out_dir", "live_llm_endpoint", "live_llm_model")
         }
 
     def digest(self) -> str:
@@ -474,6 +469,8 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
             artifact = generate_poc(adv, context, backend)
         except ArgusError as exc:
             report.stage_errors.append(f"poc {adv.identifier}: {exc}")
+            if exc.transcript is not None:
+                poc_transcripts.append(exc.transcript)
             continue
         pocs[adv.identifier] = artifact
         if artifact.transcript is not None:
@@ -552,6 +549,8 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
                 # A failing review backend costs the flow its LLM review,
                 # never its finding: it is reviewed by rules instead.
                 report.stage_errors.append(f"review {sink_id}: {exc}")
+                if exc.transcript is not None:
+                    review_transcripts.append(exc.transcript)
                 verdict = review_flow(flow, graph, shared=review_steps)
             if verdict.transcript is not None:
                 review_transcripts.append(verdict.transcript)

@@ -78,13 +78,7 @@ class PoCArtifact:
     def to_dict(self) -> dict:
         return {
             "advisory": self.advisory.identifier,
-            "restated_description": self.restated_description,
-            "root_cause": self.root_cause,
-            "code_pattern": self.code_pattern,
-            "attack_scenario": self.attack_scenario,
-            "trigger_code": self.trigger_code,
-            "patch": self.patch,
-            "explanation": self.explanation,
+            **{k: getattr(self, k) for k in _POC_FIELDS},
             "status": self.status.value,
         }
 

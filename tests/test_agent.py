@@ -157,6 +157,18 @@ def test_replay_exhaustion_raises():
         replay.complete(first.transcript.turns)
 
 
+def test_backend_error_carries_the_turns_up_to_the_last_answer():
+    # The tool turn after the last answer went out with the call that
+    # failed, so no exchange that completed holds it.
+    recorded = record_run().transcript
+    for kept, exchanged in ((4, 3), (2, 0)):
+        replay = ReplayBackend(Transcript(recorded.turns[:kept], recorded.model_tag))
+        with pytest.raises(ReplayDivergenceError) as info:
+            run_react_loop("sys", "task", {"lookup": lambda a: "v"}, replay)
+        assert info.value.transcript.turns == recorded.turns[:exchanged]
+        assert info.value.transcript.model_tag == recorded.model_tag
+
+
 # --- transcripts -------------------------------------------------------------
 
 

@@ -27,15 +27,18 @@ def run_cli(capsys, *argv):
 
 
 def test_deps_subcommand(capsys):
-    # deps reads no graph, so it needs no --graph
-    code, out, _ = run_cli(
-        capsys, "deps",
-        "--manifest", fixture_path("publiccms_mini", "pom.xml"),
-    )
+    # deps reads no graph, so it needs no --graph. Each record holds the
+    # fields of a DependencyRecord, its enums as their values.
+    pom = fixture_path("publiccms_mini", "pom.xml")
+    deps_json = fixture_path("datagear_mini", "deps.json")
+    code, out, _ = run_cli(capsys, "deps", "--manifest", pom, "--manifest", deps_json)
     assert code == EXIT_OK
-    records = json.loads(out)
-    assert records[0]["name"] == "org.apache.poi:poi-ooxml"
-    assert records[0]["version"] == "5.2.0"
+    assert json.loads(out) == [
+        {"ecosystem": "maven", "name": "org.apache.poi:poi-ooxml", "version": "5.2.0",
+         "scope": "compile", "manifest_path": pom},
+        {"ecosystem": "maven", "name": "org.datagear:datagear-analysis", "version": "4.6.0",
+         "scope": "compile", "manifest_path": deps_json},
+    ]
 
 
 def test_advisories_subcommand(capsys):

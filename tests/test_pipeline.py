@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from argus.agent import ChatTurn, LLMBackend, Role
 from argus.cli import EXIT_CONFIG_ERROR, main
 from argus.deps import find_usages
 from argus.engine import FlowQuery, forward_search, import_sarif
-from argus.errors import ConfigError
+from argus.errors import BackendError, ConfigError
 from argus.model import (
     AccessPathEdge,
     ContentNode,
@@ -453,9 +454,65 @@ def test_malformed_live_review_answer_costs_only_the_llm_review(monkeypatch):
 def test_config_digest_stable_and_sensitive():
     a, b = datagear_config(), datagear_config()
     assert a.digest() == b.digest()
-    assert a.digest() != datagear_config(gate_threshold=0.6).digest()
-    # a registry file can change the origin a sink is reported with
-    assert a.digest() != datagear_config(sink_registry_path="registry.json").digest()
+    # Every field changes the digest but the three that name where the
+    # report goes and which live model answers. A valid value of each
+    # field, other than datagear_config()'s:
+    other_values = {
+        "graph_path": "other.json",
+        "manifest_paths": (),
+        "fixtures_dir": None,
+        "llm": "stub",
+        "analysis_backend": "sarif:results.sarif",
+        "gate_weights": (0.5, 0.3, 0.2),
+        "gate_threshold": 0.6,
+        "max_flow_length": 5,
+        "max_flows_per_sink": 5,
+        "max_depth": 3,
+        "out_dir": "out",
+        "review_mode": "llm",
+        "sink_registry_path": "registry.json",
+        "live_llm_endpoint": "http://localhost:9",
+        "live_llm_model": "m",
+    }
+    assert set(other_values) == {f.name for f in dataclasses.fields(PipelineConfig)}
+    for name, value in other_values.items():
+        changed = dataclasses.replace(a, **{name: value})
+        assert getattr(changed, name) != getattr(a, name)
+        undigested = name in ("out_dir", "live_llm_endpoint", "live_llm_model")
+        assert (changed.digest() == a.digest()) == undigested, name
+
+
+def test_a_failing_backend_meters_the_turns_it_exchanged(monkeypatch):
+    # Each conversation gets one 50-token answer with no final block; the
+    # next call fails. The failure is a stage error as before, and the
+    # turns exchanged until then are metered.
+    sent = {"poc": [], "review": []}
+
+    class AnswersOnce(LLMBackend):
+        def __init__(self, stage):
+            self.stage = stage
+
+        def complete(self, turns):
+            if turns[-1].role == Role.ASSISTANT:
+                raise BackendError("connection reset")
+            sent[self.stage].append(sum(t.token_count for t in turns))
+            return ChatTurn(Role.ASSISTANT, "Reading the advisory first.", token_count=50)
+
+    rules = run_pipeline(publiccms_config(llm="stub"))
+    monkeypatch.setattr("argus.pipeline._make_backend",
+                        lambda config, stage, key: AnswersOnce(stage))
+    report = run_pipeline(publiccms_config(review_mode="llm"))
+    assert [(f.sink_id, f.verdict.to_dict()) for f in report.findings] == [
+        (f.sink_id, f.verdict.to_dict()) for f in rules.findings
+    ]
+    assert sorted(report.stage_errors) == [
+        "poc CVE-2025-31672: connection reset", "review n_newinst: connection reset"
+    ]
+    assert report.poc_artifacts == []
+    assert [len(prompts) for prompts in sent.values()] == [1, 1]
+    assert report.token_usage["per_stage"] == {
+        stage: {"prompt": prompts[0], "completion": 50} for stage, prompts in sent.items()
+    }
 
 
 def test_sarif_backend_integration(tmp_path):
