@@ -7,10 +7,10 @@ declarations, and call edges. A data flow is an ordered list of
 (from_node, edge, to_node) triples whose consecutive endpoints chain
 together; the flow length is strictly bounded by the configured maximum.
 
-Graphs are immutable after load. The incoming-edge and label indexes are
-built on first use; an overlay from :meth:`ProgramGraph.with_sinks` starts
-with neither and builds its own, so a parent's indexes die with it. The
-element classes are frozen,
+Graphs are immutable after load. The incoming-edge, callers and label
+indexes are built on first use; an overlay from
+:meth:`ProgramGraph.with_sinks` starts with none of them and builds its
+own, so a parent's indexes die with it. The element classes are frozen,
 slotted dataclasses; the loader builds nodes and edges without their
 ``__init__`` but runs the same checks, so they are equal to, hash like and
 are as immutable as those built through it.
@@ -242,10 +242,10 @@ class ProgramGraph:
     outgoing-edge index is built at load:
     edges are bucketed by source in document order, and each bucket of
     more than one edge is then sorted by edge id. The incoming-edge index,
-    the label index and the per-role node lists are built on first use, so
-    load pays for none of them. The incoming-edge index keeps one tuple of
-    edges per target, in document order, which :meth:`incoming` returns
-    as stored. Each bucket of either index is gathered in a list and
+    the callers index, the label index and the per-role node lists are
+    built on first use, so load pays for none of them. The incoming-edge
+    index keeps one tuple of edges per target, in document order, which
+    :meth:`incoming` returns as stored. Each bucket of either index is gathered in a list and
     replaced by its tuple in place, one at a time, so the lists of all
     buckets and their tuples never exist at once.
     :meth:`with_sinks` returns an overlay with its own node table that
@@ -283,6 +283,7 @@ class ProgramGraph:
         self._out: dict[str, tuple[AccessPathEdge, ...]] = by_src
         # Built on first use; an overlay starts without them.
         self._incoming: Optional[dict[str, tuple[AccessPathEdge, ...]]] = None
+        self._callers: Optional[dict[str, tuple[tuple[str, str], ...]]] = None
         self._labels: Optional[LabelIndex] = None
         # Roles change in an overlay, so these lists are never shared.
         self._by_role: dict[TaintRole, tuple[ContentNode, ...]] = {}
@@ -358,6 +359,21 @@ class ProgramGraph:
             self._incoming = by_dst
         return self._incoming.get(node_id, ())
 
+    def callers(self, function_id: str) -> tuple[tuple[str, str], ...]:
+        """The ``(caller, call site node)`` pairs of the call edges into
+        ``function_id``, sorted. The index is built from the call edges on
+        the first call, so every caller-tree expansion on this graph after
+        it reads only its own buckets."""
+        if self._callers is None:
+            by_callee: dict = {}
+            for ce in self.call_edges:
+                by_callee.setdefault(ce.callee, []).append((ce.caller, ce.call_site_node))
+            for callee, pairs in by_callee.items():
+                pairs.sort()
+                by_callee[callee] = tuple(pairs)
+            self._callers = by_callee
+        return self._callers.get(function_id, ())
+
     def label_index(self) -> LabelIndex:
         """The label index, built on the first call."""
         if self._labels is None:
@@ -396,9 +412,18 @@ class ProgramGraph:
             if n is not None and n.taint_role == TaintRole.NONE:
                 nodes[node_id] = replace(n, taint_role=TaintRole.SINK, sink_kind=kind)
         overlay._incoming = None
+        overlay._callers = None
         overlay._labels = None
         overlay._by_role = {}
         return overlay
+
+
+class SharedDict(dict):
+    """A dict that a report holds at more than one place. Report builders
+    mark each dict they share this way, and the report writer renders its
+    text once per indent; it adds nothing to ``dict``."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -436,11 +461,11 @@ class DataFlow:
         return any(t.edge.bridged for t in self.triples)
 
     def to_dict(self, shared: Optional[dict] = None) -> dict:
-        """The flow as report JSON. Each triple's dict is built once per
-        ``shared`` table, keyed by its endpoints and its edge object, and
-        every flow with that triple holds the same dict; the caller keeps the
-        edges alive while the table lives. Without a table, the flow uses a
-        table of its own."""
+        """The flow as report JSON. Each triple's dict is a
+        :class:`SharedDict` built once per ``shared`` table, keyed by its
+        endpoints and its edge object, and every flow with that triple holds
+        the same dict; the caller keeps the edges alive while the table
+        lives. Without a table, the flow uses a table of its own."""
         if shared is None:
             shared = {}
         triples = []
@@ -457,12 +482,12 @@ class DataFlow:
         }
 
 
-def _triple_to_dict(t: FlowTriple) -> dict:
-    return {
+def _triple_to_dict(t: FlowTriple) -> SharedDict:
+    return SharedDict({
         "from": t.from_node,
         "edge": _edge_to_dict(t.edge, include_bridged=True),
         "to": t.to_node,
-    }
+    })
 
 
 @dataclass

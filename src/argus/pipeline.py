@@ -53,6 +53,7 @@ from argus.model import (
     DEFAULT_MAX_FLOW_LENGTH,
     DataFlow,
     ProgramGraph,
+    SharedDict,
     TaintRole,
     gc_paused,
     load_program_graph,
@@ -206,13 +207,21 @@ class Finding:
 
     def to_dict(self, shared: Optional[dict] = None) -> dict:
         """The finding as report JSON; ``shared`` is passed on to
-        :meth:`DataFlow.to_dict` and :meth:`ReviewVerdict.to_dict`."""
-        return {
-            "sink": {
+        :meth:`DataFlow.to_dict` and :meth:`ReviewVerdict.to_dict`, and
+        holds one ``sink`` :class:`SharedDict` per sink for the findings
+        that share it. Without a table, the finding uses a table of its own."""
+        if shared is None:
+            shared = {}
+        key = ("sink", self.sink_id, self.sink_label, self.sink_origin)
+        sink = shared.get(key)
+        if sink is None:
+            sink = shared[key] = SharedDict({
                 "node_id": self.sink_id,
                 "label": self.sink_label,
                 "origin": self.sink_origin.value,
-            },
+            })
+        return {
+            "sink": sink,
             "advisory": self.advisory_id,
             "poc_status": self.poc.status.value if self.poc else None,
             "flow": self.flow.to_dict(shared),
@@ -259,10 +268,11 @@ class VulnerabilityReport:
         }
 
     def to_dict(self) -> dict:
-        """The report as JSON values. Findings share one dict per distinct
-        flow triple and per distinct hop assessment, so a step that many
-        flows repeat is built once (and :func:`write_report_json` writes its
-        text once); the document equals one built without sharing."""
+        """The report as JSON values. Findings share one
+        :class:`SharedDict` per sink, per distinct flow triple and per
+        distinct hop assessment, so a record that many findings repeat is
+        built once (and :func:`write_report_json` renders its text once per
+        indent); the document equals one built without sharing."""
         shared: dict = {}
         return {
             "report_version": REPORT_VERSION,
@@ -630,13 +640,14 @@ def write_report_json(doc: Any, fh: TextIO) -> None:
     dict key that is not a ``str``, and a value of any type ``json`` would
     not encode without a ``default``, raise ``TypeError``.
 
-    A report's findings share the dicts of repeated flow triples and hops
-    (:meth:`VulnerabilityReport.to_dict`), so a dict object met again at the
-    same indent is written from the text made for it before: at its second
-    meeting it is rendered aside and its text kept, from the third on that
-    text is reused. The text of a dict met once is never kept. The output
-    is written in pieces of a few kilobytes, and nothing here makes
-    garbage cycles.
+    The report's builder marks each dict that findings share as a
+    :class:`SharedDict` (:meth:`VulnerabilityReport.to_dict`). A non-empty
+    one is rendered aside the first time it is met at an indent, and that
+    text is pasted wherever it recurs at the same indent. Every other dict
+    is written in place and never recorded, and the ``str``, ``None``,
+    ``bool`` and ``int`` values of a dict are written without a recursive
+    call. The output is written in pieces of a few kilobytes, and nothing
+    here makes garbage cycles.
     """
     out: list[str] = []
     _write_value(doc, "\n", out, fh, {})
@@ -649,20 +660,16 @@ def _write_value(
 ) -> None:
     """Append the JSON text of ``o`` to ``out``. ``newline`` is the line
     break and indent of ``o``'s own level; full pieces go to ``fh`` unless
-    it is ``None``. ``seen`` maps ``(id, indent)`` of each non-empty dict
-    met so far to its text, or to ``""`` while it has been met once."""
-    if type(o) is dict and o:
-        key = (id(o), len(newline))
-        text = seen.get(key)
-        if text is None:  # first meeting: written as any dict
-            seen[key] = ""
-            _write_dict(o, newline, out, fh, seen)
-        else:
-            if not text:  # second meeting: rendered aside, unflushed, and kept
-                side: list[str] = []
-                _write_dict(o, newline, side, None, seen)
-                text = seen[key] = "".join(side)
-            out.append(text)
+    it is ``None``. ``seen`` maps an indent to the text of each non-empty
+    :class:`SharedDict` rendered at it so far, by the dict's ``id``."""
+    if type(o) is SharedDict and o:
+        memo = seen.setdefault(len(newline), {})
+        text = memo.get(id(o))
+        if text is None:
+            side: list[str] = []
+            _write_dict(o, newline, side, None, seen)
+            text = memo[id(o)] = "".join(side)
+        out.append(text)
     elif isinstance(o, str):
         out.append(encode_basestring_ascii(o))
     elif o is None:
@@ -680,11 +687,16 @@ def _write_value(
             out.append("[]")
             return
         inner = newline + "  "
-        piece = "[" + inner
+        memo = seen.setdefault(len(inner), {})
+        piece, comma = "[" + inner, "," + inner
         for item in o:
-            out.append(piece)
-            piece = "," + inner
-            _write_value(item, inner, out, fh, seen)
+            text = memo.get(id(item)) if type(item) is SharedDict else None
+            if text is None:
+                out.append(piece)
+                _write_value(item, inner, out, fh, seen)
+            else:
+                out.append(piece + text)
+            piece = comma
             if len(out) >= _FLUSH_PIECES and fh is not None:
                 fh.write("".join(out))
                 out.clear()
@@ -703,13 +715,24 @@ def _write_dict(
 ) -> None:
     """Append the JSON text of the non-empty dict ``o``, as :func:`_write_value`."""
     inner = newline + "  "
-    piece = "{" + inner
+    piece, comma = "{" + inner, "," + inner
     for key, value in sorted(o.items()):
         if not isinstance(key, str):
             raise TypeError(f"keys must be str, not {type(key).__name__}")
-        out.append(piece + encode_basestring_ascii(key) + ": ")
-        piece = "," + inner
-        _write_value(value, inner, out, fh, seen)
+        head = piece + encode_basestring_ascii(key) + ": "
+        piece = comma
+        kind = type(value)
+        if kind is str:
+            out.append(head + encode_basestring_ascii(value))
+        elif value is None:
+            out.append(head + "null")
+        elif kind is bool:
+            out.append(head + ("true" if value else "false"))
+        elif kind is int:
+            out.append(head + int.__repr__(value))
+        else:
+            out.append(head)
+            _write_value(value, inner, out, fh, seen)
         if len(out) >= _FLUSH_PIECES and fh is not None:
             fh.write("".join(out))
             out.clear()
@@ -743,6 +766,9 @@ def render_markdown(report: VulnerabilityReport) -> str:
     ]
     if not report.findings:
         lines.append("No candidate flows.")
+    # One row per distinct (hop, edge) pair: flows that share a step
+    # share its hop and edge objects, which the report keeps alive.
+    rows: dict[tuple[int, int], str] = {}
     for i, f in enumerate(report.findings, start=1):
         lines.append(f"### Finding {i}: {f.sink_label or f.sink_id}")
         lines.append("")
@@ -757,10 +783,15 @@ def render_markdown(report: VulnerabilityReport) -> str:
         lines.append("| hop | path | via | neutralization |")
         lines.append("|-----|------|-----|----------------|")
         for hop, t in zip(f.verdict.hops, f.flow.triples):
-            bridged = " (bridged)" if t.edge.bridged else ""
-            lines.append(
-                f"| {hop.position} | {hop.content_and_path} | "
-                f"{t.edge.kind.value}{bridged} | {hop.neutralization.value} |"
-            )
+            edge = t.edge
+            key = (id(hop), id(edge))
+            row = rows.get(key)
+            if row is None:
+                bridged = " (bridged)" if edge.bridged else ""
+                row = rows[key] = (
+                    f"| {hop.position} | {hop.content_and_path} | "
+                    f"{edge.kind.value}{bridged} | {hop.neutralization.value} |"
+                )
+            lines.append(row)
         lines.append("")
     return "\n".join(lines) + "\n"

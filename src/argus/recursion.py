@@ -57,8 +57,9 @@ class BackwardTree:
 def backward_expand(graph: ProgramGraph, sink: str, max_depth: int = DEFAULT_MAX_DEPTH) -> BackwardTree:
     """Grow the caller tree rooted at the sink's owning function.
 
-    Breadth-first over reversed call edges; each function is visited once
-    per root so caller cycles terminate. Leaves are functions with no
+    Breadth-first over reversed call edges (:meth:`ProgramGraph.callers`,
+    built once per graph); each function is visited once per root so
+    caller cycles terminate. Leaves are functions with no
     unvisited callers or at the depth bound, in deterministic order.
     """
     if max_depth < 1:
@@ -68,12 +69,6 @@ def backward_expand(graph: ProgramGraph, sink: str, max_depth: int = DEFAULT_MAX
         raise UnknownSinkError(sink)
     if sink_node.function_id is None:
         raise UnknownSinkError(sink)
-
-    callers: dict[str, list[tuple[str, str]]] = {}
-    for ce in graph.call_edges:
-        callers.setdefault(ce.callee, []).append((ce.caller, ce.call_site_node))
-    for lst in callers.values():
-        lst.sort()
 
     tree = BackwardTree(sink=sink)
     tree.nodes.append(TreeNode(sink_node.function_id, sink, 0, None))
@@ -85,7 +80,7 @@ def backward_expand(graph: ProgramGraph, sink: str, max_depth: int = DEFAULT_MAX
         node = tree.nodes[idx]
         if node.depth >= max_depth:
             continue
-        for caller_fn, site in callers.get(node.function_id, []):
+        for caller_fn, site in graph.callers(node.function_id):
             if caller_fn in visited:
                 continue
             visited.add(caller_fn)

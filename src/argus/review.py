@@ -26,7 +26,7 @@ from enum import Enum
 from typing import Optional
 
 from argus.agent import LLMBackend, Transcript, run_react_loop
-from argus.model import DataFlow, FlowTriple, ProgramGraph, TaintRole
+from argus.model import DataFlow, FlowTriple, ProgramGraph, SharedDict, TaintRole
 
 
 class Neutralization(str, Enum):
@@ -108,16 +108,16 @@ class ReviewVerdict:
 
     def to_dict(self, shared: Optional[dict] = None) -> dict:
         """The verdict as report JSON. Each distinct hop assessment's dict is
-        built once per ``shared`` table, and every verdict with an equal hop
-        holds the same dict. Without a table, the verdict uses a table of its
-        own."""
+        a :class:`~argus.model.SharedDict` built once per ``shared`` table,
+        and every verdict with an equal hop holds the same dict. Without a
+        table, the verdict uses a table of its own."""
         if shared is None:
             shared = {}
         hops = []
         for h in self.hops:
             d = shared.get(h)
             if d is None:
-                d = shared[h] = h.to_dict()
+                d = shared[h] = SharedDict(h.to_dict())
             hops.append(d)
         return {
             "reachable": self.reachable,

@@ -395,6 +395,22 @@ def test_incoming_matches_a_scan_of_the_edges():
         assert graph.incoming("no-such-node") == ()
 
 
+def test_callers_match_a_scan_of_the_call_edges():
+    for seed in range(3):
+        graph = hidden_chain_graph(seed, depth=3).graph
+        # One overlay made before its parent builds the index, one after.
+        fresh = graph.with_sinks({})
+        for g in (fresh, graph, graph.with_sinks({})):
+            for function_id in g.functions:
+                assert g.callers(function_id) == tuple(sorted(
+                    (ce.caller, ce.call_site_node)
+                    for ce in g.call_edges if ce.callee == function_id
+                ))
+                assert g.callers(function_id) is g.callers(function_id)
+        assert any(graph.callers(f) for f in graph.functions)
+        assert graph.callers("no-such-function") == ()
+
+
 def overlay_graph():
     nodes = [
         ContentNode("src", NodeKind.PARAMETER, "p", "f1", TaintRole.SOURCE, "http-param"),
@@ -422,10 +438,12 @@ def test_with_sinks_overlay_marks_only_unmarked_nodes():
     # not inherit them, so they die with the parent.
     labels = graph.label_index()
     graph.incoming("m")
+    graph.callers("f1")
     overlay = graph.with_sinks(
         {"a": "command-exec", "src": "x", "san": "x", "old": "x", "ghost": "x"}
     )
     assert overlay._incoming is None and overlay._labels is None
+    assert overlay._callers is None
 
     assert {n.id: (n.taint_role, n.sink_kind) for n in graph.nodes.values()} == roles_before
     assert list(overlay.nodes) == list(graph.nodes)

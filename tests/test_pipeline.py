@@ -10,11 +10,14 @@ import shutil
 import subprocess
 import sys
 import weakref
+from collections import Counter, OrderedDict
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from argus import __version__
 from argus.agent import ChatTurn, LLMBackend, Role
 from argus.cli import EXIT_CONFIG_ERROR, main
 from argus.deps import find_usages
@@ -28,6 +31,7 @@ from argus.model import (
     FunctionDecl,
     NodeKind,
     ProgramGraph,
+    SharedDict,
     TaintRole,
     graph_from_dict,
     graph_to_dict,
@@ -182,6 +186,8 @@ _json_values = st.recursive(
         st.lists(inner, max_size=4),
         st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(_keys, inner, max_size=4),
+        # A dict subclass other than SharedDict is written as any dict.
+        st.dictionaries(_keys, inner, max_size=4).map(OrderedDict),
     ),
     max_leaves=24,
 )
@@ -201,11 +207,13 @@ def test_report_writer_matches_indented_json_dumps(doc):
 
 @st.composite
 def _docs_sharing_dicts(draw):
-    """A document that holds the same two dict objects several times, at
-    the same indent and at different ones; ``outer`` holds ``shared``."""
-    shared = draw(st.dictionaries(_keys, _json_values, min_size=1, max_size=3))
-    outer = {"k": shared, "j": [shared]}
-    leaves = st.one_of(st.sampled_from([shared, outer]), _scalars)
+    """A document that holds the same dict objects several times, at the
+    same indent and at different ones: two :class:`SharedDict` objects,
+    ``outer`` holding ``shared``, an empty one, and a plain dict."""
+    shared = SharedDict(draw(st.dictionaries(_keys, _json_values, min_size=1, max_size=3)))
+    outer = SharedDict({"k": shared, "j": [shared]})
+    plain = {"p": shared, "q": [1, "x"]}
+    leaves = st.one_of(st.sampled_from([shared, outer, SharedDict(), plain]), _scalars)
     return draw(st.recursive(
         leaves,
         lambda inner: st.one_of(
@@ -216,7 +224,21 @@ def _docs_sharing_dicts(draw):
     ))
 
 
-_d = {"b": [1, {"c": None}], "a": "x"}
+def _shared_indents(o, depth=0, found=None):
+    """``id`` of each non-empty SharedDict in ``o`` -> the depths it is met at."""
+    found = {} if found is None else found
+    if isinstance(o, dict):
+        if type(o) is SharedDict and o:
+            found.setdefault(id(o), set()).add(depth)
+        for value in o.values():
+            _shared_indents(value, depth + 1, found)
+    elif isinstance(o, (list, tuple)):
+        for item in o:
+            _shared_indents(item, depth + 1, found)
+    return found
+
+
+_d = SharedDict({"b": [1, {"c": None}], "a": "x"})
 
 
 @settings(max_examples=200, deadline=None)
@@ -224,7 +246,17 @@ _d = {"b": [1, {"c": None}], "a": "x"}
 @example(doc=[_d, _d, {"k": _d, "j": [_d]}])
 @example(doc={"k": _d, "j": [_d, _d, _d], "i": [[_d]]})
 def test_report_writer_reuses_the_text_of_a_repeated_dict_only_at_its_indent(doc):
-    assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    calls = Counter()
+
+    def items(self):
+        calls[id(self)] += 1
+        return dict.items(self)
+
+    with mock.patch.object(SharedDict, "items", items):
+        got = _written(doc)
+    assert got == want
+    assert calls == Counter({k: len(v) for k, v in _shared_indents(doc).items()})
 
 
 def test_report_writer_flushes_in_pieces_and_rejects_what_json_rejects():
@@ -671,10 +703,111 @@ def test_report_builds_each_distinct_triple_and_hop_once(tmp_path):
         distinct = {json.dumps(step, sort_keys=True) for step in steps}
         assert len(steps) == 8 * 6 and len(distinct) < len(steps)
         assert len({id(step) for step in steps}) == len(distinct)
+        assert all(type(step) is SharedDict for step in steps)
+    # The findings of one sink hold one sink dict.
+    sinks = [f["sink"] for f in doc["findings"]]
+    assert type(sinks[0]) is SharedDict and all(s is sinks[0] for s in sinks)
     # Interned across the report or per finding, the document is the same.
     assert doc["findings"] == [f.to_dict() for f in report.findings]
     assert json.loads(json.dumps(doc)) == doc
     assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_CAUGHT_REPORT_MD = """\
+# Vulnerability Report
+
+Tool version: <version>
+Config digest: `<digest>`
+
+## Summary
+
+- Candidate sinks: 1
+- Sinks by origin: {'static_registry': 1}
+- Flows analyzed: 2
+- Verdicts: {'confirmed': 2}
+- Vulnerabilities by sink origin: {'static_registry': 2}
+
+## Token usage
+
+```
+{
+  "grand_total": 0,
+  "per_stage": {
+    "poc": {
+      "completion": 0,
+      "prompt": 0
+    },
+    "review": {
+      "completion": 0,
+      "prompt": 0
+    }
+  },
+  "total_completion": 0,
+  "total_prompt": 0
+}
+```
+
+## Findings
+
+### Finding 1: Runtime.exec
+
+- Sink node: `snk` (origin: static_registry)
+- Flow origin: forward, length 2
+- Status: **confirmed**
+- Interrupting constructs: ['exception handler (edge e1)']
+
+| hop | path | via | neutralization |
+|-----|------|-----|----------------|
+| 1 | req.getParameter -> cmd | assign | none |
+| 2 | cmd -> Runtime.exec | call-pass | none |
+
+### Finding 2: Runtime.exec
+
+- Sink node: `snk` (origin: static_registry)
+- Flow origin: forward, length 3
+- Status: **confirmed**
+- Interrupting constructs: ['exception handler (edge e1)']
+
+| hop | path | via | neutralization |
+|-----|------|-----|----------------|
+| 1 | req.getParameter -> cmd | assign | none |
+| 2 | cmd -> copy | assign | none |
+| 3 | copy -> Runtime.exec | call-pass | none |
+
+"""
+
+
+def test_markdown_lists_interrupting_constructs_and_repeats_shared_rows(tmp_path):
+    # Two flows to one sink share their first step, whose edge is caught.
+    nodes = [
+        ContentNode("src", NodeKind.PARAMETER, "req.getParameter", "f0", TaintRole.SOURCE,
+                    "http-param"),
+        ContentNode("m", NodeKind.VARIABLE, "cmd", "f0"),
+        ContentNode("x", NodeKind.VARIABLE, "copy", "f0"),
+        ContentNode("snk", NodeKind.CALL_ARGUMENT, "Runtime.exec", "f0", TaintRole.SINK,
+                    sink_kind="command-exec"),
+    ]
+    edges = [
+        AccessPathEdge("e1", "src", "m", EdgeKind.ASSIGN, guard_tags=frozenset({"caught"})),
+        AccessPathEdge("e2", "m", "snk", EdgeKind.CALL_PASS),
+        AccessPathEdge("e3", "m", "x", EdgeKind.ASSIGN),
+        AccessPathEdge("e4", "x", "snk", EdgeKind.CALL_PASS),
+    ]
+    graph = ProgramGraph(nodes, edges,
+                         [FunctionDecl("f0", "f0", ("src",), is_entry_point=True)])
+    report = run_pipeline(synthetic_config(graph, tmp_path / "g.json"))
+    first, second = report.findings
+    assert first.verdict.hops[0] is second.verdict.hops[0]
+    paths = export_report(report, str(tmp_path / "out"))
+    with open(paths["markdown"], encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count("- Interrupting constructs: ['exception handler (edge e1)']") == 2
+    rows = text.splitlines()
+    assert rows.count("| 1 | req.getParameter -> cmd | assign | none |") == 2
+    # The rendering of the same report before rows were cached; the version
+    # line ends in a Markdown line break.
+    want = _CAUGHT_REPORT_MD.replace("<version>", __version__ + "  ")
+    assert text == want.replace("<digest>", report.config.digest())
 
 
 def test_cyclic_garbage_of_a_scan_does_not_grow_with_the_graph(tmp_path):

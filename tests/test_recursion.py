@@ -326,3 +326,26 @@ def test_expansion_cap_drops_as_undecided(monkeypatch):
     for msg in result.dropped:
         assert "connectivity between 'f0_nsite' and 'f1_nsink' undecided " \
                "after the expansion cap" in msg
+
+
+def test_backward_expand_reads_the_call_edges_once_per_graph():
+    fix = hidden_chain_graph(2, depth=3)
+    g = fix.graph
+    reads = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            reads.append(1)
+            return super().__iter__()
+
+    g.call_edges = Counted(g.call_edges)
+    first = backward_expand(g, fix.sink_id)
+    second = backward_expand(g, fix.sink_id)
+    assert len(reads) == 1
+    assert first.nodes == second.nodes and len(first.nodes) > 1
+    assert first.leaf_indices == second.leaf_indices
+    # An overlay builds its own index from the same call edges.
+    overlay = g.with_sinks({})
+    assert overlay._callers is None
+    assert backward_expand(overlay, fix.sink_id).nodes == first.nodes
+    assert len(reads) == 2
