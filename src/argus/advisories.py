@@ -15,6 +15,7 @@ aggregate.
 
 from __future__ import annotations
 
+import operator
 import os
 import re
 import sys
@@ -242,43 +243,41 @@ _VERSION_RE = re.compile(r"^\d+(\.\d+)*$")
 _CONSTRAINT_RE = re.compile(r"^(<=|>=|<|>|==|=)?\s*(\d+(?:\.\d+)*)$")
 
 
-def _parse_version(text: str) -> Optional[tuple[int, ...]]:
-    text = text.strip()
-    if not _VERSION_RE.match(text):
-        return None
-    return tuple(int(p) for p in text.split("."))
+def _version_key(digits: str) -> tuple[int, ...]:
+    """The components of a dotted-digit version without its trailing zeros,
+    so that "1.2" and "1.2.0" are the same version."""
+    parts = [int(p) for p in digits.split(".")]
+    while parts and not parts[-1]:
+        parts.pop()
+    return tuple(parts)
+
+
+_COMPARATORS = {
+    "==": operator.eq, "=": operator.eq, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 
 def version_in_range(version: str, range_spec: str) -> Optional[bool]:
     """Check a version against a simple comma-conjoined constraint spec.
 
-    Supports ``*``, exact versions, and <, <=, >, >=, == comparators.
-    Returns None when either side cannot be parsed (caller keeps the
-    advisory in that case).
+    Supports ``*``, exact versions, and <, <=, >, >=, == comparators;
+    trailing zero components are ignored ("1.2" is "1.2.0"). Returns None
+    when either side cannot be parsed (caller keeps the advisory in that
+    case).
     """
     range_spec = range_spec.strip()
     if range_spec in ("", "*"):
         return True
-    v = _parse_version(version)
-    if v is None:
+    version = version.strip()
+    if not _VERSION_RE.match(version):
         return None
+    v = _version_key(version)
     for part in range_spec.split(","):
         m = _CONSTRAINT_RE.match(part.strip())
         if not m:
             return None
-        op = m.group(1) or "=="
-        bound = _parse_version(m.group(2))
-        if bound is None:
-            return None
-        if op in ("==", "=") and v != bound:
-            return False
-        if op == "<" and not v < bound:
-            return False
-        if op == "<=" and not v <= bound:
-            return False
-        if op == ">" and not v > bound:
-            return False
-        if op == ">=" and not v >= bound:
+        if not _COMPARATORS[m.group(1) or "=="](v, _version_key(m.group(2))):
             return False
     return True
 

@@ -158,7 +158,7 @@ def _reaches(
                 seen.add(nxt)
                 reached.append(nxt)
         if not reached:
-            return False
+            break
         frontier = reached
     return False
 
@@ -294,8 +294,7 @@ def _import_thread_flow(
 ) -> None:
     node_ids: list[str] = []
     for loc in locations:
-        phys = (_member(_member(loc, "location"), "physicalLocation")
-                or _member(loc, "physicalLocation"))
+        phys = _member(_member(loc, "location"), "physicalLocation")
         uri = _member(_member(phys, "artifactLocation"), "uri")
         line = _member(_member(phys, "region"), "startLine")
         if uri is None or line is None:

@@ -1062,8 +1062,6 @@ def _graph(doc: dict, ids: dict) -> ProgramGraph:
         raise GraphParseError(f"missing required field {exc.args[0]!r}") from exc
     except ValueError as exc:
         raise GraphParseError(f"invalid enum or numeric value: {exc}") from exc
-    except TypeError as exc:
-        raise GraphParseError(f"invalid value type: {exc}") from exc
     source_files = doc.get("source_files", [])
     if not isinstance(source_files, list) or not _all_strings(source_files):
         raise GraphParseError("source_files must be a JSON array of strings")

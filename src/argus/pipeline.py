@@ -600,10 +600,11 @@ def _export(report: VulnerabilityReport, out_dir: str) -> dict[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
     md_path = os.path.join(out_dir, "report.md")
+    doc = report.to_dict()
     with _replacing(json_path) as fh:
-        write_report_json(report.to_dict(), fh)
+        write_report_json(doc, fh)
     with _replacing(md_path) as fh:
-        fh.write(render_markdown(report))
+        fh.write(render_markdown(doc))
     return {"json": json_path, "markdown": md_path}
 
 
@@ -739,15 +740,17 @@ def _write_dict(
     out.append(newline + "}")
 
 
-def render_markdown(report: VulnerabilityReport) -> str:
-    summary = report.summary()
+def render_markdown(doc: dict) -> str:
+    """The Markdown report of ``doc``, the report's JSON document
+    (:meth:`VulnerabilityReport.to_dict`, or ``report.json`` read back)."""
+    summary = doc["summary"]
     token_usage = io.StringIO()
-    write_report_json(report.token_usage, token_usage)
+    write_report_json(doc["token_usage"], token_usage)
     lines = [
         "# Vulnerability Report",
         "",
-        f"Tool version: {__version__}  ",
-        f"Config digest: `{report.config.digest()}`",
+        f"Tool version: {doc['tool_version']}  ",
+        f"Config digest: `{doc['config_digest']}`",
         "",
         "## Summary",
         "",
@@ -764,33 +767,34 @@ def render_markdown(report: VulnerabilityReport) -> str:
         "## Findings",
         "",
     ]
-    if not report.findings:
+    if not doc["findings"]:
         lines.append("No candidate flows.")
-    # One row per distinct (hop, edge) pair: flows that share a step
-    # share its hop and edge objects, which the report keeps alive.
+    # One row per distinct (hop, triple) pair: findings that share a step
+    # share its hop and triple dicts, which the document keeps alive.
     rows: dict[tuple[int, int], str] = {}
-    for i, f in enumerate(report.findings, start=1):
-        lines.append(f"### Finding {i}: {f.sink_label or f.sink_id}")
+    for i, f in enumerate(doc["findings"], start=1):
+        sink, flow, verdict = f["sink"], f["flow"], f["verdict"]
+        lines.append(f"### Finding {i}: {sink['label'] or sink['node_id']}")
         lines.append("")
-        lines.append(f"- Sink node: `{f.sink_id}` (origin: {f.sink_origin.value})")
-        if f.advisory_id:
-            lines.append(f"- Advisory: {f.advisory_id}")
-        lines.append(f"- Flow origin: {f.flow.origin.value}, length {len(f.flow.triples)}")
-        lines.append(f"- Status: **{f.verdict.final_status.value}**")
-        if f.verdict.interrupting_constructs:
-            lines.append(f"- Interrupting constructs: {f.verdict.interrupting_constructs}")
+        lines.append(f"- Sink node: `{sink['node_id']}` (origin: {sink['origin']})")
+        if f["advisory"]:
+            lines.append(f"- Advisory: {f['advisory']}")
+        lines.append(f"- Flow origin: {flow['origin']}, length {len(flow['triples'])}")
+        lines.append(f"- Status: **{verdict['final_status']}**")
+        if verdict["interrupting_constructs"]:
+            lines.append(f"- Interrupting constructs: {verdict['interrupting_constructs']}")
         lines.append("")
         lines.append("| hop | path | via | neutralization |")
         lines.append("|-----|------|-----|----------------|")
-        for hop, t in zip(f.verdict.hops, f.flow.triples):
-            edge = t.edge
-            key = (id(hop), id(edge))
+        for hop, t in zip(verdict["hops"], flow["triples"]):
+            key = (id(hop), id(t))
             row = rows.get(key)
             if row is None:
-                bridged = " (bridged)" if edge.bridged else ""
+                edge = t["edge"]
+                bridged = " (bridged)" if edge.get("bridged") else ""
                 row = rows[key] = (
-                    f"| {hop.position} | {hop.content_and_path} | "
-                    f"{edge.kind.value}{bridged} | {hop.neutralization.value} |"
+                    f"| {hop['position']} | {hop['content_and_path']} | "
+                    f"{edge['kind']}{bridged} | {hop['neutralization']} |"
                 )
             lines.append(row)
         lines.append("")

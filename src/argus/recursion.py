@@ -111,10 +111,9 @@ def _reachable_ignoring_visibility(graph: ProgramGraph, start: str, goal: str,
                                    limit: int = 10_000) -> Optional[bool]:
     """BFS over all edges (hidden included), never entering a sanitizer
     node, as forward search does. ``None`` when ``limit`` node expansions
-    end the search undecided.
+    end the search undecided. ``goal`` is never ``start``: :func:`stitch`
+    skips a step between equal call sites.
     """
-    if start == goal:
-        return True
     seen = {start}
     queue = deque([start])
     expansions = 0

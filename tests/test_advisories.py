@@ -156,6 +156,16 @@ def test_version_range_checks():
     assert version_in_range("2.0", ">=1.0,<3.0") is True
     assert version_in_range("5.2.0", "*") is True
     assert version_in_range("not-a-version", "<1.0") is None
+    assert version_in_range("1.2", ">=1.0,~1.3") is None
+    # Trailing zero components name the same version.
+    assert version_in_range("1.2.0", "<=1.2") is True
+    assert version_in_range("2.0", "=2") is True
+    assert version_in_range("1.2.0", ">1.2") is False
+    # Each comparator, where it fails.
+    assert version_in_range("1.3", "==1.2") is False
+    assert version_in_range("1.3", "<=1.2") is False
+    assert version_in_range("1.2", ">1.2") is False
+    assert version_in_range("1.1", ">=1.2") is False
 
 
 # --- retrieval ---------------------------------------------------------------
@@ -241,6 +251,7 @@ GOOD_ADVISORY = {"identifier": "CVE-GOOD", "severity": "high"}
 @pytest.mark.parametrize("entry, message", [
     (5, "entry must be an object, got 5"),
     ({"identifier": 5}, "identifier must be str, got 5"),
+    ({"identifier": ""}, "advisory identifier must be non-empty"),
     ({"identifier": "X", "description": 5}, "description must be str, got 5"),
     ({"identifier": "X", "affected_versions": ["*"]},
      "affected_versions must be str, got ['*']"),
@@ -251,8 +262,8 @@ GOOD_ADVISORY = {"identifier": "CVE-GOOD", "severity": "high"}
      "cvss_score must be int or float or null, got 'high'"),
     ({"identifier": "X", "cvss_score": False},
      "cvss_score must be int or float or null, got False"),
-], ids=["not-object", "identifier", "description", "affected_versions", "cve_id",
-        "severity-bool", "cvss_score-str", "cvss_score-bool"])
+], ids=["not-object", "identifier", "identifier-empty", "description", "affected_versions",
+        "cve_id", "severity-bool", "cvss_score-str", "cvss_score-bool"])
 def test_malformed_advisory_entry_is_skipped(tmp_path, entry, message):
     (tmp_path / "NVD__a__b.json").write_text(json.dumps([entry, GOOD_ADVISORY]))
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
@@ -267,12 +278,14 @@ def test_numeric_severity_and_cvss_score_are_kept(tmp_path):
         {"identifier": "A", "severity": 9.8},
         {"identifier": "B", "severity": None, "cvss_score": 5},
         {"identifier": "C", "cve_id": None, "description": "d", "affected_versions": "*"},
+        {"identifier": "D", "severity": "severe"},
     ]))
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")
     warnings = []
     records = query_authoritative(dep, str(tmp_path), warnings)
     assert [(r.identifier, r.severity) for r in records] == [
         ("A", Severity.CRITICAL), ("B", Severity.MEDIUM), ("C", Severity.UNKNOWN),
+        ("D", Severity.UNKNOWN),
     ]
     assert warnings == []
 
@@ -302,9 +315,11 @@ GOOD_ISSUE = {"title": "t", "body": "b", "comment_count": 1, "cve_linked": False
     (dict(GOOD_ISSUE, comment_count="3"), "comment_count must be int, got '3'"),
     (dict(GOOD_ISSUE, comment_count=2.5), "comment_count must be int, got 2.5"),
     (dict(GOOD_ISSUE, comment_count=True), "comment_count must be int, got True"),
+    (dict(GOOD_ISSUE, comment_count=-1), "comment_count must be >= 0"),
     (dict(GOOD_ISSUE, cve_linked="no"), "cve_linked must be bool, got 'no'"),
 ], ids=["not-object", "title", "body", "repo", "url", "comment_count-str",
-        "comment_count-float", "comment_count-bool", "cve_linked-str"])
+        "comment_count-float", "comment_count-bool", "comment_count-negative",
+        "cve_linked-str"])
 def test_malformed_community_entry_is_skipped(tmp_path, entry, message):
     (tmp_path / "community__a__b.json").write_text(json.dumps([entry, GOOD_ISSUE]))
     dep = DependencyRecord(Ecosystem.MAVEN, "a:b", "1.0")

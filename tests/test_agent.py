@@ -9,6 +9,7 @@ from argus.agent import (
     Budget,
     ChatTurn,
     LIVE_TIMEOUT_S,
+    LLMBackend,
     LiveHttpBackend,
     ReplayBackend,
     Role,
@@ -36,6 +37,13 @@ def test_stub_immediate_final():
     assert outcome.final_payload == '{"answer": 42}'
     assert assistant_turns(outcome) == 1
     assert outcome.stop_reason == "final-answer"
+
+
+def test_backend_interface_and_empty_stub_are_refused():
+    with pytest.raises(NotImplementedError):
+        LLMBackend().complete([])
+    with pytest.raises(ValueError, match="at least one response"):
+        ScriptedStubBackend([])
 
 
 def test_stub_never_final_exhausts_steps():

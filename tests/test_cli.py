@@ -3,7 +3,9 @@ import dataclasses
 import io
 import json
 import os
+import runpy
 import shutil
+import sys
 import tempfile
 from unittest import mock
 
@@ -166,6 +168,29 @@ def test_scan_confirmed_findings_exit_1(capsys, tmp_path):
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["summary"]["confirmed"] == 2
     assert "confirmed=2" in err
+
+
+def test_internal_error_exits_2_not_1(capsys, monkeypatch, tmp_path):
+    # Exit 1 means confirmed findings, so a crash must not end with it.
+    def crash(config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("argus.cli.run_pipeline", crash)
+    code, _, err = run_cli(capsys, "scan", "--graph", fixture_path("datagear_mini", "graph.json"),
+                           "--out", str(tmp_path))
+    assert code == EXIT_CONFIG_ERROR
+    assert "error: internal error: RuntimeError: boom" in err
+
+
+def test_module_run_as_a_script_exits_with_main_code(capsys, monkeypatch):
+    pom = fixture_path("publiccms_mini", "pom.xml")
+    monkeypatch.setattr(sys, "argv", ["argus", "deps", "--manifest", pom])
+    # A fresh copy of the module runs as __main__, as under `python -m`.
+    monkeypatch.delitem(sys.modules, "argus.cli")
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("argus.cli", run_name="__main__")
+    assert exc.value.code == EXIT_OK
+    assert [d["name"] for d in json.loads(capsys.readouterr().out)] == ["org.apache.poi:poi-ooxml"]
 
 
 def test_scan_needs_human_only_exit_0(capsys, tmp_path):
@@ -549,6 +574,7 @@ def _set_anchor_start(doc, line):
     (lambda d: d["functions"][0].update(is_entry_point=1), "is_entry_point must be true or false"),
     (lambda d: d["nodes"][0].update(source_kind=[1]), "source_kind must be a string or null"),
     (lambda d: d["nodes"][0].update(sink_kind=5), "sink_kind must be a string or null"),
+    (lambda d: d["edges"][0].update(to=5), "to must be a string, got 5"),
 ])
 def test_malformed_graph_element_exit_2(capsys, tmp_path, mutate, message):
     doc = graph_to_dict(hidden_chain_graph(4, depth=1).graph)

@@ -86,6 +86,37 @@ def test_pom_missing_coordinates_raises(tmp_path):
         parse_manifest(write_pom(tmp_path, body))
 
 
+def test_pom_root_must_be_project(tmp_path):
+    with pytest.raises(ManifestError, match="root element is <settings>, expected <project>"):
+        parse_manifest(write_pom(tmp_path, "<settings/>"))
+
+
+def test_pom_skips_other_elements_and_keeps_an_unknown_scope(tmp_path):
+    body = (POM.replace("<scope>compile</scope>", "<scope>sometimes</scope>")
+            .replace("<dependencies>", "<dependencies>\n    <exclusions/>"))
+    records = parse_manifest(write_pom(tmp_path, body))
+    assert [(r.name, r.scope) for r in records] == [("org.apache.poi:poi-ooxml", Scope.UNKNOWN)]
+
+
+def test_record_needs_a_name_and_a_version():
+    with pytest.raises(ManifestError, match="dependency name must be non-empty"):
+        DependencyRecord(Ecosystem.MAVEN, "", "1.0")
+    with pytest.raises(ManifestError, match="dependency 'a:b': version must be non-empty"):
+        DependencyRecord(Ecosystem.MAVEN, "a:b", "")
+
+
+def test_deps_json_duplicates_merge_and_unknown_enums_fall_back(tmp_path):
+    path = tmp_path / "deps.json"
+    path.write_text(json.dumps({"format_version": "1", "dependencies": [
+        {"name": "x", "version": "1", "ecosystem": "cobol", "scope": "sometimes"},
+        {"name": "x", "version": "1", "ecosystem": "maven", "scope": "test"},
+    ]}))
+    records = parse_manifest(str(path))
+    assert [(r.name, r.ecosystem, r.scope) for r in records] == [
+        ("x", Ecosystem.GENERIC, Scope.UNKNOWN)
+    ]
+
+
 def test_deps_json_empty(tmp_path):
     path = tmp_path / "deps.json"
     path.write_text(json.dumps({"format_version": "1", "dependencies": []}))

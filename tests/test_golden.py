@@ -2,7 +2,8 @@
 repository root reproduces the committed ``tests/golden/<repo>/report.json``
 and ``report.md`` byte for byte, and ``argus flows`` to the publiccms_mini
 sink prints ``tests/golden/publiccms_mini/flows.json``, a stitched flow
-with a bridge edge.
+with a bridge edge. Each golden ``report.md`` is rendered from its golden
+``report.json`` alone.
 
 After an intended change to the reports, regenerate the golden files from
 the repository root with::
@@ -12,11 +13,13 @@ the repository root with::
 
 import contextlib
 import io
+import json
 import os
 
 import pytest
 
 from argus.cli import main
+from argus.pipeline import render_markdown
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MINI_REPOS = (("datagear_mini", "deps.json"), ("publiccms_mini", "pom.xml"))
@@ -47,6 +50,16 @@ def test_mini_repo_reports_match_golden(monkeypatch, capsys, tmp_path, name, man
             want = fh.read()
         got = (tmp_path / filename).read_bytes()
         assert got == want, f"{name}/{filename} differs from its golden file"
+
+
+@pytest.mark.parametrize("name", [name for name, _ in MINI_REPOS])
+def test_golden_markdown_renders_from_golden_json(name):
+    # report.md is rendered from the report's JSON document alone.
+    golden = os.path.join(REPO_ROOT, "tests", "golden", name)
+    with open(os.path.join(golden, "report.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(os.path.join(golden, "report.md"), encoding="utf-8", newline="") as fh:
+        assert render_markdown(doc) == fh.read()
 
 
 def test_flows_output_matches_golden(monkeypatch, capsysbinary):

@@ -959,6 +959,14 @@ def test_sliced_load_of_malformed_text_is_a_whole_load(tmp_path, name):
         assert _sliced_outcome(path, size) == whole
 
 
+def test_sliced_load_of_an_empty_object_fails_as_from_a_dict(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text("{" + " " * model._SLICE + "}")
+    assert path.stat().st_size > model._SLICE
+    with _no_whole_decode():
+        assert _outcome(lambda: load_program_graph(path)) == _outcome(lambda: graph_from_dict({}))
+
+
 def test_sliced_load_peak_is_a_small_part_of_the_file(tmp_path, monkeypatch):
     # Decoded in slices, the load never holds the file's text: what it
     # frees again is a few slices of text, one slice's raw objects, the

@@ -17,7 +17,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from argus import __version__
+from argus import __version__, pipeline
 from argus.agent import ChatTurn, LLMBackend, Role
 from argus.cli import EXIT_CONFIG_ERROR, main
 from argus.deps import find_usages
@@ -430,6 +430,20 @@ def test_scan_process_does_not_load_openssl(tmp_path, name, manifest):
                 if line.startswith("import time:")}
     assert "argus.pipeline" in imported
     assert "_hashlib" not in imported
+
+
+def test_digest_without_built_in_sha256_falls_back_to_hashlib(monkeypatch):
+    # An interpreter built without _sha2 and _sha256: a fresh copy of the
+    # module takes sha256 from hashlib, and the digest is the same.
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    spec = importlib.util.spec_from_file_location("pipeline_without_sha2", pipeline.__file__)
+    fresh = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, fresh)  # dataclasses look it up
+    spec.loader.exec_module(fresh)
+    assert fresh.sha256 is hashlib.sha256
+    for kwargs in ({}, {"graph_path": "g.json", "max_depth": 3}):
+        assert fresh.PipelineConfig(**kwargs).digest() == PipelineConfig(**kwargs).digest()
 
 
 def test_llm_review_runs_on_every_llm_backend(tmp_path, capsys, monkeypatch):

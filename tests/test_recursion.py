@@ -97,6 +97,12 @@ def test_depth_bound_truncates():
     assert any(n.depth == 2 for n in leaves(tree))
 
 
+def test_depth_bound_below_one_raises():
+    fix = hidden_chain_graph(1, depth=1)
+    with pytest.raises(ValueError, match="max_depth must be >= 1"):
+        backward_expand(fix.graph, fix.sink_id, max_depth=0)
+
+
 def test_promotion_order_is_deterministic():
     fix = hidden_chain_graph(1, depth=1)
     g = fix.graph
@@ -310,6 +316,36 @@ def test_stitch_reuses_a_real_edge_between_call_sites():
     assert flow.edge_ids == ("e1", "e2")
     assert flow.origin == FlowOrigin.STITCHED
     assert not flow.has_bridged_edge
+    assert validate_flow(flow, g).ok
+
+
+def test_stitch_skips_a_call_site_shared_by_stacked_call_edges():
+    # f0 calls f1 and f1 calls f2 at the one node site0, so the leaf-to-root
+    # chain holds site0 twice: that step is skipped, not bridged.
+    from argus.model import AccessPathEdge, EdgeKind, FunctionDecl
+
+    nodes = [
+        ContentNode("src", NodeKind.PARAMETER, "f0.input", "f0", TaintRole.SOURCE),
+        ContentNode("site0", NodeKind.CALL_ARGUMENT, "f0.call", "f0"),
+        ContentNode("sink", NodeKind.CALL_ARGUMENT, "f2.exec", "f2", TaintRole.SINK,
+                    sink_kind="command-exec"),
+    ]
+    edges = [
+        AccessPathEdge("e1", "src", "site0", EdgeKind.ASSIGN),
+        AccessPathEdge("e2", "site0", "sink", EdgeKind.CALL_PASS, visible_to_forward=False),
+    ]
+    functions = [FunctionDecl("f0", "pkg.f0", is_entry_point=True),
+                 FunctionDecl("f1", "pkg.f1"), FunctionDecl("f2", "pkg.f2")]
+    g = ProgramGraph(nodes, edges, functions,
+                     [CallEdge("f1", "f2", "site0"), CallEdge("f0", "f1", "site0")])
+    tree = backward_expand(g, "sink")
+    [leaf] = tree.leaf_indices
+    assert [n.call_site_node for n in tree.path_to_root(leaf)] == ["site0", "site0", "sink"]
+    result = recover_flows(g, "sink", PipelineConfig(graph_path=""))
+    assert result.dropped == []
+    [flow] = result.flows
+    assert flow.edge_ids == ("e1", "e2")
+    assert flow.origin == FlowOrigin.STITCHED
     assert validate_flow(flow, g).ok
 
 

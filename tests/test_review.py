@@ -185,8 +185,9 @@ def test_llm_wrong_hop_count_falls_back():
     ("entry_description", [1]),
     ("content_and_path", 5),
     ("justification", None),
+    ("justification", ""),  # a neutralization needs one
 ], ids=["position-bool", "position-float", "neutralization-list", "entry-list",
-        "content-int", "justification-null"])
+        "content-int", "justification-null", "justification-empty"])
 def test_llm_mistyped_field_falls_back(field, value):
     graph, flow = build()
     rows = llm_rows(2, "sanitization", "escaped before use")
@@ -195,6 +196,14 @@ def test_llm_mistyped_field_falls_back(field, value):
     assert verdict.fell_back_to_rule
     assert verdict.hops == review_flow(flow, graph).hops
     assert verdict.final_status == FinalStatus.CONFIRMED
+
+
+def test_llm_hop_that_is_not_an_object_falls_back():
+    graph, flow = build()
+    rows = [llm_rows(2)[0], "hop 2"]
+    verdict = review_flow(flow, graph, backend=ScriptedStubBackend([final_block(rows)]))
+    assert verdict.fell_back_to_rule
+    assert verdict.hops == review_flow(flow, graph).hops
 
 
 def test_llm_absent_text_fields_are_empty():

@@ -148,6 +148,19 @@ def test_non_object_location_skips_with_diagnostic(graph, tmp_path):
     assert any("uri/startLine" in s for s in result.skipped)
 
 
+def test_location_without_its_location_wrapper_skips(graph, tmp_path):
+    # SARIF 2.1.0 puts physicalLocation inside a threadFlowLocation's
+    # location; a bare one is not read.
+    doc = _thread_flow_doc({"physicalLocation": {
+        "artifactLocation": {"uri": "app/handler.py"},
+        "region": {"startLine": 11}}})
+    path = tmp_path / "r.sarif"
+    path.write_text(json.dumps(doc))
+    result = import_sarif(str(path), graph)
+    assert result.flows == []
+    assert result.skipped == ["thread flow skipped: location lacks uri/startLine"]
+
+
 @pytest.mark.parametrize("lines, max_length, violation", [
     ((21, 31), 64, "first node 's2' is not a source"),
     ((11, 21), 64, "last node 's2' is not a sink"),
