@@ -42,6 +42,9 @@ class Role(str, Enum):
     TOOL = "tool"
 
 
+_ROLES = {r.value: r for r in Role}  # a dict lookup costs a fraction of an enum call
+
+
 @dataclass(frozen=True)
 class ChatTurn:
     role: Role
@@ -90,7 +93,8 @@ class Budget:
 
 
 class LLMBackend:
-    """Interface for loop backends."""
+    """Interface for loop backends. The loop calls ``prompt_token_count(role,
+    content, position)`` once per system, user and tool turn, before it builds it."""
 
     model_tag = "unknown"
 
@@ -98,9 +102,9 @@ class LLMBackend:
         """Produce the next assistant turn for the given conversation."""
         raise NotImplementedError
 
-    def prompt_token_count(self, turn: ChatTurn, position: int) -> int:
-        """Token count to record for a non-assistant turn at ``position``."""
-        return estimate_tokens(turn.content)
+    def prompt_token_count(self, role: Role, content: str, position: int) -> int:
+        """Token count to record for the turn of ``role`` and ``content`` at ``position``."""
+        return estimate_tokens(content)
 
 
 class ScriptedStubBackend(LLMBackend):
@@ -153,12 +157,12 @@ class ReplayBackend(LLMBackend):
         self._next += 1
         return self.recorded.turns[pos]
 
-    def prompt_token_count(self, turn: ChatTurn, position: int) -> int:
+    def prompt_token_count(self, role: Role, content: str, position: int) -> int:
         if position < len(self.recorded.turns):
             recorded = self.recorded.turns[position]
-            if recorded.role == turn.role:
+            if recorded.role == role:
                 return recorded.token_count
-        return estimate_tokens(turn.content)
+        return estimate_tokens(content)
 
 
 API_KEY_ENV = "ARGUS_API_KEY"
@@ -240,20 +244,16 @@ def run_react_loop(
     """
     transcript = Transcript(model_tag=backend.model_tag)
     turns = transcript.turns
+    tokens = 0  # the transcript's prompt and completion tokens
 
-    def append(turn: ChatTurn):
-        if turn.role != Role.ASSISTANT:
-            turn = ChatTurn(
-                turn.role, turn.content, turn.tool_name,
-                backend.prompt_token_count(turn, len(turns)),
-            )
-        turns.append(turn)
+    def prompt(role: Role, content: str, tool_name: Optional[str] = None):
+        nonlocal tokens
+        count = backend.prompt_token_count(role, content, len(turns))
+        turns.append(ChatTurn(role, content, tool_name, count))
+        tokens += count
 
-    append(ChatTurn(Role.SYSTEM, system_prompt))
-    append(ChatTurn(Role.USER, task))
-
-    def total_tokens() -> int:
-        return transcript.total_prompt_tokens + transcript.total_completion_tokens
+    prompt(Role.SYSTEM, system_prompt)
+    prompt(Role.USER, task)
 
     answered = 0  # the turns up to the last answer: the exchanges completed
     for _ in range(budget.max_steps):
@@ -264,13 +264,14 @@ def run_react_loop(
             raise
         turns.append(assistant)
         answered = len(turns)
+        tokens += assistant.token_count
 
-        if total_tokens() > budget.max_tokens:
+        if tokens > budget.max_tokens:
             return AgentOutcome(
                 final_payload="",
                 transcript=transcript,
                 stop_reason="token-exhaustion",
-                token_overshoot=total_tokens() - budget.max_tokens,
+                token_overshoot=tokens - budget.max_tokens,
             )
 
         final = _FINAL_BLOCK.search(assistant.content)
@@ -288,7 +289,7 @@ def run_react_loop(
                     result = fn(args)
                 except Exception as exc:  # noqa: BLE001 - reported back to the agent
                     result = f"error: tool {name!r} failed: {exc}"
-            append(ChatTurn(Role.TOOL, result, tool_name=name))
+            prompt(Role.TOOL, result, name)
         # A turn with neither block is reasoning only; keep looping until
         # the budget runs out.
 
@@ -335,8 +336,10 @@ def load_transcript(path) -> Transcript:
             count = raw.get("token_count", 0)
             if type(count) is not int:
                 raise TypeError(f"token_count must be an integer, got {count!r}")
+            role = raw.get("role")  # Role() raises for an unknown one, naming it
+            role = _ROLES[role] if isinstance(role, str) and role in _ROLES else Role(role)
             turns.append(ChatTurn(
-                role=Role(raw.get("role")),
+                role=role,
                 content=raw["content"],
                 tool_name=raw.get("tool_name"),
                 token_count=count,

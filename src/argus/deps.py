@@ -158,6 +158,8 @@ def _parse_deps_json(path: str) -> list[DependencyRecord]:
         name = raw.get("name")
         if not isinstance(name, str):
             raise ManifestError(f"{path}: dependency #{i} name must be a string, got {name!r}")
+        if not name:
+            raise ManifestError(f"{path}: dependency #{i} name must be non-empty")
         version = raw.get("version")
         if not isinstance(version, (str, type(None))):
             raise ManifestError(

@@ -76,8 +76,10 @@ def forward_search(graph: ProgramGraph, query: FlowQuery) -> list[DataFlow]:
             key=lambda e: e.id,
         )
         paths: list[tuple[FlowTriple, ...]] = []
+        triples: dict[str, FlowTriple] = {}  # edge id -> its step, shared by the flows
         for edge in starts:
-            paths += islice(_extend_paths(graph, edge, sink, limit, dist, hop), cap - len(paths))
+            paths += islice(_extend_paths(graph, edge, sink, limit, dist, hop, triples),
+                            cap - len(paths))
             if len(paths) >= cap:
                 break
         for p in paths:
@@ -180,9 +182,12 @@ def _extend_paths(
     limit: int,
     dist: dict[str, int],
     hop: dict[str, str],
+    triples: dict[str, FlowTriple],
 ) -> Iterator[tuple[FlowTriple, ...]]:
     """The flows of at most ``limit`` edges that begin with ``start``, in
-    depth-first order over id-ordered edges.
+    depth-first order over id-ordered edges. Each edge's step is built the
+    first time the search enters or yields it, and kept in ``triples`` by
+    edge id, so flows that take one edge hold one :class:`FlowTriple`.
 
     The search keeps its own stack of out-edge iterators, one per node on
     the prefix, so a long flow needs no Python recursion. A node is entered
@@ -204,13 +209,16 @@ def _extend_paths(
             nxt = edge.dst
             if nxt in visited:
                 continue
-            triple = FlowTriple(edge.src, edge, nxt)
+            if nxt != sink:
+                budget = limit - len(prefix) - 1
+                if (nxt not in dist or dist[nxt] > budget
+                        or not _reaches(graph, nxt, sink, budget, dist, hop, visited)):
+                    continue
+            triple = triples.get(edge.id)
+            if triple is None:
+                triple = triples[edge.id] = FlowTriple(edge.src, edge, nxt)
             if nxt == sink:
                 yield (*prefix, triple)
-                continue
-            budget = limit - len(prefix) - 1
-            if (nxt not in dist or dist[nxt] > budget
-                    or not _reaches(graph, nxt, sink, budget, dist, hop, visited)):
                 continue
             visited.add(nxt)
             prefix.append(triple)

@@ -95,6 +95,53 @@ def test_token_budget_exhaustion_records_overshoot():
     assert outcome.token_overshoot > 0
 
 
+class CountingStub(ScriptedStubBackend):
+    """A stub that records each ``prompt_token_count`` call it is asked."""
+
+    def __init__(self, responses):
+        super().__init__(responses)
+        self.asked = []
+
+    def prompt_token_count(self, role, content, position):
+        self.asked.append((role, content, position))
+        return super().prompt_token_count(role, content, position)
+
+
+def test_each_prompt_turn_is_counted_once():
+    backend = CountingStub([TOOL, FINAL])
+    outcome = run_react_loop("sys", "task", {"lookup": lambda a: "v w"}, backend)
+    assert backend.asked == [(Role.SYSTEM, "sys", 0), (Role.USER, "task", 1),
+                             (Role.TOOL, "v w", 3)]
+    turns = outcome.transcript.turns
+    assert [(t.role, t.token_count) for t in turns] == [
+        (Role.SYSTEM, 1), (Role.USER, 1), (Role.ASSISTANT, estimate_tokens(TOOL)),
+        (Role.TOOL, 2), (Role.ASSISTANT, estimate_tokens(FINAL))]
+    assert outcome.stop_reason == "final-answer"
+
+
+def test_step_exhaustion_counts_each_prompt_turn_once():
+    backend = CountingStub([RAMBLE])
+    outcome = run_react_loop("sys", "task", {}, backend, Budget(max_steps=3))
+    assert [position for _, _, position in backend.asked] == [0, 1]
+    assert (outcome.stop_reason, outcome.token_overshoot) == ("step-exhaustion", 0)
+
+
+@pytest.mark.parametrize("max_tokens, overshoot", [(7, 36), (37, 6)])
+def test_a_tool_turn_counts_at_the_next_check(max_tokens, overshoot):
+    # sys 1 + task 1 + the tool call 5 = 7 tokens at the first check; the
+    # 30-token tool result comes in at the second, with the 6-token answer.
+    backend = CountingStub([TOOL, FINAL])
+    outcome = run_react_loop("sys", "task", {"lookup": lambda a: "w " * 30}, backend,
+                             Budget(max_tokens=max_tokens))
+    transcript = outcome.transcript
+    assert [t.token_count for t in transcript.turns] == [1, 1, 5, 30, 6]
+    assert outcome.stop_reason == "token-exhaustion"
+    assert outcome.token_overshoot == overshoot
+    assert transcript.total_prompt_tokens + transcript.total_completion_tokens \
+        == max_tokens + overshoot
+    assert len(backend.asked) == 3
+
+
 # --- replay ------------------------------------------------------------------
 
 
@@ -137,6 +184,18 @@ def recorded_with(turns):
 
 
 SHAPE_DIFFERS = "conversation shape differs from recording"
+
+
+def test_replay_reproduces_recorded_prompt_counts():
+    # Recorded counts that no estimate gives: the replay takes each prompt
+    # turn's count from the recording.
+    recorded = recorded_with(lambda turns: [
+        t if t.role == Role.ASSISTANT else ChatTurn(t.role, t.content, t.tool_name, 10 + i)
+        for i, t in enumerate(turns)])
+    replay = ReplayBackend(recorded)
+    outcome = run_react_loop("sys", "task", {"lookup": lambda a: "v"}, replay)
+    assert outcome.transcript.turns == recorded.turns
+    assert [t.token_count for t in recorded.turns if t.role != Role.ASSISTANT] == [10, 11, 13]
 
 
 def test_replay_extra_recorded_turn_raises():
@@ -204,6 +263,7 @@ def test_transcript_file_is_jsonl_with_header(tmp_path):
     "[1, 2]",
     '{"content": "x"}',
     '{"role": "wizard", "content": "x"}',
+    '{"role": ["user"], "content": "x"}',
     '{"role": "assistant", "content": 5}',
     '{"role": "assistant", "content": null}',
     '{"role": "tool", "content": "x", "tool_name": 7}',

@@ -137,6 +137,7 @@ def test_deps_json_fixture():
     ([{"name": ["a"], "version": "1"}], "dependency #0 name must be a string, got ['a']"),
     ([{"name": "x", "version": "1"}, {"name": "y", "version": 7}],
      "dependency #1 version must be a string or null, got 7"),
+    ([{"name": "x", "version": "1"}, {"name": ""}], "dependency #1 name must be non-empty"),
 ])
 def test_deps_json_malformed_entry_raises(tmp_path, dependencies, message):
     path = tmp_path / "deps.json"

@@ -308,3 +308,25 @@ def test_dense_graph_flows_are_those_of_the_unchecked_search(bound, digest):
     assert len(flows) == 96
     edge_ids = repr([f.edge_ids for f in flows]).encode()
     assert hashlib.sha256(edge_ids).hexdigest() == digest
+
+
+def test_flows_to_one_sink_share_each_step():
+    """Within one search of one sink, every flow that takes an edge holds the
+    same :class:`FlowTriple` for it, and the flows and their order are still
+    the oracle's."""
+    from argus.synthetic import random_graph
+
+    reused = 0
+    for seed in range(10):
+        graph = random_graph(seed, n_nodes=14, n_edges=34)
+        for sink in sink_ids(graph):
+            query = FlowQuery(sinks=(sink,), max_length=8, max_flows_per_sink=10_000)
+            flows = forward_search(graph, query)
+            assert [f.edge_ids for f in flows] == sorted(brute_force_all(graph, [sink], 8)[sink])
+            steps = {}
+            for flow in flows:
+                for triple in flow.triples:
+                    assert steps.setdefault(triple.edge.id, triple) is triple, (seed, sink)
+            # Every use of an edge after its first held the first one's step.
+            reused += sum(len(f.triples) for f in flows) - len(steps)
+    assert reused > 100

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from argus.agent import Role, ScriptedStubBackend
 from argus.engine import FlowQuery, forward_search
@@ -24,6 +25,7 @@ from argus.review import (
     HopAssessment,
     Neutralization,
     ReviewMode,
+    _steps,
     review_flow,
 )
 from argus.synthetic import random_graph
@@ -310,3 +312,89 @@ def test_flows_sharing_a_step_share_its_hop_assessment():
     assert second.hops[0] is first.hops[0]
     assert second.hops[1] is not first.hops[1]
     assert review_flow(to_u, graph).hops[0] is not first.hops[0]
+
+
+def test_a_step_builds_its_task_line_once_per_position():
+    graph, flow = build()
+    step = _steps(flow, graph, {})[0]
+    assert step.line(1) == "1. req.input -> tmp via assign [tags: -]"
+    assert step.line(1) is step.line(1)
+    assert step.line(3) == "3. req.input -> tmp via assign [tags: -]"
+
+
+GUARD_TAGS = ("validated", "guarded", "caught", "sanitized", "encoded", "cast", "logged")
+
+
+@st.composite
+def tagged_flows(draw):
+    """A chain flow of one to five steps whose edges draw guard tags and a
+    bridged flag, and whose nodes may be sanitizers, with its graph."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    roles = draw(st.lists(st.sampled_from((TaintRole.NONE, TaintRole.SANITIZER)),
+                          min_size=n + 1, max_size=n + 1))
+    nodes = [ContentNode(f"v{i}", NodeKind.VARIABLE, f"x{i}", "f1", role)
+             for i, role in enumerate(roles)]
+    edges = [AccessPathEdge(f"e{i}", f"v{i}", f"v{i + 1}", EdgeKind.ASSIGN,
+                            guard_tags=frozenset(draw(st.sets(st.sampled_from(GUARD_TAGS),
+                                                              max_size=3))),
+                            bridged=draw(st.booleans()))
+             for i in range(n)]
+    graph = ProgramGraph(nodes, edges, [FunctionDecl("f1", "f1")])
+    return graph, DataFlow(triples=tuple(FlowTriple(e.src, e, e.dst) for e in edges))
+
+
+def hop_rule(verdict, flow):
+    """The verdict the fatality policy gives for the verdict's own hops."""
+    fatal = {Neutralization.VALIDATION, Neutralization.SANITIZATION}
+    if not verdict.reachable or any(h.neutralization in fatal for h in verdict.hops):
+        return FinalStatus.REFUTED
+    if not flow.has_bridged_edge and all(
+            h.neutralization == Neutralization.NONE for h in verdict.hops):
+        return FinalStatus.CONFIRMED
+    return FinalStatus.NEEDS_HUMAN
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=tagged_flows())
+def test_step_flags_give_the_hop_rule_verdict(case):
+    """A rule or fallback verdict, read from its steps' flags, is the one the
+    policy gives for its hops; so is an LLM verdict whose answer restates
+    those hops, which the policy reads from the answer."""
+    graph, flow = case
+    rule = review_flow(flow, graph)
+    tags = [t for e in flow.triples for t in e.edge.guard_tags]
+    assert rule.reachable == ("validated" not in tags and "guarded" not in tags)
+    assert rule.final_status == hop_rule(rule, flow)
+    fallback = review_flow(flow, graph, shared={},
+                           backend=ScriptedStubBackend(["```final\n[]\n```"]))
+    assert fallback.fell_back_to_rule
+    assert fallback.final_status == rule.final_status
+    restated = final_block([h.to_dict() for h in rule.hops])
+    llm = review_flow(flow, graph, backend=ScriptedStubBackend([restated]))
+    assert not llm.fell_back_to_rule
+    assert llm.hops == rule.hops
+    assert llm.final_status == rule.final_status
+
+
+def test_equal_llm_hops_give_equal_documents():
+    """LLM hops equal by value but parsed through two review tables are
+    distinct objects, each with a dict of its own in a shared report table,
+    and the documents are equal. Through one review table they are one
+    object with one dict, as rule hops are."""
+    graph, flow = build(guard_tags=("encoded",))
+    answer = llm_payload(2, "encoding", "output encoded before use")
+    first, second = (review_flow(flow, graph, backend=ScriptedStubBackend([answer]))
+                     for _ in range(2))
+    assert first.hops == second.hops
+    assert first.hops[0] is not second.hops[0]
+    shared = {}
+    one, two = first.to_dict(shared), second.to_dict(shared)
+    assert one["hops"][0] is not two["hops"][0]
+    assert one == two == first.to_dict()
+    assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
+    for backend in (lambda: ScriptedStubBackend([answer]), lambda: None):
+        steps, shared = {}, {}
+        one, two = (review_flow(flow, graph, shared=steps, backend=backend()).to_dict(shared)
+                    for _ in range(2))
+        assert one["hops"][0] is two["hops"][0]
+        assert one == two
