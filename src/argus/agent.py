@@ -42,9 +42,6 @@ class Role(str, Enum):
     TOOL = "tool"
 
 
-_ROLES = {r.value: r for r in Role}  # a dict lookup costs a fraction of an enum call
-
-
 @dataclass(frozen=True)
 class ChatTurn:
     role: Role
@@ -93,8 +90,7 @@ class Budget:
 
 
 class LLMBackend:
-    """Interface for loop backends. The loop calls ``prompt_token_count(role,
-    content, position)`` once per system, user and tool turn, before it builds it."""
+    """Interface for loop backends; the loop asks ``prompt_token_count`` once per prompt turn."""
 
     model_tag = "unknown"
 
@@ -336,10 +332,8 @@ def load_transcript(path) -> Transcript:
             count = raw.get("token_count", 0)
             if type(count) is not int:
                 raise TypeError(f"token_count must be an integer, got {count!r}")
-            role = raw.get("role")  # Role() raises for an unknown one, naming it
-            role = _ROLES[role] if isinstance(role, str) and role in _ROLES else Role(role)
             turns.append(ChatTurn(
-                role=role,
+                role=Role(raw.get("role")),
                 content=raw["content"],
                 tool_name=raw.get("tool_name"),
                 token_count=count,

@@ -185,9 +185,7 @@ def _extend_paths(
     triples: dict[str, FlowTriple],
 ) -> Iterator[tuple[FlowTriple, ...]]:
     """The flows of at most ``limit`` edges that begin with ``start``, in
-    depth-first order over id-ordered edges. Each edge's step is built the
-    first time the search enters or yields it, and kept in ``triples`` by
-    edge id, so flows that take one edge hold one :class:`FlowTriple`.
+    depth-first order over id-ordered edges, sharing one step per edge in ``triples``.
 
     The search keeps its own stack of out-edge iterators, one per node on
     the prefix, so a long flow needs no Python recursion. A node is entered

@@ -11,9 +11,8 @@ match the expected schema.
 
 Each distinct flow step ``(from, edge, to)`` is described and
 rule-assessed once per scan (one ``shared`` table), and flows that share
-a step share its hop assessment. The LLM conversation stays per flow; a
-hop parsed from its answer is built once per table, and answers that give
-an equal hop at one position share it.
+a step share its hop assessment. The LLM conversation stays per flow,
+and equal hops parsed from the answers are built once per table.
 
 Stitched flows carrying synthesized bridge edges can never be
 auto-confirmed; they always require human sign-off.
@@ -108,11 +107,10 @@ class ReviewVerdict:
     transcript: Optional[Transcript] = None
 
     def to_dict(self, shared: Optional[dict] = None) -> dict:
-        """The verdict as report JSON. Each hop assessment object's dict is a
-        :class:`~argus.model.SharedDict` built once per ``shared`` table (keyed
-        by its int ``id``; the caller keeps the hops alive), and every verdict
-        holding it holds the same dict. Without a table, the verdict uses a
-        table of its own."""
+        """The verdict as report JSON. Each hop object's dict is a
+        :class:`~argus.model.SharedDict` built once per ``shared`` table, keyed
+        by ``id`` (the caller keeps the hops alive), and every verdict holding
+        the hop holds the same dict. Without a table, the verdict uses its own."""
         if shared is None:
             shared = {}
         hops = []
@@ -133,15 +131,13 @@ class ReviewVerdict:
 
 class _Step:
     """What review reads of one flow step ``(from, edge, to)``: its hop
-    texts, its rule neutralization and interrupting constructs, whether its
-    rule hop refutes the flow or is clean, and the rule :class:`HopAssessment`
-    and task line of each position it takes. It depends only on the step
-    and the graph, so :func:`_steps` builds it once per table and flows
-    that share the step share it."""
+    texts, its prompt line, its rule neutralization and its interrupting
+    constructs, plus the rule :class:`HopAssessment` of each position it
+    takes. It depends only on the step and the graph, so :func:`_steps`
+    builds it once per table and flows that share the step share it."""
 
     __slots__ = ("edge", "entry", "content", "prompt", "neutralization",
-                 "justification", "constructs", "fatal", "refutes", "clean",
-                 "hops", "lines")
+                 "justification", "constructs", "fatal", "hops")
 
     def __init__(self, t: FlowTriple, graph: ProgramGraph):
         edge = self.edge = t.edge  # held, so the id in the step's key stays its own
@@ -178,10 +174,7 @@ class _Step:
                     self.neutralization = Neutralization.SANITIZATION
                     self.justification = f"node {endpoint} is a sanitizer"
                     break
-        self.refutes = self.fatal or self.neutralization in DEFAULT_FATAL_NEUTRALIZATIONS
-        self.clean = self.neutralization == Neutralization.NONE and not edge.bridged
         self.hops: dict[int, HopAssessment] = {}
-        self.lines: dict[int, str] = {}
 
     def hop(self, position: int) -> HopAssessment:
         h = self.hops.get(position)
@@ -190,12 +183,6 @@ class _Step:
                 position, self.entry, self.content, self.neutralization, self.justification
             )
         return h
-
-    def line(self, position: int) -> str:
-        line = self.lines.get(position)
-        if line is None:
-            line = self.lines[position] = f"{position}. {self.prompt}"
-        return line
 
 
 def _steps(flow: DataFlow, graph: ProgramGraph, shared: dict) -> list[_Step]:
@@ -227,9 +214,7 @@ _TEXT_FIELDS = ("entry_description", "content_and_path", "justification")
 def _parse_llm_hops(payload: str, n_triples: int, table: dict) -> Optional[list[HopAssessment]]:
     """The answer's hops, or None when it does not fit the schema: an array
     of one object per hop, whose ``position`` is the hop's integer index and
-    whose text fields are strings when present. Each hop is built once per
-    ``table``, keyed by its position and its field values (a 5-tuple, unlike
-    a step's key)."""
+    whose text fields are strings when present. Equal hops are built once per ``table``."""
     try:
         doc = json.loads(payload)
     except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
@@ -250,7 +235,7 @@ def _parse_llm_hops(payload: str, n_triples: int, table: dict) -> Optional[list[
         texts = [raw.get(k, "") for k in _TEXT_FIELDS]
         if not all(isinstance(text, str) for text in texts):
             return None
-        key = (i, value, *texts)
+        key = ("hop", i, value, *texts)
         hop = table.get(key)
         if hop is None:
             entry, content, justification = texts
@@ -285,28 +270,28 @@ def review_flow(
     one table share their steps' hop assessments, and equal LLM hops.
     Without a table, the call uses a table of its own.
     """
-    table = {} if shared is None else shared
-    steps = _steps(flow, graph, table)
+    shared = {} if shared is None else shared
+    steps = _steps(flow, graph, shared)
     reachable = not any(s.fatal for s in steps)
     constructs = [c for s in steps for c in s.constructs]
     hops = transcript = None
     if backend is not None:
         task = "\n".join(
-            ["Candidate flow:"] + [s.line(i) for i, s in enumerate(steps, start=1)]
+            ["Candidate flow:"] + [f"{i}. {s.prompt}" for i, s in enumerate(steps, start=1)]
         )
         outcome = run_react_loop(REVIEW_SYSTEM_PROMPT, task, {}, backend)
         transcript = outcome.transcript
-        hops = _parse_llm_hops(outcome.final_payload, len(steps), table)
+        hops = _parse_llm_hops(outcome.final_payload, len(steps), shared)
     fell_back = backend is not None and hops is None
     if hops is None:
         hops = [s.hop(i) for i, s in enumerate(steps, start=1)]
-        refuted, clean = any(s.refutes for s in steps), all(s.clean for s in steps)
+    found = {h.neutralization for h in hops}
+    if not reachable or not found.isdisjoint(DEFAULT_FATAL_NEUTRALIZATIONS):
+        status = FinalStatus.REFUTED
+    elif not flow.has_bridged_edge and found <= {Neutralization.NONE}:
+        status = FinalStatus.CONFIRMED
     else:
-        found = {h.neutralization for h in hops}
-        refuted = not reachable or not found.isdisjoint(DEFAULT_FATAL_NEUTRALIZATIONS)
-        clean = not flow.has_bridged_edge and found <= {Neutralization.NONE}
-    status = (FinalStatus.REFUTED if refuted
-              else FinalStatus.CONFIRMED if clean else FinalStatus.NEEDS_HUMAN)
+        status = FinalStatus.NEEDS_HUMAN
     return ReviewVerdict(
         reachable=reachable,
         interrupting_constructs=constructs,

@@ -25,7 +25,6 @@ from argus.review import (
     HopAssessment,
     Neutralization,
     ReviewMode,
-    _steps,
     review_flow,
 )
 from argus.synthetic import random_graph
@@ -314,14 +313,6 @@ def test_flows_sharing_a_step_share_its_hop_assessment():
     assert review_flow(to_u, graph).hops[0] is not first.hops[0]
 
 
-def test_a_step_builds_its_task_line_once_per_position():
-    graph, flow = build()
-    step = _steps(flow, graph, {})[0]
-    assert step.line(1) == "1. req.input -> tmp via assign [tags: -]"
-    assert step.line(1) is step.line(1)
-    assert step.line(3) == "3. req.input -> tmp via assign [tags: -]"
-
-
 GUARD_TAGS = ("validated", "guarded", "caught", "sanitized", "encoded", "cast", "logged")
 
 
@@ -356,10 +347,9 @@ def hop_rule(verdict, flow):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=tagged_flows())
-def test_step_flags_give_the_hop_rule_verdict(case):
-    """A rule or fallback verdict, read from its steps' flags, is the one the
-    policy gives for its hops; so is an LLM verdict whose answer restates
-    those hops, which the policy reads from the answer."""
+def test_verdicts_follow_the_hop_rule(case):
+    """A rule or fallback verdict is the one the policy gives for its hops;
+    so is an LLM verdict whose answer restates those hops."""
     graph, flow = case
     rule = review_flow(flow, graph)
     tags = [t for e in flow.triples for t in e.edge.guard_tags]
