@@ -68,16 +68,21 @@ class UsageRecord:
 def parse_manifest(path: str) -> list[DependencyRecord]:
     """Parse a supported manifest into dependency records.
 
-    Records are deduplicated by (name, version) and returned in manifest
-    order. Raises :class:`ManifestError` for unsupported or malformed
-    files.
+    Records are deduplicated by (name, version), the first of each kept,
+    and returned in manifest order. Raises :class:`ManifestError` for
+    unsupported or malformed files.
     """
     base = os.path.basename(path)
     if base == "pom.xml" or base.endswith(".pom.xml") or path.endswith(".pom"):
-        return _parse_pom(path)
-    if base == "deps.json" or base.endswith(".deps.json"):
-        return _parse_deps_json(path)
-    raise ManifestError(f"unsupported manifest: {path} (expected pom.xml or deps.json)")
+        records = _parse_pom(path)
+    elif base == "deps.json" or base.endswith(".deps.json"):
+        records = _parse_deps_json(path)
+    else:
+        raise ManifestError(f"unsupported manifest: {path} (expected pom.xml or deps.json)")
+    first: dict[tuple[str, str], DependencyRecord] = {}
+    for record in records:
+        first.setdefault((record.name, record.version), record)
+    return list(first.values())
 
 
 def _strip_ns(tag: str) -> str:
@@ -105,7 +110,6 @@ def _parse_pom(path: str) -> list[DependencyRecord]:
         return value
 
     records: list[DependencyRecord] = []
-    seen: set[tuple[str, str]] = set()
     for deps_el in root.iter():
         if _strip_ns(deps_el.tag) != "dependencies":
             continue
@@ -126,15 +130,10 @@ def _parse_pom(path: str) -> list[DependencyRecord]:
                 scope = Scope(scope_text) if scope_text else Scope.COMPILE
             except ValueError:
                 scope = Scope.UNKNOWN
-            name = f"{group}:{artifact}"
-            key = (name, version)
-            if key in seen:
-                continue
-            seen.add(key)
             records.append(
                 DependencyRecord(
                     ecosystem=Ecosystem.MAVEN,
-                    name=name,
+                    name=f"{group}:{artifact}",
                     version=version,
                     scope=scope,
                     manifest_path=str(path),
@@ -148,7 +147,6 @@ def _parse_deps_json(path: str) -> list[DependencyRecord]:
     if not isinstance(doc, dict) or doc.get("format_version") != "1":
         raise ManifestError(f"{path}: missing format_version '1'")
     records: list[DependencyRecord] = []
-    seen: set[tuple[str, str]] = set()
     entries = doc.get("dependencies", [])
     if not isinstance(entries, list):
         raise ManifestError(f"{path}: dependencies must be an array, got {entries!r}")
@@ -165,11 +163,6 @@ def _parse_deps_json(path: str) -> list[DependencyRecord]:
             raise ManifestError(
                 f"{path}: dependency #{i} version must be a string or null, got {version!r}"
             )
-        version = version or UNRESOLVED
-        key = (name, version)
-        if key in seen:
-            continue
-        seen.add(key)
         try:
             ecosystem = Ecosystem(raw.get("ecosystem", "generic"))
         except ValueError:
@@ -182,7 +175,7 @@ def _parse_deps_json(path: str) -> list[DependencyRecord]:
             DependencyRecord(
                 ecosystem=ecosystem,
                 name=name,
-                version=version,
+                version=version or UNRESOLVED,
                 scope=scope,
                 manifest_path=str(path),
             )

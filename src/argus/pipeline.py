@@ -197,36 +197,15 @@ def _is_file_name(path: str) -> bool:
 
 @dataclass
 class Finding:
-    sink_id: str
-    sink_label: str
-    sink_origin: CandidateOrigin
+    """One reviewed flow. Its sink's facts (label, origin, advisory, PoC)
+    are in the report's ``sinks`` entry for :attr:`sink_id`."""
+
     flow: DataFlow
     verdict: ReviewVerdict
-    advisory_id: Optional[str] = None
-    poc: Optional[PoCArtifact] = None
 
-    def to_dict(self, shared: Optional[dict] = None) -> dict:
-        """The finding as report JSON; ``shared`` is passed on to
-        :meth:`DataFlow.to_dict` and :meth:`ReviewVerdict.to_dict`, and
-        holds one ``sink`` :class:`SharedDict` per sink for the findings
-        that share it. Without a table, the finding uses a table of its own."""
-        if shared is None:
-            shared = {}
-        key = ("sink", self.sink_id, self.sink_label, self.sink_origin)
-        sink = shared.get(key)
-        if sink is None:
-            sink = shared[key] = SharedDict({
-                "node_id": self.sink_id,
-                "label": self.sink_label,
-                "origin": self.sink_origin.value,
-            })
-        return {
-            "sink": sink,
-            "advisory": self.advisory_id,
-            "poc_status": self.poc.status.value if self.poc else None,
-            "flow": self.flow.to_dict(shared),
-            "verdict": self.verdict.to_dict(shared),
-        }
+    @property
+    def sink_id(self) -> str:
+        return self.flow.sink
 
 
 @dataclass
@@ -248,15 +227,17 @@ class VulnerabilityReport:
 
     def summary(self) -> dict:
         sinks_by_origin: dict[str, int] = {}
+        origins: dict[str, str] = {}
         for s in self.sinks:
             sinks_by_origin[s["origin"]] = sinks_by_origin.get(s["origin"], 0) + 1
+            origins[s["node_id"]] = s["origin"]
         verdicts: dict[str, int] = {}
         vulns_by_origin: dict[str, int] = {}
         for f in self.findings:
             status = f.verdict.final_status.value
             verdicts[status] = verdicts.get(status, 0) + 1
             if f.verdict.final_status != FinalStatus.REFUTED:
-                origin = f.sink_origin.value
+                origin = origins[f.sink_id]
                 vulns_by_origin[origin] = vulns_by_origin.get(origin, 0) + 1
         return {
             "candidate_sinks": len(self.sinks),
@@ -268,12 +249,31 @@ class VulnerabilityReport:
         }
 
     def to_dict(self) -> dict:
-        """The report as JSON values. Findings share one
-        :class:`SharedDict` per sink, per distinct flow triple and per
-        distinct hop assessment, so a record that many findings repeat is
-        built once (and :func:`write_report_json` renders its text once per
-        indent); the document equals one built without sharing."""
+        """The report as JSON values. A finding's ``sink`` record, its
+        ``advisory`` and its ``poc_status`` come from its sink's ``sinks``
+        entry and that advisory's ``poc_artifacts`` entry. Findings share one
+        :class:`SharedDict` per ``sinks`` entry, per distinct flow triple and
+        per distinct hop assessment at each position, so a record that many
+        findings repeat is built once (and :func:`write_report_json` renders
+        its text once per indent); the document equals one built without
+        sharing."""
+        sinks = {
+            s["node_id"]: (SharedDict(node_id=s["node_id"], label=s["label"],
+                                      origin=s["origin"]), s["advisory"])
+            for s in self.sinks
+        }
+        poc_status = {p["advisory"]: p["status"] for p in self.poc_artifacts}
         shared: dict = {}
+        findings = []
+        for f in self.findings:
+            sink, advisory = sinks[f.sink_id]
+            findings.append({
+                "sink": sink,
+                "advisory": advisory,
+                "poc_status": poc_status.get(advisory),
+                "flow": f.flow.to_dict(shared),
+                "verdict": f.verdict.to_dict(shared),
+            })
         return {
             "report_version": REPORT_VERSION,
             "tool_version": __version__,
@@ -283,7 +283,7 @@ class VulnerabilityReport:
             "sinks": self.sinks,
             "advisories": self.advisories,
             "poc_artifacts": self.poc_artifacts,
-            "findings": [f.to_dict(shared) for f in self.findings],
+            "findings": findings,
             "token_usage": self.token_usage,
             "warnings": sorted(self.warnings),
             "stage_errors": sorted(self.stage_errors),
@@ -487,43 +487,36 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
             poc_transcripts.append(artifact.transcript)
         report.poc_artifacts.append(artifact.to_dict())
 
-    # Stage 4: sink assembly. A node claimed by both origins is attributed
-    # to the static registry: the agentic path only gets credit for sinks
-    # static tooling lacks. A node's advisory is the first, in id order,
-    # whose PoC names it.
-    sink_origin: dict[str, CandidateOrigin] = {}
-    sink_kind: dict[str, str] = {}
+    # Stage 4: sink assembly, one report entry per candidate node. A node
+    # claimed by both origins is attributed to the static registry: the
+    # agentic path only gets credit for sinks static tooling lacks. A
+    # node's advisory is the first, in id order, whose PoC names it.
+    entries: dict[str, dict] = {}
     for cand in registry_sink_candidates(graph, registry):
         for node_id in cand.matched_node_ids:
-            sink_origin[node_id] = cand.origin
-            sink_kind[node_id] = cand.sink_kind
-    candidate_advisory: dict[str, str] = {}
+            entries[node_id] = {"origin": cand.origin.value, "sink_kind": cand.sink_kind}
     for adv_id in sorted(pocs):
         for cand in derive_sink_candidates(pocs[adv_id], graph):
             for node_id in cand.matched_node_ids:
-                candidate_advisory.setdefault(node_id, adv_id)
-                if node_id not in sink_origin:
-                    sink_origin[node_id] = cand.origin
-                    sink_kind[node_id] = cand.sink_kind
+                entry = entries.setdefault(
+                    node_id, {"origin": cand.origin.value, "sink_kind": cand.sink_kind}
+                )
+                entry.setdefault("advisory", adv_id)
     # Sinks already marked in the graph count as statically known.
     for node in graph.nodes_by_role(TaintRole.SINK):
-        sink_origin.setdefault(node.id, CandidateOrigin.STATIC_REGISTRY)
-        sink_kind.setdefault(node.id, node.sink_kind or "unknown")
+        entries.setdefault(node.id, {"origin": CandidateOrigin.STATIC_REGISTRY.value,
+                                     "sink_kind": node.sink_kind or "unknown"})
 
     # A candidate that keeps a source or sanitizer role is reported, but
-    # it is not a sink, so it is not searched.
-    graph = graph.with_sinks(sink_kind)
+    # it is not a sink, so it is not searched. A sink reports the kind its
+    # overlay node carries, which search and review see too.
+    graph = graph.with_sinks({node_id: e["sink_kind"] for node_id, e in entries.items()})
     sink_ids: list[str] = []
-    for node_id in sorted(sink_origin):
+    for node_id in sorted(entries):
         node = graph.nodes[node_id]
-        entry = {
-            "node_id": node_id,
-            "label": node.label,
-            "origin": sink_origin[node_id].value,
-            "sink_kind": sink_kind[node_id],
-            "advisory": candidate_advisory.get(node_id),
-        }
+        entry = {"node_id": node_id, "label": node.label, "advisory": None, **entries[node_id]}
         if node.taint_role == TaintRole.SINK:
+            entry["sink_kind"] = node.sink_kind or "unknown"
             sink_ids.append(node_id)
         else:
             entry["kept_role"] = node.taint_role.value
@@ -564,16 +557,7 @@ def _scan(config: PipelineConfig) -> VulnerabilityReport:
                 verdict = review_flow(flow, graph, shared=review_steps)
             if verdict.transcript is not None:
                 review_transcripts.append(verdict.transcript)
-            advisory_id = candidate_advisory.get(sink_id)
-            report.findings.append(Finding(
-                sink_id=sink_id,
-                sink_label=graph.nodes[sink_id].label,
-                sink_origin=sink_origin[sink_id],
-                flow=flow,
-                verdict=verdict,
-                advisory_id=advisory_id,
-                poc=pocs.get(advisory_id) if advisory_id else None,
-            ))
+            report.findings.append(Finding(flow, verdict))
 
     report.findings.sort(key=lambda f: (f.sink_id, f.flow.edge_ids))
     report.token_usage = meter_tokens({"poc": poc_transcripts, "review": review_transcripts})

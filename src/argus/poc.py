@@ -59,6 +59,9 @@ class PoCStatus(str, Enum):
 
 @dataclass
 class PoCArtifact:
+    """One advisory's PoC. Its :attr:`status` follows from its seven
+    fields, so no artifact can hold a status its fields do not bear out."""
+
     advisory: AdvisoryRecord
     restated_description: str = ""
     root_cause: str = ""
@@ -67,13 +70,17 @@ class PoCArtifact:
     trigger_code: str = ""
     patch: str = ""
     explanation: str = ""
-    status: PoCStatus = PoCStatus.REJECTED
     raw_payload: str = ""
     transcript: Optional[Transcript] = None
 
-    def __post_init__(self):
-        if self.status == PoCStatus.VERIFIED and not (self.trigger_code and self.patch):
-            raise ValueError("verified artifacts require trigger_code and patch")
+    @property
+    def status(self) -> PoCStatus:
+        """``verified`` when all seven fields are non-empty, ``plausible``
+        when some are and ``rejected`` when none is."""
+        filled = [bool(getattr(self, k)) for k in _POC_FIELDS]
+        if all(filled):
+            return PoCStatus.VERIFIED
+        return PoCStatus.PLAUSIBLE if any(filled) else PoCStatus.REJECTED
 
     def to_dict(self) -> dict:
         return {
@@ -127,11 +134,9 @@ def parse_poc_payload(advisory: AdvisoryRecord, payload: str) -> PoCArtifact:
     except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
         doc = None
     fields = {k: doc.get(k, "") for k in _POC_FIELDS} if isinstance(doc, dict) else {}
-    if not all(isinstance(v, str) for v in fields.values()) or not any(fields.values()):
-        return PoCArtifact(advisory=advisory, status=PoCStatus.REJECTED, raw_payload=payload)
-    complete = all(fields[k] for k in _POC_FIELDS)
-    status = PoCStatus.VERIFIED if complete else PoCStatus.PLAUSIBLE
-    return PoCArtifact(advisory=advisory, status=status, raw_payload=payload, **fields)
+    if not all(isinstance(v, str) for v in fields.values()):
+        fields = {}
+    return PoCArtifact(advisory=advisory, raw_payload=payload, **fields)
 
 
 def extract_callable_names(*texts: str) -> list[str]:

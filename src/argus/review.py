@@ -12,7 +12,9 @@ match the expected schema.
 Each distinct flow step ``(from, edge, to)`` is described and
 rule-assessed once per scan (one ``shared`` table), and flows that share
 a step share its hop assessment. The LLM conversation stays per flow,
-and equal hops parsed from the answers are built once per table.
+and equal hops parsed from the answers are built once per table. A hop
+holds no position: that is its index in the verdict's hops, and the
+report writes it.
 
 Stitched flows carrying synthesized bridge edges can never be
 auto-confirmed; they always require human sign-off.
@@ -76,7 +78,9 @@ class FinalStatus(str, Enum):
 
 @dataclass(frozen=True)
 class HopAssessment:
-    position: int  # 1-based triple index
+    """One hop's assessment. Its position is its index in the verdict's
+    ``hops``, so one hop object can serve any flow at any position."""
+
     entry_description: str
     content_and_path: str
     neutralization: Neutralization = Neutralization.NONE
@@ -88,7 +92,6 @@ class HopAssessment:
 
     def to_dict(self) -> dict:
         return {
-            "position": self.position,
             "entry_description": self.entry_description,
             "content_and_path": self.content_and_path,
             "neutralization": self.neutralization.value,
@@ -107,17 +110,19 @@ class ReviewVerdict:
     transcript: Optional[Transcript] = None
 
     def to_dict(self, shared: Optional[dict] = None) -> dict:
-        """The verdict as report JSON. Each hop object's dict is a
-        :class:`~argus.model.SharedDict` built once per ``shared`` table, keyed
-        by ``id`` (the caller keeps the hops alive), and every verdict holding
-        the hop holds the same dict. Without a table, the verdict uses its own."""
+        """The verdict as report JSON, each hop's record with its 1-based
+        ``position``. A record is a :class:`~argus.model.SharedDict` built
+        once per ``shared`` table for each hop object and position, keyed by
+        ``(id(hop), position)`` (the caller keeps the hops alive), and every
+        verdict holding the hop there holds the same dict. Without a table,
+        the verdict uses its own."""
         if shared is None:
             shared = {}
         hops = []
-        for h in self.hops:
-            d = shared.get(id(h))
+        for i, h in enumerate(self.hops, start=1):
+            d = shared.get((id(h), i))
             if d is None:
-                d = shared[id(h)] = SharedDict(h.to_dict())
+                d = shared[id(h), i] = SharedDict(position=i, **h.to_dict())
             hops.append(d)
         return {
             "reachable": self.reachable,
@@ -130,27 +135,27 @@ class ReviewVerdict:
 
 
 class _Step:
-    """What review reads of one flow step ``(from, edge, to)``: its hop
-    texts, its prompt line, its rule neutralization and its interrupting
-    constructs, plus the rule :class:`HopAssessment` of each position it
-    takes. It depends only on the step and the graph, so :func:`_steps`
-    builds it once per table and flows that share the step share it."""
+    """What review reads of one flow step ``(from, edge, to)``: its prompt
+    line, its interrupting constructs and its rule :class:`HopAssessment`,
+    from the edge's guard tags and the step's sanitizer endpoints. It
+    depends only on the step and the graph, so :func:`_steps` builds it once
+    per table, and flows that share the step share it and its hop, at
+    whatever position they take it."""
 
-    __slots__ = ("edge", "entry", "content", "prompt", "neutralization",
-                 "justification", "constructs", "fatal", "hops")
+    __slots__ = ("edge", "prompt", "constructs", "fatal", "hop")
 
     def __init__(self, t: FlowTriple, graph: ProgramGraph):
         edge = self.edge = t.edge  # held, so the id in the step's key stays its own
         from_label = graph.nodes[t.from_node].label if t.from_node in graph.nodes else t.from_node
         to_label = graph.nodes[t.to_node].label if t.to_node in graph.nodes else t.to_node
         kind = edge.kind.value
-        self.entry = (
+        entry = (
             f"taint enters via {kind} edge {edge.id}"
             + (" (bridged gap)" if edge.bridged else "")
         )
-        self.content = f"{from_label or t.from_node} -> {to_label or t.to_node}"
+        content = f"{from_label or t.from_node} -> {to_label or t.to_node}"
         tags = sorted(edge.guard_tags)
-        self.prompt = f"{self.content} via {kind} [tags: {','.join(tags) or '-'}]"
+        self.prompt = f"{content} via {kind} [tags: {','.join(tags) or '-'}]"
         # Every guard tag in the lexicon is flagged; a fatal one kills
         # reachability.
         self.constructs = [
@@ -159,30 +164,20 @@ class _Step:
         ]
         self.fatal = not DEFAULT_FATAL_TAGS.isdisjoint(tags)
         # The first neutralizing tag, else a sanitizer endpoint.
-        self.neutralization = Neutralization.NONE
-        self.justification = ""
+        neutralization, justification = Neutralization.NONE, ""
         for tag in tags:
             mapped = NEUTRALIZING_TAGS.get(tag)
             if mapped is not None:
-                self.neutralization = mapped
-                self.justification = f"edge {edge.id} tagged {tag!r}"
+                neutralization, justification = mapped, f"edge {edge.id} tagged {tag!r}"
                 break
         else:
             for endpoint in (t.from_node, t.to_node):
                 node = graph.nodes.get(endpoint)
                 if node is not None and node.taint_role == TaintRole.SANITIZER:
-                    self.neutralization = Neutralization.SANITIZATION
-                    self.justification = f"node {endpoint} is a sanitizer"
+                    neutralization = Neutralization.SANITIZATION
+                    justification = f"node {endpoint} is a sanitizer"
                     break
-        self.hops: dict[int, HopAssessment] = {}
-
-    def hop(self, position: int) -> HopAssessment:
-        h = self.hops.get(position)
-        if h is None:
-            h = self.hops[position] = HopAssessment(
-                position, self.entry, self.content, self.neutralization, self.justification
-            )
-        return h
+        self.hop = HopAssessment(entry, content, neutralization, justification)
 
 
 def _steps(flow: DataFlow, graph: ProgramGraph, shared: dict) -> list[_Step]:
@@ -214,7 +209,8 @@ _TEXT_FIELDS = ("entry_description", "content_and_path", "justification")
 def _parse_llm_hops(payload: str, n_triples: int, table: dict) -> Optional[list[HopAssessment]]:
     """The answer's hops, or None when it does not fit the schema: an array
     of one object per hop, whose ``position`` is the hop's integer index and
-    whose text fields are strings when present. Equal hops are built once per ``table``."""
+    whose text fields are strings when present. Equal hops are built once
+    per ``table``, whatever their positions."""
     try:
         doc = json.loads(payload)
     except (json.JSONDecodeError, RecursionError):  # not JSON, or nested too deep
@@ -235,12 +231,12 @@ def _parse_llm_hops(payload: str, n_triples: int, table: dict) -> Optional[list[
         texts = [raw.get(k, "") for k in _TEXT_FIELDS]
         if not all(isinstance(text, str) for text in texts):
             return None
-        key = ("hop", i, value, *texts)
+        key = ("hop", value, *texts)
         hop = table.get(key)
         if hop is None:
             entry, content, justification = texts
             try:
-                hop = table[key] = HopAssessment(i, entry, content, neut, justification)
+                hop = table[key] = HopAssessment(entry, content, neut, justification)
             except ValueError:
                 return None
         hops.append(hop)
@@ -284,7 +280,7 @@ def review_flow(
         hops = _parse_llm_hops(outcome.final_payload, len(steps), shared)
     fell_back = backend is not None and hops is None
     if hops is None:
-        hops = [s.hop(i) for i, s in enumerate(steps, start=1)]
+        hops = [s.hop for s in steps]
     found = {h.neutralization for h in hops}
     if not reachable or not found.isdisjoint(DEFAULT_FATAL_NEUTRALIZATIONS):
         status = FinalStatus.REFUTED

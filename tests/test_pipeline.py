@@ -595,6 +595,42 @@ def test_registry_match_on_a_source_keeps_its_role_and_is_not_searched(tmp_path,
     assert [f.sink_id for f in report.findings] == ["n_newinst"]
 
 
+def test_a_graph_sink_matched_by_the_registry_reports_its_own_kind(tmp_path):
+    # Search and review see the kind the graph gave the node, so the report
+    # gives it too, not the kind of the registry entry that matched it.
+    nodes = [
+        ContentNode("src", NodeKind.PARAMETER, "req.getParameter", "f0", TaintRole.SOURCE,
+                    "http-param"),
+        ContentNode("snk", NodeKind.CALL_ARGUMENT, "Runtime.exec", "f0", TaintRole.SINK,
+                    sink_kind="sql"),
+    ]
+    graph = ProgramGraph(nodes, [AccessPathEdge("e1", "src", "snk", EdgeKind.CALL_PASS)],
+                         [FunctionDecl("f0", "f0", ("src",), is_entry_point=True)])
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"command-exec": ["Runtime.exec"]}))
+    config = dataclasses.replace(synthetic_config(graph, tmp_path / "g.json"),
+                                 sink_registry_path=str(registry))
+    report = run_pipeline(config)
+    assert report.sinks == [{"node_id": "snk", "label": "Runtime.exec",
+                             "origin": "static_registry", "sink_kind": "sql",
+                             "advisory": None}]
+    assert [f.sink_id for f in report.findings] == ["snk"]
+
+
+@pytest.mark.parametrize("config", [datagear_config, publiccms_config])
+def test_each_findings_sink_facts_are_those_of_its_sinks_entry(config):
+    doc = run_pipeline(config()).to_dict()
+    sinks = {s["node_id"]: s for s in doc["sinks"]}
+    poc_status = {p["advisory"]: p["status"] for p in doc["poc_artifacts"]}
+    assert doc["findings"]
+    for f in doc["findings"]:
+        entry = sinks[f["flow"]["triples"][-1]["to"]]
+        assert f["sink"] == {k: entry[k] for k in ("node_id", "label", "origin")}
+        assert f["advisory"] == entry["advisory"]
+        assert f["poc_status"] == poc_status.get(f["advisory"])
+        assert f["poc_status"] == "verified"
+
+
 def test_diverging_poc_replay_is_a_stage_error_and_the_scan_goes_on(tmp_path):
     replay = tmp_path / "replay"
     replay.mkdir()
@@ -612,7 +648,7 @@ def test_diverging_poc_replay_is_a_stage_error_and_the_scan_goes_on(tmp_path):
     assert report.poc_artifacts == []
     # The registry sink is still searched and reviewed, now with no advisory.
     assert [f.flow for f in report.findings] == [f.flow for f in golden.findings]
-    assert [f.advisory_id for f in report.findings] == [None]
+    assert [f["advisory"] for f in report.to_dict()["findings"]] == [None]
     assert report.summary() == golden.summary()
 
 
@@ -722,7 +758,9 @@ def test_report_builds_each_distinct_triple_and_hop_once(tmp_path):
     sinks = [f["sink"] for f in doc["findings"]]
     assert type(sinks[0]) is SharedDict and all(s is sinks[0] for s in sinks)
     # Interned across the report or per finding, the document is the same.
-    assert doc["findings"] == [f.to_dict() for f in report.findings]
+    assert [(f["flow"], f["verdict"]) for f in doc["findings"]] == [
+        (f.flow.to_dict(), f.verdict.to_dict()) for f in report.findings
+    ]
     assert json.loads(json.dumps(doc)) == doc
     assert _written(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

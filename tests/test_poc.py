@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from argus import poc
 from argus.advisories import AdvisoryRecord, Severity
@@ -88,9 +89,17 @@ def test_non_string_field_rejected_with_raw_preserved(field, value):
     assert (art.trigger_code, art.patch) == ("", "")
 
 
-def test_verified_invariant_enforced():
-    with pytest.raises(ValueError):
-        PoCArtifact(advisory=advisory(), status=PoCStatus.VERIFIED)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fields=st.fixed_dictionaries({k: st.text(max_size=2) for k in FULL_PAYLOAD}))
+def test_status_follows_the_fields(fields):
+    """Verified iff all seven fields are set, plausible iff some are,
+    rejected iff none is; an answer of those fields gives that status."""
+    art = PoCArtifact(advisory=advisory(), **fields)
+    filled = [bool(v) for v in fields.values()]
+    assert (art.status == PoCStatus.VERIFIED) == all(filled)
+    assert (art.status == PoCStatus.PLAUSIBLE) == (any(filled) and not all(filled))
+    assert (art.status == PoCStatus.REJECTED) == (not any(filled))
+    assert parse_poc_payload(advisory(), json.dumps(fields)).status == art.status
 
 
 def test_generate_poc_end_to_end_with_stub():
@@ -118,8 +127,7 @@ def test_extract_requires_dotted():
 
 
 def poc_with(trigger="", pattern=""):
-    return PoCArtifact(advisory=advisory(), trigger_code=trigger,
-                       code_pattern=pattern, status=PoCStatus.PLAUSIBLE)
+    return PoCArtifact(advisory=advisory(), trigger_code=trigger, code_pattern=pattern)
 
 
 def test_derive_exact_match():

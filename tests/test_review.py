@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import random
 
@@ -19,6 +20,7 @@ from argus.model import (
     TaintRole,
     load_program_graph,
 )
+from argus.pipeline import write_report_json
 from argus.recursion import backward_expand, stitch
 from argus.review import (
     FinalStatus,
@@ -113,7 +115,7 @@ def test_sanitizer_adjacent_node_neutralizes():
 
 def test_hop_assessment_invariant():
     with pytest.raises(ValueError):
-        HopAssessment(1, "e", "c", Neutralization.VALIDATION, justification="")
+        HopAssessment("e", "c", Neutralization.VALIDATION, justification="")
 
 
 def test_hop_descriptions_mention_bridged_gap():
@@ -214,7 +216,22 @@ def test_llm_absent_text_fields_are_empty():
         del rows[1][field]
     verdict = review_flow(flow, graph, backend=ScriptedStubBackend([final_block(rows)]))
     assert not verdict.fell_back_to_rule
-    assert verdict.hops[1] == HopAssessment(2, "", "")
+    assert verdict.hops[1] == HopAssessment("", "")
+
+
+def test_an_answer_repeating_a_hop_holds_one_hop_object_at_two_positions():
+    graph, flow = build()
+    row = {"entry_description": "taint enters", "content_and_path": "a -> b",
+           "neutralization": "none", "justification": ""}
+    answer = final_block([{"position": i, **row} for i in (1, 2)])
+    verdict = review_flow(flow, graph, backend=ScriptedStubBackend([answer]))
+    assert not verdict.fell_back_to_rule
+    assert verdict.hops[0] is verdict.hops[1]
+    doc = verdict.to_dict({})
+    assert doc["hops"] == [{"position": i, **row} for i in (1, 2)]
+    text = io.StringIO()
+    write_report_json(doc, text)
+    assert text.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def test_llm_missing_backend_is_rule_mode():
@@ -359,7 +376,7 @@ def test_verdicts_follow_the_hop_rule(case):
                            backend=ScriptedStubBackend(["```final\n[]\n```"]))
     assert fallback.fell_back_to_rule
     assert fallback.final_status == rule.final_status
-    restated = final_block([h.to_dict() for h in rule.hops])
+    restated = final_block(rule.to_dict()["hops"])
     llm = review_flow(flow, graph, backend=ScriptedStubBackend([restated]))
     assert not llm.fell_back_to_rule
     assert llm.hops == rule.hops
